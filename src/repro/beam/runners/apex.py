@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.beam.io.kafka import KafkaRead, KafkaWrite
+from repro.beam.io.kafka import KafkaRead, KafkaRecordColumn, KafkaWrite
 from repro.beam.runners.base import (
     PipelineResult,
     PipelineRunner,
@@ -85,7 +85,7 @@ class _BeamKafkaInput(KafkaSinglePortInputOperator):
         self._read = read
         self.plan_label = "PTransformTranslation.UnknownRawPTransform"
 
-    def fetch(self) -> list[Any]:
+    def fetch(self) -> KafkaRecordColumn:
         return self._read.read_records()
 
 

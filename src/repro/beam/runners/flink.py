@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.beam.io.kafka import KafkaRead, KafkaWrite
+from repro.beam.io.kafka import KafkaRead, KafkaRecordColumn, KafkaWrite
 from repro.beam.runners.base import (
     PipelineResult,
     PipelineRunner,
@@ -81,7 +81,7 @@ class _BeamKafkaSource(SourceFunction):
     def __init__(self, read: KafkaRead) -> None:
         self._read = read
 
-    def run(self) -> list[Any]:
+    def run(self) -> KafkaRecordColumn:
         return self._read.read_records()
 
 

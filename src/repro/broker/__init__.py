@@ -37,7 +37,12 @@ from repro.broker.errors import (
 from repro.broker.faults import ChaosSchedule, FaultPlan, NodeOutage
 from repro.broker.log import PartitionLog
 from repro.broker.producer import Producer, RecordMetadata
-from repro.broker.records import ConsumerRecord, ProducerRecord, TimestampType
+from repro.broker.records import (
+    ConsumerRecord,
+    ProducerRecord,
+    RecordSlice,
+    TimestampType,
+)
 from repro.broker.retry import RetryPolicy, run_with_retries
 from repro.broker.topic import Topic, TopicConfig
 
@@ -71,6 +76,7 @@ __all__ = [
     "RecordMetadata",
     "ConsumerRecord",
     "ProducerRecord",
+    "RecordSlice",
     "TimestampType",
     "Topic",
     "TopicConfig",

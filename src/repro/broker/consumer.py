@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from repro.broker.broker import BrokerCluster
 from repro.broker.errors import ConsumerClosedError, UnknownTopicError
-from repro.broker.records import ConsumerRecord
+from repro.broker.records import ConsumerRecord, RecordSlice
 from repro.broker.retry import RetryPolicy, run_with_retries
 
 
@@ -224,31 +224,45 @@ class Consumer:
         """Fetch up to ``max_records`` available records, round-robin.
 
         Returns an empty list when every assigned partition is fully
-        consumed (there is no blocking in simulated time).
+        consumed (there is no blocking in simulated time).  The records
+        are built from :meth:`poll_columns`' slices, so requests, charges,
+        retries and positions are exactly that method's.
+        """
+        records: list[ConsumerRecord] = []
+        for piece in self.poll_columns(max_records):
+            records.extend(piece.records())
+        return records
+
+    def poll_columns(self, max_records: int = 500) -> list[RecordSlice]:
+        """Fetch up to ``max_records`` available records as column slices.
+
+        One :class:`RecordSlice` per partition that had records, visited
+        round-robin over the assignment; an empty list when every assigned
+        partition is fully consumed.  Each fetch is one guarded request
+        (with retries); the call charges one request overhead plus the
+        per-record fetch cost.  Builds no per-record object.
         """
         self._ensure_open()
         if max_records < 1:
             raise ValueError(f"max_records must be >= 1, got {max_records}")
-        fetched: list[ConsumerRecord] = []
+        fetched: list[RecordSlice] = []
         budget = max_records
         for tp in self._assignment:
             if budget <= 0:
                 break
-            records = self._fetch(tp, budget)
-            if records:
-                self._positions[tp] = records[-1].offset + 1
-                budget -= len(records)
-                if fetched:
-                    fetched.extend(records)
-                else:
-                    # Adopt the first partition's (freshly built) batch —
-                    # the common single-partition poll then copies nothing.
-                    fetched = records
+            piece = self._guarded_read(
+                tp, lambda log, position: log.read_columns(position, budget)
+            )
+            if len(piece):
+                self._positions[tp] += len(piece)
+                budget -= len(piece)
+                fetched.append(piece)
+        count = max_records - budget
         costs = self.cluster.costs
         self.cluster.simulator.charge(
-            costs.request_overhead + costs.fetch_per_record * len(fetched)
+            costs.request_overhead + costs.fetch_per_record * count
         )
-        self.records_fetched += len(fetched)
+        self.records_fetched += count
         return fetched
 
     def poll_values(
@@ -281,12 +295,17 @@ class Consumer:
         values: list = []
         timestamps = array("d") if with_timestamps else None
         budget = max_records
+
+        def read(log, position):
+            chunk = log.read_values(position, budget, copy=not zero_copy)
+            if not with_timestamps:
+                return chunk, None
+            return chunk, log.read_timestamps(position, len(chunk))
+
         for tp in self._assignment:
             if budget is not None and budget <= 0:
                 break
-            chunk, stamps = self._fetch_values(
-                tp, budget, with_timestamps, copy=not zero_copy
-            )
+            chunk, stamps = self._guarded_read(tp, read)
             if chunk:
                 self._positions[tp] += len(chunk)
                 if budget is not None:
@@ -324,46 +343,18 @@ class Consumer:
         self.close()
 
     # ------------------------------------------------------------------
-    def _fetch(self, tp: TopicPartition, budget: int) -> list[ConsumerRecord]:
-        """One guarded fetch request against a partition, with retries."""
+    def _guarded_read(self, tp: TopicPartition, read):
+        """One guarded fetch request against ``tp``'s log, with retries.
 
-        def attempt() -> list[ConsumerRecord]:
-            self.cluster.guard_request(tp.topic, tp.partition)
-            log = self.cluster.partition_log(tp.topic, tp.partition)
-            return log.read(self._positions[tp], budget)
-
-        if self.retry_policy is None:
-            return attempt()
-        return run_with_retries(
-            self.cluster.simulator,
-            self.retry_policy,
-            self._retry_rng,
-            attempt,
-            on_retry=self._count_retry,
-        )
-
-    def _fetch_values(
-        self,
-        tp: TopicPartition,
-        budget: int | None,
-        with_timestamps: bool,
-        copy: bool = True,
-    ):
-        """One guarded values(+timestamps) fetch, with retries.
-
-        Both column slices are read inside a single attempt so a retry can
-        never observe a log grown between the value and timestamp reads.
+        ``read(log, position)`` runs inside each attempt, so everything it
+        reads comes from one attempt: a retry can never observe a log
+        grown between two column reads.
         """
 
         def attempt():
             self.cluster.guard_request(tp.topic, tp.partition)
             log = self.cluster.partition_log(tp.topic, tp.partition)
-            position = self._positions[tp]
-            chunk = log.read_values(position, budget, copy=copy)
-            stamps = (
-                log.read_timestamps(position, len(chunk)) if with_timestamps else None
-            )
-            return chunk, stamps
+            return read(log, self._positions[tp])
 
         if self.retry_policy is None:
             return attempt()

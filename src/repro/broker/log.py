@@ -6,7 +6,7 @@ from array import array
 from typing import Any, Iterator, Sequence
 
 from repro.broker.errors import OffsetOutOfRangeError, QueueFullError
-from repro.broker.records import ConsumerRecord, TimestampType
+from repro.broker.records import ConsumerRecord, RecordSlice, TimestampType
 from repro.dataflow.kernels import SlabColumn
 from repro.simtime import SimClock
 
@@ -276,39 +276,35 @@ class PartitionLog:
         self._producer_sequences[producer_id] = base_sequence + count - 1
         return True
 
-    def read(self, offset: int, max_records: int | None = None) -> list[ConsumerRecord]:
-        """Return up to ``max_records`` records starting at ``offset``.
+    def read_columns(self, offset: int, max_records: int | None = None) -> RecordSlice:
+        """Up to ``max_records`` records starting at ``offset``, as column slices.
 
-        Reading at the log end returns an empty list (a consumer catching
+        Reading at the log end returns an empty slice (a consumer catching
         up); reading beyond it — or below :attr:`start_offset` on a
         bounded log that trimmed — raises :class:`OffsetOutOfRangeError`.
+        Column indices are offsets shifted down by the trimmed prefix.
         """
         if offset < self._base or offset > self.end_offset:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
         end = self.end_offset if max_records is None else min(
             self.end_offset, offset + max_records
         )
-        # Bulk materialization: one pass over column slices instead of four
-        # list indexings plus a helper call per record.  Column indices are
-        # offsets shifted down by the trimmed prefix.
-        topic = self.topic
-        partition = self.partition
-        timestamp_type = self.timestamp_type
-        base = self._base
-        lo, hi = offset - base, end - base
+        lo, hi = offset - self._base, end - self._base
         keys = self._keys
-        # An adopted value column carries no keys; zipping the short key
-        # column would silently truncate the result.
-        key_slice = keys[lo:hi] if len(keys) >= hi else [None] * (hi - lo)
-        return [
-            ConsumerRecord(topic, partition, index, timestamp, timestamp_type, key, value)
-            for index, timestamp, key, value in zip(
-                range(offset, end),
-                self._timestamps[lo:hi],
-                key_slice,
-                self._values[lo:hi],
-            )
-        ]
+        return RecordSlice(
+            self.topic,
+            self.partition,
+            offset,
+            self.timestamp_type,
+            self._values[lo:hi],
+            # An adopted value column carries no keys.
+            keys[lo:hi] if len(keys) >= hi else None,
+            self._timestamps[lo:hi],
+        )
+
+    def read(self, offset: int, max_records: int | None = None) -> list[ConsumerRecord]:
+        """:meth:`read_columns` as :class:`ConsumerRecord` objects."""
+        return self.read_columns(offset, max_records).records()
 
     def read_values(
         self, offset: int, max_records: int | None = None, copy: bool = True
@@ -349,7 +345,7 @@ class PartitionLog:
         """Return the single record at ``offset``."""
         if offset < self._base or offset >= self.end_offset:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
-        return self._record(offset)
+        return self.read_columns(offset, 1).records()[0]
 
     def first_timestamp(self) -> float | None:
         """Timestamp of the first record, or ``None`` for an empty log."""
@@ -372,8 +368,7 @@ class PartitionLog:
 
     def iter_all(self) -> Iterator[ConsumerRecord]:
         """Iterate over every retained record in offset order."""
-        for offset in range(self._base, self.end_offset):
-            yield self._record(offset)
+        return iter(self.read_columns(self._base).records())
 
     def truncate(self) -> None:
         """Drop all records (used when a topic is deleted and recreated)."""
@@ -386,16 +381,3 @@ class PartitionLog:
         self._producer_sequences.clear()
         self._base = 0
         self._consumed = 0
-
-    def _record(self, offset: int) -> ConsumerRecord:
-        index = offset - self._base
-        keys = self._keys
-        return ConsumerRecord(
-            topic=self.topic,
-            partition=self.partition,
-            offset=offset,
-            timestamp=self._timestamps[index],
-            timestamp_type=self.timestamp_type,
-            key=keys[index] if index < len(keys) else None,
-            value=self._values[index],
-        )

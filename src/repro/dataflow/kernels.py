@@ -49,6 +49,10 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   between flushes, so two live kernels must not share one ``rng`` object
   (no query in this repo does).
 - ``identity``: zero-copy passthrough (chunks are private slices).
+- ``record_kv`` (KafkaIO's ``withoutMetadata``): a :class:`RecordColumn`
+  chunk is zipped from its key and value columns into ``(key, value)``
+  pairs without building one record object; any other chunk calls each
+  record's ``kv()``.
 - ``item`` / ``kv_value``: closure-free generated comprehensions.
 - chains (``ComposedFunction``): consecutive comprehension-shaped parts
   are fused into one generated comprehension (filters short-circuit
@@ -91,9 +95,10 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Any, Callable, Sequence
+from itertools import compress, repeat
+from typing import Any, Callable
 
 try:  # numpy accelerates the bulk kernels; everything degrades without it
     import numpy as _np
@@ -293,6 +298,27 @@ class ChunkView:
         return self._records[self._start + index]
 
 
+class RecordColumn(Sequence):
+    """A read-only record sequence stored as key and value columns.
+
+    A source that keeps its records columnar subclasses this (the Beam
+    KafkaIO read's ``KafkaRecordColumn``) and builds record objects only
+    when an element is indexed or iterated.  The identity kernel passes a
+    column through untouched and the ``record_kv`` kernel zips
+    :meth:`kv_slices` instead of building records, so a chunk that only
+    needs keys and values never materialises them.
+    """
+
+    __slots__ = ()
+
+    def kv_slices(self) -> list[tuple[Sequence[Any] | None, Sequence[Any]]]:
+        """Aligned ``(keys, values)`` column pairs, in element order.
+
+        ``keys`` is ``None`` where every key of the pair's rows is ``None``.
+        """
+        raise NotImplementedError
+
+
 #: Slab memo keyed by list identity: ``id -> (records, slab_or_None, len)``.
 #: The strong reference to ``records`` makes the id stable (no reuse while
 #: cached); the stored length detects list growth between runs.  Failed
@@ -345,8 +371,8 @@ class KernelSpec:
     are exactly the named shape; the equivalence suite enforces this for
     every spec shipped in the repo.  Stateless kinds: ``contains``,
     ``bernoulli``, ``column``, ``identity``, ``item``, ``kv_value``,
-    ``nexmark_decode``.  Stateful kinds (which carry the declaring
-    function as ``owner``): ``wordcount``, ``distinct_count``,
+    ``record_kv``, ``nexmark_decode``.  Stateful kinds (which carry the
+    declaring function as ``owner``): ``wordcount``, ``distinct_count``,
     ``statistics``, ``keyed_reduce``, ``update_state``, ``group_by_key``,
     ``nexmark_q3``, ``nexmark_q4``, ``nexmark_q5``,
     ``windowed_aggregate``.
@@ -392,6 +418,11 @@ class KernelSpec:
     def kv_value(cls) -> "KernelSpec":
         """``map(extract_kv_value)``: ``v[1]`` for 2-tuples, else ``v``."""
         return cls("kv_value")
+
+    @classmethod
+    def record_kv(cls) -> "KernelSpec":
+        """``map(lambda record: record.kv())`` — KafkaIO's ``withoutMetadata``."""
+        return cls("record_kv")
 
     @classmethod
     def nexmark_decode(cls) -> "KernelSpec":
@@ -502,16 +533,38 @@ class IdentityKernel(Kernel):
 
     :class:`ChunkView` chunks also pass through unchanged, so a leading
     identity stage does not break a downstream kernel's slab path (the
-    pump tracks slab eligibility by object identity).
+    pump tracks slab eligibility by object identity); so do
+    :class:`RecordColumn` chunks, which a downstream ``record_kv`` kernel
+    reads without building their records.
     """
 
     def __call__(self, values: Sequence[Any]) -> list:
-        if isinstance(values, (list, ChunkView)):
+        if isinstance(values, (list, ChunkView, RecordColumn)):
             return values
         return list(values)
 
     def describe(self) -> str:
         return "identity[zero-copy]"
+
+
+class RecordKvKernel(Kernel):
+    """``record_kv``: each record's ``(key, value)`` pair.
+
+    A :class:`RecordColumn` chunk is zipped from its key and value
+    columns, building no record object; any other chunk calls each
+    record's ``kv()``, which is the reference semantics.
+    """
+
+    def __call__(self, values: Sequence[Any]) -> list:
+        if not isinstance(values, RecordColumn):
+            return [record.kv() for record in values]
+        pairs: list = []
+        for keys, column in values.kv_slices():
+            pairs.extend(zip(repeat(None) if keys is None else keys, column))
+        return pairs
+
+    def describe(self) -> str:
+        return "record_kv[column zip]"
 
 
 class GrepKernel(Kernel):
@@ -1468,6 +1521,7 @@ _BULK_KINDS = {
     "bernoulli": lambda spec: SampleKernel(spec.fraction, spec.rng),
     "column": lambda spec: ColumnKernel(spec.index, spec.sep),
     "nexmark_decode": lambda spec: NexmarkDecodeKernel(),
+    "record_kv": lambda spec: RecordKvKernel(),
 }
 
 

@@ -102,7 +102,15 @@ SHARD_MIN_CHUNK_ENV = "REPRO_SHARD_MIN_CHUNK"
 #: ordered across the whole chunk, so it gets the dedicated
 #: split-stream-RNG kernel (:class:`ShardedSampleKernel`) instead.
 PURE_SHARD_KINDS = frozenset(
-    {"contains", "column", "item", "kv_value", "identity", "nexmark_decode"}
+    {
+        "contains",
+        "column",
+        "item",
+        "kv_value",
+        "record_kv",
+        "identity",
+        "nexmark_decode",
+    }
 )
 
 #: Keyed stateful spec kinds with a hash-partitioned shard executor.
@@ -188,6 +196,19 @@ _pool_lock = Lock()
 
 #: Test hook: force thread-pool execution even on a single-CPU host.
 FORCE_THREADS = False
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child: its threads stayed in the parent.
+
+    A process-pool worker forked after the parent ran shard tasks would
+    otherwise queue work on a pool with no threads and wait forever.
+    """
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _use_threads() -> bool:

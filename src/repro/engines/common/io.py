@@ -49,22 +49,6 @@ class BoundedKafkaReader:
         consumer.close()
         return values
 
-    def read_records(self) -> list[Any]:
-        """Fetch all consumer records currently in the topic."""
-        topic = self.cluster.topic(self.topic)
-        consumer = Consumer(self.cluster)
-        consumer.assign(
-            [TopicPartition(self.topic, p) for p in range(topic.num_partitions)]
-        )
-        out: list[Any] = []
-        while True:
-            batch = consumer.poll(max_records=10_000)
-            if not batch:
-                break
-            out.extend(batch)
-        consumer.close()
-        return out
-
 
 class KafkaWriter:
     """Chunk-wise writer used as the pump's emit callback.

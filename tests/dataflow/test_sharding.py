@@ -10,7 +10,9 @@ fallback on malformed input.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import threading
 
 import pytest
 
@@ -25,6 +27,10 @@ from repro.workloads.nexmark_queries import (
     q4_category_average,
     q5_hot_items,
 )
+
+
+def _shard_in_child(sender) -> None:
+    sender.send(sharding.run_shard_tasks([lambda: 0, lambda: 1]))
 
 
 class TestSpansAndKnobs:
@@ -79,6 +85,24 @@ class TestSpansAndKnobs:
         monkeypatch.delenv(sharding.SHARD_MIN_CHUNK_ENV, raising=False)
         monkeypatch.setattr(sharding, "SHARD_MIN_CHUNK", 16)
         assert sharding.shard_min_chunk() == 16
+
+    def test_forked_child_gets_a_working_pool(self, monkeypatch):
+        """A process forked after shard tasks ran still runs them."""
+        monkeypatch.setattr(sharding, "FORCE_THREADS", True)
+        # Both tasks wait for each other, so the parent's pool starts both
+        # of its threads, and the child inherits a full pool without them.
+        barrier = threading.Barrier(2, timeout=30)
+        assert sorted(sharding.run_shard_tasks([barrier.wait, barrier.wait])) == [0, 1]
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_shard_in_child, args=(sender,))
+        child.start()
+        try:
+            assert receiver.poll(60), "the forked child's shard tasks never ran"
+            assert receiver.recv() == [0, 1]
+        finally:
+            child.kill()
+            child.join()
 
     @pytest.mark.parametrize("boundary", (8, 32))
     def test_bypass_boundary_is_exact(self, monkeypatch, boundary):
