@@ -50,8 +50,8 @@ Two kinds of measurement:
   the P=4-vs-P=1 wall-clock ratio is CI's drain-speedup floor on
   multi-core runners (``parallel_drain`` in the JSON).
 * **Order-sensitive drains** — the same partition-parallel drain topology
-  pointed at the kernels ISSUE 10 un-serialised: the split-stream-RNG
-  sample filter and the extract/fold statistics aggregate.  Every shard
+  pointed at the order-sensitive kernels: the RNG-consuming sample
+  filter and the running statistics aggregate.  Every shard
   asserts its *exact* expected output count (the reference RNG's kept
   count for sample, one running tuple per record for statistics) on any
   host, and the per-query P=4-vs-P=1 ratio carries the same ≥2x CI floor
@@ -828,12 +828,11 @@ def run_parallel_drain_bench(
     return result
 
 
-#: Queries of the order-sensitive drain family: the two whose kernels
-#: ISSUE 10 moved from the "honestly serial" fallback onto the shard
-#: plane and whose drains carry CI speedup floors.  The windowed
-#: aggregate shards too, but its knee-vs-parallelism behaviour is gated
-#: through the simulated scalability curves instead — its drain-phase
-#: pane materialisation would dominate a host-clock ratio.
+#: Queries of the order-sensitive drain family, whose drains carry CI
+#: speedup floors.  The windowed aggregate's knee-vs-parallelism
+#: behaviour is gated through the simulated scalability curves instead —
+#: its drain-phase pane materialisation would dominate a host-clock
+#: ratio.
 ORDER_SENSITIVE_DRAIN_QUERIES = ("sample", "statistics")
 
 
@@ -846,7 +845,7 @@ def _drain_order_sensitive_shard(
     production sample or statistics kernel instead of grep, and computes
     the shard's *exact* expected output count: statistics emits one
     running ``(min, max, mean)`` tuple per record, and the sample
-    kernel's split-stream RNG is bit-identical to the per-record
+    kernel's bulk draw is bit-identical to the per-record
     reference draw ``rng.random() < SAMPLE_FRACTION``, so a fresh
     ``Random`` seeded like the worker's predicts the kept count exactly.
     The reference draws run after the timed drain, off the clock.
@@ -1016,11 +1015,9 @@ def run_scalability_bench(
     rises monotonically but sub-linearly (the broker append/fetch path
     does not parallelise, and the engines charge per-record coordination
     for P > 1), and Beam's knee trails native's at every level.  The
-    query set covers one kernel discipline each: grep (pure chain),
-    sample (split-stream RNG), statistics (extract/fold) and the
-    windowed aggregate (pane partitioning) — before ISSUE 10 the last
-    three flatlined on the serial fallback.  Only ``wall_seconds`` is
-    host-dependent.
+    query set covers a stateless filter (grep), an RNG-consuming filter
+    (sample), a running aggregate (statistics) and windowed panes
+    (windowed).  Only ``wall_seconds`` is host-dependent.
     """
     from repro.benchmark.capacity import CapacityRunner
     from repro.benchmark.config import CapacitySettings
@@ -1060,7 +1057,6 @@ def run_scalability_bench(
         "parallelisms": list(parallelisms),
         "kinds": ["native", "beam"],
         "queries": list(config.queries),
-        "effective_parallelism": report.effective_parallelism,
         "curves": curves,
         "wall_seconds": round(wall, 3),
     }

@@ -40,8 +40,8 @@ across hardware, unlike absolute records/sec.  Checks:
   any host, and keep its ≥2x P=4-vs-P=1 wall-clock floor on ≥4-core
   hosts (``null`` + note on single-CPU affinity, like the matrix and
   sharded-ingest sections);
-* the order-sensitive drains (same topology, through the split-stream
-  sample kernel and the extract/fold statistics kernel) must match every
+* the order-sensitive drains (same topology, through the sample and
+  statistics kernels) must match every
   shard's exact expected output count on any host, and each keep the
   same ≥2x P=4-vs-P=1 floor on ≥4-core hosts (``null`` + note on
   single-CPU affinity);

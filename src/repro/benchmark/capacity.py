@@ -36,10 +36,9 @@ priced at that P — so the knee scales sub-linearly with the engine's
 coord·(P−1)/cost).  The ``beam`` kind prices the same pipeline through the
 Beam runner's translation wrapping (:func:`build_beam_stages`), which is
 what puts an abstraction-penalty number on every point of the curve.  The
-sweep is simulated parallelism: bit-identical on every host regardless of
-cores (host thread fan-out happens inside the shard plane and never
-changes results); only the report-level ``effective_parallelism`` field
-records what the host could actually run side by side.
+sweep is simulated parallelism: the pump pool runs its shards one after
+another on the calling thread, so every point is bit-identical on every
+host regardless of cores.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from repro.benchmark.queries import QuerySpec, get_query
 from repro.broker import AdminClient, BrokerCluster, Consumer, TopicPartition
 from repro.broker.broker import BrokerCosts
 from repro.dataflow.metrics import JobMetrics
-from repro.dataflow.sharding import effective_parallelism
 from repro.engines.apex import ApexCostModel
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.progress import LagTracker, PumpStalledError
@@ -144,10 +142,6 @@ class CapacityReport:
     """All capacity cells of a campaign, in grid order."""
 
     config: BenchmarkConfig
-    #: Host-side shard parallelism actually available while this report
-    #: was produced — ``min(requested, len(os.sched_getaffinity(0)))``.
-    #: Pure host metadata: the cells never depend on it.
-    effective_parallelism: int = 1
     cells: list[CapacityCell] = field(default_factory=list)
 
     def cell(self, system: str, query: str) -> CapacityCell:
@@ -168,9 +162,6 @@ class ScalabilityReport:
     """
 
     config: BenchmarkConfig
-    #: Host-side shard parallelism actually available (affinity-clamped
-    #: request); host metadata only — cells are host-independent.
-    effective_parallelism: int = 1
     cells: list[CapacityCell] = field(default_factory=list)
 
     def cell(
@@ -734,12 +725,7 @@ class CapacityRunner:
     ) -> CapacityReport:
         """Execute every cell; merge into a report in grid order."""
         pairs = self.cells()
-        report = CapacityReport(
-            config=self.config,
-            effective_parallelism=effective_parallelism(
-                self.config.capacity.parallelism
-            ),
-        )
+        report = CapacityReport(config=self.config)
         if not pairs:
             return report
         if parallel:
@@ -769,13 +755,7 @@ class CapacityRunner:
         :meth:`run` with the same bit-identity guarantee.
         """
         points = self.scalability_cells()
-        settings = self.config.capacity
-        report = ScalabilityReport(
-            config=self.config,
-            effective_parallelism=effective_parallelism(
-                max(settings.parallelisms)
-            ),
-        )
+        report = ScalabilityReport(config=self.config)
         if not points:
             return report
         if parallel:

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "query set (default: the stateless four; --scalability adds "
-            "statistics and windowed, which shard with P)"
+            "statistics and windowed, which also scale with P)"
         ),
     )
     parser.add_argument(
@@ -143,16 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SDK kinds swept by --scalability (default: native beam)",
     )
     parser.add_argument(
-        "--query-parallelism",
-        type=int,
-        default=None,
-        help=(
-            "host-side shard parallelism for kernel execution (sets "
-            "REPRO_QUERY_PARALLELISM; bit-identical results at any value, "
-            "distinct from --parallel which fans out matrix cells)"
-        ),
-    )
-    parser.add_argument(
         "--predict",
         action="store_true",
         help=(
@@ -209,12 +199,6 @@ def main(argv: list[str] | None = None) -> int:
 
     records = FULL_SCALE_RECORDS if args.full_scale else args.records
     runs = 10 if args.full_scale else args.runs
-    if args.query_parallelism is not None:
-        import os
-
-        from repro.dataflow.sharding import QUERY_PARALLELISM_ENV
-
-        os.environ[QUERY_PARALLELISM_ENV] = str(args.query_parallelism)
     capacity_overrides = {}
     if args.capacity_records is not None:
         capacity_overrides["records"] = args.capacity_records

@@ -19,10 +19,9 @@ WORKERS_ENV = "REPRO_WORKERS"
 SYSTEMS = ("flink", "spark", "apex")
 KINDS = ("native", "beam")
 STATELESS_QUERIES = ("identity", "sample", "projection", "grep")
-#: Default query set of the scalability sweep: the stateless four plus the
-#: order-sensitive stateful queries that shard under the split-stream /
-#: extract-fold / pane-partition disciplines (every query here scales
-#: with P, so every curve has a real knee-vs-parallelism shape).
+#: Default query set of the scalability sweep: the stateless four plus two
+#: order-sensitive stateful queries (every query here scales with P, so
+#: every curve has a real knee-vs-parallelism shape).
 SCALABILITY_QUERIES = STATELESS_QUERIES + ("statistics", "windowed")
 
 

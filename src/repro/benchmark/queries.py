@@ -249,8 +249,8 @@ def _windowed_function() -> StreamFunction:
     """Hourly per-first-word query counts over event time.
 
     Trigger-less fixed windows, so the function declares the
-    ``windowed_aggregate`` spec and every execution tier — including the
-    pane-partitioned shard plane — applies; panes surface at drain.
+    ``windowed_aggregate`` spec and every execution tier applies; panes
+    surface at drain.
     """
     from repro.dataflow.windowing import WindowedAggregateFunction
 

@@ -256,9 +256,7 @@ def render_scalability(report) -> str:
     readable per level.  ``Shard skew`` is max/mean of the knee probe's
     per-shard cumulative drain costs — 1.00 means perfectly balanced
     shards, higher means the straggler-max merge paid for load skew ("-"
-    at P=1, where there is no shard pool).  The footer records the
-    *host's* effective shard parallelism (affinity-clamped), which never
-    affects the simulated numbers.
+    at P=1, where there is no shard pool).
     """
     headers = (
         "System",
@@ -308,11 +306,7 @@ def render_scalability(report) -> str:
         f"P ∈ {{{', '.join(str(p) for p in settings.parallelisms)}}}, "
         f"{settings.records} records/probe)"
     )
-    footer = (
-        f"[host effective shard parallelism: {report.effective_parallelism}; "
-        "simulated knees are host-independent]"
-    )
-    return f"{title}\n\n{_table(headers, rows)}\n{footer}"
+    return f"{title}\n\n{_table(headers, rows)}"
 
 
 def render_full_report(report: BenchmarkReport) -> str:

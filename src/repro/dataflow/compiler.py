@@ -25,20 +25,11 @@ Lowering rules:
 4. A function with no spec at all lowers to ``None`` and the pump falls
    down the ladder (``process_batch``, then the per-record reference
    loop).
-5. *Shard context:* when query parallelism is above 1
-   (``REPRO_QUERY_PARALLELISM``, or an explicit ``parallelism``
-   argument), shardable lowerings are wrapped by
-   :mod:`repro.dataflow.sharding` — pure stateless runs get
-   chunk-sharded, keyed stateful kinds and the fused Nexmark wire
-   kernels get hash-partitioned by key, and the order-sensitive shapes
-   get their dedicated disciplines — ``bernoulli`` the split-stream RNG
-   mask, ``statistics`` parallel extraction with an ordered fold,
-   trigger-less ``windowed_aggregate`` pane partitioning.  Only the
-   decoded-object Nexmark joins and opaque parts keep a serial lowering
-   at any P.  Sharding is host-side only: outputs,
-   per-chunk counts and owner state stay bit-identical to the serial
-   pump, which is what lets one knob parallelise every engine, the Beam
-   runners, the capacity drains and the recovery path at once.
+
+Lowering is serial: one kernel instance per stage, run on the calling
+thread.  A pump pool (:class:`~repro.engines.common.sharded.ShardedPump`)
+gets its parallelism from one lowered pump per shard, not from inside a
+kernel.
 
 Kernels built here keep every invariant ``kernels.py`` documents: exact
 cheap guards with per-line reference fallbacks, state mutated only on the
@@ -50,7 +41,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.dataflow import kernels as _kernels
-from repro.dataflow import sharding as _sharding
 from repro.dataflow.functions import ComposedFunction
 from repro.dataflow.kernels import Kernel
 
@@ -111,62 +101,19 @@ class SegmentKernel(Kernel):
         return " => ".join(segment.describe() for segment in self.segments)
 
 
-def lower_stage(function: Any, parallelism: int | None = None) -> Kernel | None:
-    """Lower ``function`` to a kernel, or ``None`` for the batch tier.
-
-    ``parallelism`` is the shard context: ``None`` reads the
-    ``REPRO_QUERY_PARALLELISM`` knob (stages cache their kernel per run,
-    so the env is consulted at lowering time, like the data-plane knobs).
-    """
+def lower_stage(function: Any) -> Kernel | None:
+    """Lower ``function`` to a kernel, or ``None`` for the batch tier."""
     if function is None:
         return None
-    if parallelism is None:
-        parallelism = _sharding.query_parallelism()
     if isinstance(function, ComposedFunction):
-        return _lower_composed(function, parallelism)
+        return _lower_composed(function)
     spec = getattr(function, "kernel_spec", None)
     if spec is None:
         return None
-    return _lower_specs([spec], parallelism)
+    return _kernels._build_chain([spec])
 
 
-def _lower_specs(specs: list, parallelism: int) -> Kernel:
-    """Build the (possibly sharded) kernel chain for a run of specs."""
-    if parallelism <= 1:
-        return _kernels._build_chain(list(specs))
-    ops: list[Kernel] = []
-    pure_run: list = []
-
-    def close_pure_run() -> None:
-        if pure_run:
-            ops.append(_sharding.shard_pure_chain(pure_run, parallelism))
-            pure_run.clear()
-
-    for spec in specs:
-        if spec.kind in _sharding.PURE_SHARD_KINDS:
-            pure_run.append(spec)
-            continue
-        close_pure_run()
-        if spec.kind in _sharding.KEYED_SHARD_KINDS:
-            ops.append(_sharding.shard_stateful_kernel(spec, parallelism))
-        elif spec.kind == "bernoulli":
-            ops.append(_sharding.shard_sample_kernel(spec, parallelism))
-        elif spec.kind == "statistics":
-            ops.append(_sharding.shard_statistics_kernel(spec, parallelism))
-        elif spec.kind in _sharding.WINDOWED_SHARD_KINDS:
-            ops.append(_sharding.shard_windowed_kernel(spec, parallelism))
-        else:
-            # Decoded-object Nexmark Q3/Q4 joins: serial kernel at any P.
-            ops.append(_kernels._build_chain([spec]))
-    close_pure_run()
-    if len(ops) == 1:
-        return ops[0]
-    return _kernels.ChainKernel(ops)
-
-
-def _lower_composed(
-    function: ComposedFunction, parallelism: int = 1
-) -> Kernel | None:
+def _lower_composed(function: ComposedFunction) -> Kernel | None:
     parts = function.parts
     specs = [getattr(part, "kernel_spec", None) for part in parts]
     if all(spec is None for spec in specs):
@@ -186,15 +133,8 @@ def _lower_composed(
             and specs[index + 1] is not None
             and specs[index + 1].kind in _kernels._WIRE_FUSED_KINDS
         ):
-            wire_kind = specs[index + 1].kind
-            wire_owner = specs[index + 1].owner
-            if parallelism > 1 and wire_kind in _sharding.WIRE_SHARD_KINDS:
-                wire = _sharding.shard_wire_kernel(
-                    wire_kind, wire_owner, parallelism
-                )
-            else:
-                wire = _kernels._WIRE_FUSED_KINDS[wire_kind](wire_owner)
-            items.append(("kernel", wire))
+            wire = _kernels._WIRE_FUSED_KINDS[specs[index + 1].kind]
+            items.append(("kernel", wire(specs[index + 1].owner)))
             index += 2
             continue
         if spec is None:
@@ -209,7 +149,7 @@ def _lower_composed(
 
     def close_spec_run() -> None:
         if spec_run:
-            segments.append(_lower_specs(list(spec_run), parallelism))
+            segments.append(_kernels._build_chain(list(spec_run)))
             spec_run.clear()
 
     def close_part_run() -> None:

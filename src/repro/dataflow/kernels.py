@@ -721,10 +721,7 @@ class SampleKernel(Kernel):
 
         Adopts the Python RNG state into NumPy on first use; an unknown
         state version returns ``None`` and demotes the kernel to the
-        per-record path.  Exposed for the shard plane: the sharded sample
-        kernel materialises one chunk-wide mask here (the identical draw
-        stream — draw index == global record index) and fans only the
-        gather work across spans.
+        per-record path.
         """
         state = self._state
         if state is None:
@@ -987,28 +984,26 @@ class StatisticsKernel(StatefulKernel):
     prior totals in after the fact equals the reference's running fold.
     Small chunks (or no NumPy) take a hoisted reference-shaped loop.
 
-    Split into two phases so the shard plane can parallelise the hot
-    part: :meth:`extract` parses the per-record query lengths (stateless
-    — it raises before any owner mutation on malformed input) and
-    :meth:`fold` replays the reference accumulation over the extracted
-    array, touching the owner exactly as the serial loop would.
+    The chunk's query lengths are parsed first and folded second.  A
+    malformed record stops the parse; the lengths parsed before it are
+    folded and its error re-raised, which leaves the owner exactly where
+    the reference loop leaves it.
     """
 
-    @staticmethod
-    def extract(values: Sequence[Any]) -> list:
-        """Per-record query lengths (the parse-heavy, stateless phase)."""
+    def __call__(self, values: Sequence[Any]) -> list:
         lengths: list = []
         append = lengths.append
-        for line in values:
-            parts = line.split("\t", 2)
-            append(float(len(parts[1] if len(parts) > 1 else line)))
-        return lengths
+        try:
+            for line in values:
+                parts = line.split("\t", 2)
+                append(float(len(parts[1] if len(parts) > 1 else line)))
+        except Exception:
+            self._fold(lengths)
+            raise
+        return self._fold(lengths)
 
-    def __call__(self, values: Sequence[Any]) -> list:
-        return self.fold(self.extract(values))
-
-    def fold(self, lengths: list) -> list:
-        """Fold extracted lengths into the owner state (reference order)."""
+    def _fold(self, lengths: list) -> list:
+        """Fold parsed lengths into the owner state (reference order)."""
         fn = self._fn
         n = len(lengths)
         if _np is None or n < _MIN_BULK:

@@ -14,13 +14,6 @@ input the watermark passes every window end exactly at drain), so the
 compiled :class:`~repro.dataflow.kernels.WindowedAggregateKernel` never
 has to replicate mid-stream firing; ``AfterCount`` keeps the
 reference/batch tiers.  This is a documented fallback edge.
-
-Because the spec exists only for trigger-less functions, the shard plane
-can partition panes across shards under ``REPRO_QUERY_PARALLELISM``
-(:class:`~repro.dataflow.sharding.ShardedWindowedAggregateKernel`): all
-records of one ``(key, window)`` pane fold on one shard in record order,
-and the pinned first-occurrence merge keeps ``panes`` insertion order —
-what :meth:`finish` and snapshots observe — bit-identical to serial.
 """
 
 from __future__ import annotations

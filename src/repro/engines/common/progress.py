@@ -183,13 +183,13 @@ def merge_trackers(trackers: "list[LagTracker]") -> LagTracker:
     """Fold per-shard sample series into one monotonic aggregate series.
 
     Samples merge in global time order (ties broken by shard index, so
-    the merge order is pinned and the result deterministic at any thread
-    schedule).  At each merged instant the recorded offset and depth are
-    the *sums* of every shard's latest value — total records consumed and
-    total backlog — which makes the merged offsets monotonically
-    non-decreasing even though individual shards sample at different
-    times.  The result is observation-only (no watchdog), with the tier
-    taken from the first tracker.
+    the merge order is pinned and the result deterministic).  At each
+    merged instant the recorded offset and depth are the *sums* of every
+    shard's latest value — total records consumed and total backlog —
+    which makes the merged offsets monotonically non-decreasing even
+    though individual shards sample at different times.  The result is
+    observation-only (no watchdog), with the tier taken from the first
+    tracker.
     """
     if not trackers:
         return LagTracker()

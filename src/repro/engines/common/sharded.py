@@ -1,9 +1,9 @@
 """The pump-pool driver: P pump workers, one per partition group.
 
 :class:`ShardedPump` drives partition-parallel query execution for the
-capacity drains and the perf benches: the caller polls one chunk from
-the broker, the driver cuts it into P contiguous partition-group spans
-and runs each span through its own :class:`~repro.engines.common.pump.
+capacity probes: the caller polls one chunk from the broker, the driver
+cuts it into P contiguous partition-group spans and runs each span
+through its own :class:`~repro.engines.common.pump.
 StreamPump` — private stages, private kernels, private metrics, private
 :class:`~repro.engines.common.progress.LagTracker` — then merges
 deterministically:
@@ -25,10 +25,10 @@ deterministically:
   ``max(shard_costs)`` and the mean is simulated time lost to the
   slowest shard.
 
-Host-side, the per-shard ``_process_chunk`` calls fan out over the
-shared shard thread pool (:mod:`repro.dataflow.sharding`) — they touch
-no shared mutable state, so the pool is observationally equivalent to a
-sequential loop and results stay bit-identical at any P on any host.
+The parallelism is simulated: the shards run one after another, in
+shard order, on the calling thread, and only the cost merge treats them
+as concurrent workers.  Results are therefore bit-identical at any P on
+any host.
 """
 
 from __future__ import annotations
@@ -36,9 +36,16 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.dataflow.metrics import JobMetrics
-from repro.dataflow.sharding import run_shard_tasks, shard_spans
 from repro.engines.common.progress import LagTracker, ProgressGroup, merge_trackers
 from repro.engines.common.pump import StreamPump
+
+
+def shard_spans(total: int, parallelism: int) -> list[tuple[int, int]]:
+    """Contiguous, balanced ``[start, stop)`` spans covering ``total``."""
+    return [
+        (s * total // parallelism, (s + 1) * total // parallelism)
+        for s in range(parallelism)
+    ]
 
 
 class ShardedPump:
@@ -76,23 +83,16 @@ class ShardedPump:
         exactly the :meth:`StreamPump._process_chunk` contract, so a
         1-shard pool is bit-identical to the plain serial drain.
         """
+        cost = 0.0
+        outputs: list[Any] = []
         spans = shard_spans(len(values), self.parallelism)
-        tasks = []
-        active: list[int] = []
         for shard, (start, stop) in enumerate(spans):
             if stop <= start:
                 continue
-            active.append(shard)
             self._consumed[shard] += stop - start
-            tasks.append(
-                lambda s=shard, a=start, b=stop: self.pumps[s]._process_chunk(
-                    values[a:b], self.metrics[s]
-                )
+            shard_cost, shard_outputs = self.pumps[shard]._process_chunk(
+                values[start:stop], self.metrics[shard]
             )
-        results = run_shard_tasks(tasks)
-        cost = 0.0
-        outputs: list[Any] = []
-        for shard, (shard_cost, shard_outputs) in zip(active, results):
             self.shard_costs[shard] += shard_cost
             if shard_cost > cost:
                 cost = shard_cost
@@ -144,6 +144,6 @@ class ShardedPump:
                 totals[name] = (
                     records_in + operator.records_in,
                     records_out + operator.records_out,
-                    cost + operator.total_cost,
+                    cost + operator.busy_seconds,
                 )
         return totals

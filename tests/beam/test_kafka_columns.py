@@ -337,7 +337,7 @@ class TestColumnKernels:
         pipeline | transform
         dofn = pipeline.applied[-1].transform.dofn
         assert dofn.kernel_spec == KernelSpec.record_kv()
-        assert isinstance(lower_stage(dofn, parallelism=1), RecordKvKernel)
+        assert isinstance(lower_stage(dofn), RecordKvKernel)
 
 
 # ---------------------------------------------------------------------------

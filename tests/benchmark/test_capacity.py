@@ -288,19 +288,6 @@ class TestScalabilityReport:
             assert rates == sorted(rates)
             assert rates[0] < rates[-1]
 
-    def test_reports_record_effective_parallelism(self):
-        from repro.dataflow.sharding import effective_parallelism
-
-        cfg = config(capacity=SWEEP)
-        runner = CapacityRunner(cfg, columnar=False)
-        assert (
-            runner.run_scalability().effective_parallelism
-            == effective_parallelism(4)
-        )
-        assert runner.run().effective_parallelism == effective_parallelism(
-            SWEEP.parallelism
-        )
-
     def test_harness_entry_point(self):
         from repro.benchmark.harness import StreamBenchHarness
 
@@ -335,4 +322,3 @@ class TestScalabilityReport:
         assert "Scalability curves" in text
         assert "Speedup vs P=1" in text
         assert "1.00x" in text
-        assert "host effective shard parallelism" in text

@@ -21,19 +21,8 @@ from repro.dataflow.functions import (
     compose,
 )
 from repro.dataflow.kernels import ChainKernel, GrepKernel, KernelSpec
-from repro.dataflow.sharding import QUERY_PARALLELISM_ENV
 
 np = pytest.importorskip("numpy")
-
-
-@pytest.fixture(autouse=True)
-def _serial_lowering(monkeypatch):
-    # These tests pin the lowering *shapes* (which exact kernel class each
-    # stage compiles to), so they must see the serial plan even when the
-    # suite runs with REPRO_QUERY_PARALLELISM forced on.  The shard plane's
-    # wrapping of these kernels is covered by tests/dataflow/test_sharding.py
-    # and tests/engines/test_query_parallel.py.
-    monkeypatch.setenv(QUERY_PARALLELISM_ENV, "1")
 
 
 def grep_fn(needle="xx"):

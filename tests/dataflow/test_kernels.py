@@ -13,6 +13,7 @@ import random
 import pytest
 
 import repro.dataflow.kernels as kernels
+from repro.dataflow.compiler import lower_stage
 from repro.dataflow.functions import (
     FilterFunction,
     IdentityFunction,
@@ -238,13 +239,15 @@ class TestColumnSlabProjection:
 class TestSampleKernel:
     def test_identical_stream_to_python_rng(self):
         values = list(range(1000))
-        rng = random.Random(42)
-        kernel = SampleKernel(0.3, rng)
-        picked = kernel(values)
-        kernel.flush()
-        ref_rng = random.Random(42)
-        assert picked == [v for v in values if ref_rng.random() < 0.3]
-        assert rng.getstate() == ref_rng.getstate()
+        for bulk in (True, False):  # NumPy mask, and the per-record path
+            rng = random.Random(42)
+            kernel = SampleKernel(0.3, rng)
+            kernel._bulk = bulk
+            picked = kernel(values)
+            kernel.flush()
+            ref_rng = random.Random(42)
+            assert picked == [v for v in values if ref_rng.random() < 0.3]
+            assert rng.getstate() == ref_rng.getstate()
 
     def test_flush_is_idempotent(self):
         rng = random.Random(1)
@@ -901,6 +904,70 @@ class TestWindowedAggregateKernel:
         fn = self.make(trigger=AfterCount(5))
         assert getattr(fn, "kernel_spec", None) is None
         assert compile_function(fn) is None
+        assert lower_stage(fn) is None
+
+
+# ---------------------------------------------------------------------------
+# Mid-chunk errors
+
+
+def _guard_sum(acc, value):
+    if value > 900.0:
+        raise RuntimeError(f"poisoned value {value}")
+    return acc + value
+
+
+def make_windowed_sum():
+    from repro.beam.window import FixedWindows
+    from repro.dataflow.windowing import WindowedAggregateFunction
+
+    return WindowedAggregateFunction(
+        window_fn=FixedWindows(10.0),
+        key_fn=lambda v: int(v) % 5,
+        timestamp_fn=float,
+        reducer=_guard_sum,
+        initial=0.0,
+        name="WindowedSum",
+    )
+
+
+_rng = random.Random(13)
+TIMESTAMPS = [_rng.uniform(0.0, 200.0) for _ in range(400)]
+
+
+def _owner_state(fn):
+    """Every scalar and dict of the owner, dicts with insertion order."""
+    return {
+        name: list(value.items()) if isinstance(value, dict) else value
+        for name, value in vars(fn).items()
+        if isinstance(value, (dict, int, float))
+    }
+
+
+@pytest.mark.parametrize(
+    "make, values",
+    (
+        (make_statistics, AOL_LIKE[:150] + [None] + AOL_LIKE[150:]),
+        (make_windowed_sum, TIMESTAMPS[:350] + ["not-a-time"] + TIMESTAMPS[350:]),
+        (make_windowed_sum, TIMESTAMPS[:310] + [950.0] + TIMESTAMPS[310:]),
+    ),
+    ids=("statistics-malformed", "windowed-malformed", "windowed-raising-reducer"),
+)
+def test_mid_chunk_error_leaves_reference_state(make, values):
+    """The kernel raises the reference loop's exception and leaves the
+    owner exactly as the reference loop leaves it at that record."""
+    fn = make()
+    fn.open()
+    with pytest.raises(Exception) as kernel_err:
+        lower_stage(fn)(values)
+    ref = make()
+    ref.open()
+    with pytest.raises(Exception) as ref_err:
+        ref_process(ref, values)
+    assert type(kernel_err.value) is type(ref_err.value)
+    assert str(kernel_err.value) == str(ref_err.value)
+    assert _owner_state(fn) == _owner_state(ref)
+    assert _owner_state(fn) != _owner_state(make())  # the prefix was folded
 
 
 # ---------------------------------------------------------------------------

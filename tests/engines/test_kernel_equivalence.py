@@ -465,11 +465,5 @@ class TestSlabPumpPath:
         _, outputs = pump._process_chunk(records[:100], metrics)
         kernel = pump.stages[1].cached_kernel()
         assert kernel is not None
-        from repro.dataflow.sharding import ShardedPureKernel
-
-        inners = (
-            kernel.inners if isinstance(kernel, ShardedPureKernel) else [kernel]
-        )
-        for inner in inners:
-            assert inner._slab is None  # flushed
+        assert kernel._slab is None  # flushed
         assert outputs == [v for v in records[:100] if GREP_NEEDLE in v]

@@ -262,23 +262,13 @@ class TestNexmarkPipelineEquivalence:
     def test_wire_fusion_engages(self, query):
         """The equality above is not vacuous: decode |> q3/q4/q5 lowers to
         the fused wire kernel, not the generic decode+query chain."""
-        from repro.dataflow import sharding
-
         composed = compose([nexmark_decode(), NEXMARK_PIPELINES[query]()])
-        kernel = lower_stage(composed)
-        if sharding.query_parallelism() > 1:
-            expected = {
-                "q3": sharding.ShardedNexmarkQ3WireKernel,
-                "q4": sharding.ShardedNexmarkQ4WireKernel,
-                "q5": sharding.ShardedNexmarkQ5WireKernel,
-            }[query]
-        else:
-            expected = {
-                "q3": kernels.NexmarkQ3WireKernel,
-                "q4": kernels.NexmarkQ4WireKernel,
-                "q5": kernels.NexmarkQ5WireKernel,
-            }[query]
-        assert isinstance(kernel, expected)
+        expected = {
+            "q3": kernels.NexmarkQ3WireKernel,
+            "q4": kernels.NexmarkQ4WireKernel,
+            "q5": kernels.NexmarkQ5WireKernel,
+        }[query]
+        assert isinstance(lower_stage(composed), expected)
 
     def test_q5_emits_panes_at_drain(self, nexmark_events):
         """Q5 actually produces windowed panes (the comparison has teeth)."""
