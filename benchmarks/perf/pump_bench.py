@@ -28,8 +28,8 @@ Two kinds of measurement:
   The ratio is the CI floor for the columnar plane's reason to exist.
 * **End-to-end** — a native-Flink identity run over the full Figure-5
   path (ingest -> engine -> output topic -> result calculator), timed
-  phase by phase **on both data planes** (object and columnar), with
-  disk caches disabled so the generation phase is genuinely cold.
+  phase by phase, with disk caches disabled so the generation phase is
+  genuinely cold.
   Workload generation is reported separately: it is not part of the
   paper's pipeline (the AOL file pre-exists on disk).
 * **Sharded ingest** — partition-parallel ingestion over the sharded
@@ -65,9 +65,10 @@ Two kinds of measurement:
   native at every level (``scalability_curves`` in the JSON).
 * **Matrix scale** — the full 48-cell Figure-5 grid executed serially and
   through the parallel :class:`~repro.benchmark.parallel.MatrixRunner`
-  (per-field report equality asserted), plus the workload cache's
-  generate/store/load timings.  These record how long a campaign takes to
-  *start and fan out* on the host, complementing the per-pump numbers.
+  (per-field report equality asserted), plus the workload cache's cold
+  generation vs warm mmap load timings.  These record how long a
+  campaign takes to *start and fan out* on the host, complementing the
+  per-pump numbers.
 
 Results are written to ``BENCH_pump.json`` at the repository root; each
 scenario records records/sec for all three paths plus ``speedup``
@@ -386,20 +387,15 @@ def run_generation_bench(
     }
 
 
-def run_end_to_end(
-    num_records: int = 1_000_001, columnar: bool | None = None
-) -> dict[str, Any]:
+def run_end_to_end(num_records: int = 1_000_001) -> dict[str, Any]:
     """Time one native-Flink identity campaign phase by phase (host clock).
 
-    ``columnar`` picks the data plane (default: the ``REPRO_COLUMNAR``
-    knob).  Disk workload caches are disabled and memos cleared for the
-    duration, so ``workload_generation`` measures a genuinely cold start
-    on either plane rather than a warm cache hit.
+    Disk workload caches are disabled and memos cleared for the duration,
+    so ``workload_generation`` measures a genuinely cold start rather than
+    a warm cache hit.
     """
     from repro.workloads.cache import CACHE_ENV, clear_memo
-    from repro.workloads.columnar import columnar_enabled
 
-    plane = columnar_enabled() if columnar is None else columnar
     previous_cache = os.environ.get(CACHE_ENV)
     os.environ[CACHE_ENV] = "0"
     clear_memo()
@@ -407,11 +403,8 @@ def run_end_to_end(
         phases: dict[str, float] = {}
         started = time.perf_counter()
         config = BenchmarkConfig(records=num_records, runs=1)
-        harness = StreamBenchHarness(config, columnar=plane)
-        if plane:
-            harness.workload.columnar()
-        else:
-            _ = harness.workload.records
+        harness = StreamBenchHarness(config)
+        harness.workload.columnar()
         phases["workload_generation"] = time.perf_counter() - started
 
         mark = time.perf_counter()
@@ -439,7 +432,6 @@ def run_end_to_end(
     return {
         "system": "flink",
         "query": "identity",
-        "plane": "columnar" if plane else "object",
         "records": num_records,
         "records_out": job.records_out,
         "phases_seconds": {k: round(v, 3) for k, v in phases.items()},
@@ -449,50 +441,19 @@ def run_end_to_end(
     }
 
 
-def run_end_to_end_planes(num_records: int = 1_000_001) -> dict[str, Any]:
-    """Both data planes end to end, plus the cold gen+ingest ratio.
-
-    ``generation_ingest_speedup`` is the acceptance metric for the
-    columnar plane: cold workload generation plus ingestion, object plane
-    over columnar plane.  The simulated execution times are asserted
-    identical — the planes must differ in host seconds only.
-    """
-    object_plane = run_end_to_end(num_records, columnar=False)
-    columnar_plane = run_end_to_end(num_records, columnar=True)
-    if (
-        object_plane["simulated_execution_time"]
-        != columnar_plane["simulated_execution_time"]
-        or object_plane["records_out"] != columnar_plane["records_out"]
-    ):
-        raise AssertionError("data planes diverged in simulated results")
-
-    def gen_ingest(result: dict[str, Any]) -> float:
-        phases = result["phases_seconds"]
-        return phases["workload_generation"] + phases["ingest"]
-
-    return {
-        "object": object_plane,
-        "columnar": columnar_plane,
-        "generation_ingest_speedup": round(
-            gen_ingest(object_plane) / gen_ingest(columnar_plane), 2
-        ),
-    }
-
-
 def run_workload_cache_bench(num_records: int = 200_000, repeats: int = 3) -> dict[str, Any]:
-    """Time the workload cache paths: generate, store, warm load.
+    """Time the workload cache: cold generation vs a warm mmap load.
 
-    The on-disk cache exists because generation dominates campaign start-up
-    (~6 s at full scale); a warm load is a single read + splitlines, and
-    the columnar tier's warm load is an mmap + header/checksum check with
-    zero-copy column views (no record materialisation at all).  The
-    reported ``load_speedup``/``columns_load_speedup`` ratios (generate /
-    load) are machine-independent enough to gate on.  Cache files live in
-    a throwaway directory under the repo's ``.cache/`` and are removed
-    afterwards.
+    The on-disk cache exists because generation dominates campaign
+    start-up.  A warm load is an mmap + header/checksum check with
+    zero-copy column views (no record materialisation at all), so the
+    reported ``columns_load_speedup`` ratio (cold ``generate_columns`` /
+    best-of-``repeats`` load) is machine-independent enough to gate on.
+    Cache files live in a throwaway directory under the repo's ``.cache/``
+    and are removed afterwards.
     """
-    from repro.workloads.aol import iter_record_chunks
     from repro.workloads.cache import WorkloadCache
+    from repro.workloads.columnar import generate_columns
 
     cache_root = REPO_ROOT / ".cache"
     cache_root.mkdir(exist_ok=True)
@@ -500,26 +461,9 @@ def run_workload_cache_bench(num_records: int = 200_000, repeats: int = 3) -> di
     try:
         cache = WorkloadCache(tmp, min_records=0)
         started = time.perf_counter()
-        reference = generate_records(num_records)
+        data, starts = generate_columns(num_records)
         generate_seconds = time.perf_counter() - started
 
-        mark = time.perf_counter()
-        cache.store(2006, num_records, iter_record_chunks(num_records))
-        store_seconds = time.perf_counter() - mark
-
-        load_seconds = float("inf")
-        for _ in range(repeats):
-            mark = time.perf_counter()
-            loaded = cache.load(2006, num_records)
-            load_seconds = min(load_seconds, time.perf_counter() - mark)
-        if loaded != reference:
-            raise AssertionError("cache round-trip diverged from generation")
-
-        # The columnar tier: store once, then mmap-load (header check +
-        # checksum + zero-copy column views — no record materialisation).
-        from repro.workloads.columnar import generate_columns
-
-        data, starts = generate_columns(num_records)
         cache.store_columns(2006, num_records, data, starts)
         columns_load_seconds = float("inf")
         for _ in range(repeats):
@@ -535,9 +479,6 @@ def run_workload_cache_bench(num_records: int = 200_000, repeats: int = 3) -> di
     return {
         "records": num_records,
         "generate_seconds": round(generate_seconds, 3),
-        "store_seconds": round(store_seconds, 3),
-        "load_seconds": round(load_seconds, 4),
-        "load_speedup": round(generate_seconds / load_seconds, 2),
         "columns_load_seconds": round(columns_load_seconds, 5),
         "columns_load_speedup": round(generate_seconds / columns_load_seconds, 2),
     }
@@ -1033,7 +974,7 @@ def run_scalability_bench(
         ),
     )
     started = time.perf_counter()
-    report = CapacityRunner(config, columnar=False).run_scalability()
+    report = CapacityRunner(config).run_scalability()
     wall = time.perf_counter() - started
     curves: dict[str, Any] = {}
     for system in config.systems:
@@ -1125,11 +1066,7 @@ def _stream_shard(
             shard_records, seed, chunk_records=chunk_records
         ):
             total_bytes += len(data)
-            slab = slab_from_columns(data, starts)
-            if slab is None:  # no numpy: correctness path, not a perf path
-                yield str(data, "ascii").split("\n")
-            else:
-                yield SlabColumn(slab)
+            yield SlabColumn(slab_from_columns(data, starts))
 
     def drain(_total: int) -> None:
         nonlocal matches
@@ -1315,11 +1252,9 @@ def run_capacity_bench(num_records: int = 4_000) -> dict[str, Any]:
         capacity=CapacitySettings(records=num_records, queue_bound=1_000)
     )
     started = time.perf_counter()
-    cell = find_capacity(config, "flink", "grep", columnar=False)
+    cell = find_capacity(config, "flink", "grep")
     wall = time.perf_counter() - started
-    overload = run_probe(
-        config, "flink", "grep", cell.sustainable_rate * 2.0, columnar=False
-    )
+    overload = run_probe(config, "flink", "grep", cell.sustainable_rate * 2.0)
     return {
         "system": cell.system,
         "query": cell.query,
@@ -1453,7 +1388,7 @@ def main() -> None:
             args.scalability_records
         )
     if not args.skip_end_to_end:
-        payload["end_to_end"] = run_end_to_end_planes(args.records)
+        payload["end_to_end"] = run_end_to_end(args.records)
     if not args.skip_sharded:
         # Partition-parallel ingest rides with the end-to-end scenario:
         # same workload family, host-clock phase measurement.

@@ -24,8 +24,9 @@ across hardware, unlike absolute records/sec.  Checks:
   ratios in ``baseline.json`` — for *both* ratio families (kernel/tuple
   in ``speedups``, batch/tuple in ``batch_speedups``), so a regression
   in either fast tier is caught even while the other holds;
-* a warm workload-cache load must stay ≥5× faster than regenerating the
-  same workload (the cache's reason to exist);
+* a warm mmap load of the workload cache's columnar entry must stay ≥5×
+  faster than cold slab-direct generation of the same workload (the
+  cache's reason to exist);
 * cold slab-direct (columnar) workload generation must stay ≥3× faster
   than the per-record string generator, times the same tolerance —
   skipped only where no C compiler exists (the Python fallback is
@@ -92,7 +93,7 @@ MATRIX_RECORDS = int(os.environ.get("REPRO_PERF_MATRIX_RECORDS", "20000"))
 CAPACITY_RECORDS = int(os.environ.get("REPRO_PERF_CAPACITY_RECORDS", "4000"))
 #: The ISSUE's acceptance floor for the headline scenario.
 MIN_HEADLINE_SPEEDUP = float(os.environ.get("REPRO_PERF_MIN_HEADLINE", "5.0"))
-#: Warm cache load vs regeneration — the ISSUE's acceptance floor.
+#: Warm mmap cache load vs cold slab-direct generation.
 MIN_CACHE_LOAD_SPEEDUP = float(os.environ.get("REPRO_PERF_MIN_CACHE_LOAD", "5.0"))
 #: ">30% regression vs baseline fails" — i.e. measured >= 0.7 * baseline.
 REGRESSION_FLOOR = 0.7
@@ -218,13 +219,13 @@ def test_no_regression_vs_baseline(micro: dict) -> None:
 
 
 def test_workload_cache_load_speedup(cache_bench: dict) -> None:
-    """A warm cache load beats regenerating the workload by ≥5×."""
-    speedup = cache_bench["load_speedup"]
+    """A warm mmap load beats cold slab-direct generation by ≥5×."""
+    speedup = cache_bench["columns_load_speedup"]
     assert speedup >= MIN_CACHE_LOAD_SPEEDUP, (
         f"warm cache load only {speedup:.2f}x faster than generation "
         f"(floor: {MIN_CACHE_LOAD_SPEEDUP}x; "
         f"generate {cache_bench['generate_seconds']}s, "
-        f"load {cache_bench['load_seconds']}s)"
+        f"load {cache_bench['columns_load_seconds']}s)"
     )
 
 

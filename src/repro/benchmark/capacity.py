@@ -23,8 +23,8 @@ Determinism: every probe runs in a fresh isolated world seeded from the
 campaign seed alone (the :class:`~repro.benchmark.parallel.MatrixRunner`
 pattern), the pump charges raw cost-model costs (no variance draws), and
 the arrival schedule is precomputed once per probe — so the capacity
-report is bit-identical between serial and parallel execution, across all
-three execution tiers, and on both data planes.
+report is bit-identical between serial and parallel execution and across
+all three execution tiers.
 
 **Scalability curves** (:meth:`CapacityRunner.run_scalability`) sweep the
 knee over parallelism levels per system × SDK kind × query: a probe at
@@ -391,7 +391,6 @@ def run_probe(
     system: str,
     query: str,
     rate: float,
-    columnar: bool | None = None,
     kind: str = "native",
     parallelism: int | None = None,
 ) -> ProbeResult:
@@ -414,12 +413,7 @@ def run_probe(
     cluster = BrokerCluster(simulator, num_nodes=default_num_nodes())
     admin = AdminClient(cluster)
     admin.create_topic(CAPACITY_TOPIC, max_queue=settings.queue_bound)
-    if columnar is None:
-        from repro.workloads.columnar import columnar_enabled
-
-        columnar = columnar_enabled()
-    workload = AolWorkload(settings.records, seed=config.seed)
-    records = workload.columnar().column() if columnar else workload.records
+    records = AolWorkload(settings.records, seed=config.seed).columnar().column()
     total = len(records)
 
     spec = get_query(query)
@@ -556,7 +550,6 @@ def find_capacity(
     config: BenchmarkConfig,
     system: str,
     query: str,
-    columnar: bool | None = None,
     kind: str = "native",
     parallelism: int | None = None,
 ) -> CapacityCell:
@@ -570,13 +563,7 @@ def find_capacity(
         nonlocal probes
         probes += 1
         return run_probe(
-            config,
-            system,
-            query,
-            rate,
-            columnar=columnar,
-            kind=kind,
-            parallelism=parallelism,
+            config, system, query, rate, kind=kind, parallelism=parallelism
         )
 
     rate = estimate_service_rate(
@@ -642,24 +629,18 @@ def find_capacity(
     )
 
 
-def _capacity_cell(
-    config: BenchmarkConfig, columnar: bool | None, pair: tuple[str, str]
-) -> CapacityCell:
+def _capacity_cell(config: BenchmarkConfig, pair: tuple[str, str]) -> CapacityCell:
     """One cell, top-level so worker processes can pickle it."""
     system, query = pair
-    return find_capacity(config, system, query, columnar=columnar)
+    return find_capacity(config, system, query)
 
 
 def _scalability_cell(
-    config: BenchmarkConfig,
-    columnar: bool | None,
-    point: tuple[str, str, str, int],
+    config: BenchmarkConfig, point: tuple[str, str, str, int]
 ) -> CapacityCell:
     """One sweep point, top-level so worker processes can pickle it."""
     system, kind, query, parallelism = point
-    return find_capacity(
-        config, system, query, columnar=columnar, kind=kind, parallelism=parallelism
-    )
+    return find_capacity(config, system, query, kind=kind, parallelism=parallelism)
 
 
 class CapacityRunner:
@@ -671,15 +652,8 @@ class CapacityRunner:
     guarantee, extended to the capacity mode.
     """
 
-    def __init__(
-        self, config: BenchmarkConfig, columnar: bool | None = None
-    ) -> None:
+    def __init__(self, config: BenchmarkConfig) -> None:
         self.config = config
-        if columnar is None:
-            from repro.workloads.columnar import columnar_enabled
-
-            columnar = columnar_enabled()
-        self.columnar = columnar
 
     def cells(self) -> tuple[tuple[str, str], ...]:
         """The capacity grid in canonical (system → query) order."""
@@ -702,15 +676,9 @@ class CapacityRunner:
 
     def _warm_caches(self) -> None:
         """Pre-build the shared workload cache before forking workers."""
-        from repro.workloads.cache import (
-            ensure_columns_cached,
-            ensure_disk_cached,
-        )
+        from repro.workloads.cache import ensure_columns_cached
 
-        if self.columnar:
-            ensure_columns_cached(self.config.capacity.records, self.config.seed)
-        else:
-            ensure_disk_cached(self.config.capacity.records, self.config.seed)
+        ensure_columns_cached(self.config.capacity.records, self.config.seed)
 
     def _worker_count(self, workers: int | None, jobs: int) -> int:
         from repro.benchmark.parallel import default_workers
@@ -732,16 +700,9 @@ class CapacityRunner:
             self._warm_caches()
             count = self._worker_count(workers, len(pairs))
             with ProcessPoolExecutor(max_workers=count) as pool:
-                cells = list(
-                    pool.map(
-                        _capacity_cell,
-                        repeat(self.config),
-                        repeat(self.columnar),
-                        pairs,
-                    )
-                )
+                cells = list(pool.map(_capacity_cell, repeat(self.config), pairs))
         else:
-            cells = [_capacity_cell(self.config, self.columnar, p) for p in pairs]
+            cells = [_capacity_cell(self.config, p) for p in pairs]
         report.cells.extend(cells)
         return report
 
@@ -763,16 +724,9 @@ class CapacityRunner:
             count = self._worker_count(workers, len(points))
             with ProcessPoolExecutor(max_workers=count) as pool:
                 cells = list(
-                    pool.map(
-                        _scalability_cell,
-                        repeat(self.config),
-                        repeat(self.columnar),
-                        points,
-                    )
+                    pool.map(_scalability_cell, repeat(self.config), points)
                 )
         else:
-            cells = [
-                _scalability_cell(self.config, self.columnar, p) for p in points
-            ]
+            cells = [_scalability_cell(self.config, p) for p in points]
         report.cells.extend(cells)
         return report

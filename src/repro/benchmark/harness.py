@@ -201,20 +201,17 @@ class StreamBenchHarness:
     all clients (sender, engine connectors, result calculator) switch to
     retrying, idempotent operation via the cluster-wide defaults.
 
-    ``columnar`` selects the data plane (default: the ``REPRO_COLUMNAR``
-    environment knob, on unless set to ``0``).  On the columnar plane the
-    workload is generated slab-direct as byte columns and ingested
-    zero-copy (the broker adopts slab windows instead of extending record
-    lists); every simulated quantity — clock charges, RNG streams,
-    produce sequencing — is identical, so reports are bit-identical per
-    field between the planes.  It is deliberately a host-side knob, not a
-    :class:`BenchmarkConfig` field: the config is embedded in the report,
-    and the report must not differ by plane.
+    The workload is generated slab-direct as byte columns and ingested
+    zero-copy: the broker adopts slab windows instead of extending record
+    lists.  Every simulated quantity — clock charges, RNG streams,
+    produce sequencing — is what sending the materialised record list
+    would give, so the layout never reaches a report.
 
     ``num_nodes`` sizes the broker cluster (default: the
     ``REPRO_BROKER_NODES`` environment knob, 3 — the paper's — unless
-    overridden).  Topology is a host-side knob for the same reason as the
-    data plane: partition routing through per-node brokers never touches
+    overridden).  It is deliberately a host-side knob, not a
+    :class:`BenchmarkConfig` field: the config is embedded in the report,
+    and partition routing through per-node brokers never touches
     simulated time, so reports are bit-identical per field between a
     single-node and an N-node cluster
     (``tests/benchmark/test_sharded_plane.py`` pins this over the full
@@ -226,7 +223,6 @@ class StreamBenchHarness:
         config: BenchmarkConfig | None = None,
         chaos: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
-        columnar: bool | None = None,
         num_nodes: int | None = None,
     ) -> None:
         from repro.broker.broker import default_num_nodes
@@ -272,11 +268,6 @@ class StreamBenchHarness:
         self._scale = scale
         self._ingested = False
         self._sender_report: SenderReport | None = None
-        if columnar is None:
-            from repro.workloads.columnar import columnar_enabled
-
-            columnar = columnar_enabled()
-        self.columnar = columnar
 
     # ------------------------------------------------------------------
     # phase 1: data ingestion
@@ -284,10 +275,8 @@ class StreamBenchHarness:
     def ingest(self) -> SenderReport:
         """Send the workload into the input topic (idempotent).
 
-        On the columnar plane the sender receives the workload's shared
-        slab column and the broker adopts it zero-copy; the object plane
-        sends the materialised record list.  Same batches, same charges,
-        same report either way.
+        The sender receives the workload's shared slab column and the
+        broker adopts it zero-copy.
         """
         if not self._ingested:
             sender = DataSender(
@@ -296,12 +285,7 @@ class StreamBenchHarness:
                 ingestion_rate=self.config.ingestion_rate,
                 acks=self.config.producer_acks,
             )
-            records = (
-                self.workload.columnar().column()
-                if self.columnar
-                else self.workload.records
-            )
-            self._sender_report = sender.send(records)
+            self._sender_report = sender.send(self.workload.columnar().column())
             self._ingested = True
         assert self._sender_report is not None
         return self._sender_report
@@ -351,15 +335,15 @@ class StreamBenchHarness:
         :mod:`repro.benchmark.capacity` and the ``capacity`` settings on
         :class:`BenchmarkConfig`).  Probes run in fresh isolated worlds
         seeded from the campaign seed alone and charge raw cost-model
-        costs, so the report is bit-identical serial vs parallel, across
-        execution tiers, and between data planes.
+        costs, so the report is bit-identical serial vs parallel and across
+        execution tiers.
 
         Returns a :class:`~repro.benchmark.capacity.CapacityReport`.
         """
         from repro.benchmark.capacity import CapacityRunner
 
         use_parallel = self.config.parallel if parallel is None else parallel
-        runner = CapacityRunner(self.config, columnar=self.columnar)
+        runner = CapacityRunner(self.config)
         return runner.run(
             parallel=use_parallel,
             workers=workers if workers is not None else self.config.workers,
@@ -383,7 +367,7 @@ class StreamBenchHarness:
         from repro.benchmark.capacity import CapacityRunner
 
         use_parallel = self.config.parallel if parallel is None else parallel
-        runner = CapacityRunner(self.config, columnar=self.columnar)
+        runner = CapacityRunner(self.config)
         return runner.run_scalability(
             parallel=use_parallel,
             workers=workers if workers is not None else self.config.workers,

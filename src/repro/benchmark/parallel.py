@@ -26,9 +26,12 @@ cell worlds in-process, serial and parallel reports are **bit-identical**
 ``tests/benchmark/test_parallel.py`` proves for the full grid.
 
 Workers do not receive the workload over the wire: the parent pre-seeds
-the on-disk workload cache (:mod:`repro.workloads.cache`) before fanning
-out, so forked workers inherit the in-process memo and spawned workers
-load the cached file instead of regenerating.
+the workload's columnar disk entry (:mod:`repro.workloads.cache`) before
+fanning out, so forked workers inherit the in-process memo and spawned
+workers mmap the cached file instead of regenerating.  Where the entry
+cannot be written (small workloads, the disk tier disabled, an
+unwritable directory) each worker generates the columns itself, which
+is what the serial path does.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ from typing import TYPE_CHECKING
 from repro.benchmark.config import BenchmarkConfig
 from repro.broker.faults import FaultPlan
 from repro.broker.retry import RetryPolicy
-from repro.workloads.cache import ensure_columns_cached, ensure_disk_cached
-from repro.workloads.columnar import columnar_enabled
+from repro.workloads.cache import ensure_columns_cached
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.benchmark.harness import BenchmarkReport, RunRecord
@@ -143,15 +145,10 @@ class MatrixRunner:
         if not cells:
             return report
         if parallel:
-            # Warm the disk tier so workers load instead of regenerating
+            # Warm the disk tier so workers mmap instead of regenerating
             # (forked workers additionally inherit the in-process memo,
-            # which ``sender_report`` ingestion just populated).  The
-            # active data plane decides which layout the workers will ask
-            # for: columnar workers mmap the column entry.
-            if columnar_enabled():
-                ensure_columns_cached(self.config.records, self.config.seed)
-            else:
-                ensure_disk_cached(self.config.records, self.config.seed)
+            # which ``sender_report`` ingestion just populated).
+            ensure_columns_cached(self.config.records, self.config.seed)
             count = workers if workers is not None else self.workers
             if count is None:
                 count = default_workers()

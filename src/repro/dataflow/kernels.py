@@ -100,10 +100,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Any, Callable
 
-try:  # numpy accelerates the bulk kernels; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the reference container has numpy
-    _np = None
+import numpy as _np
 
 _NL = 10  # ord("\n")
 _MIN_BULK = 32  # below this, comprehension fallbacks win
@@ -172,7 +169,7 @@ def _build_slab(records: list) -> WorkloadSlab | None:
     return WorkloadSlab(records, text, data, arr, starts)
 
 
-def slab_from_columns(data, starts) -> WorkloadSlab | None:
+def slab_from_columns(data, starts) -> WorkloadSlab:
     """A slab over pre-built byte columns (the columnar plane's layout).
 
     ``data`` is the newline-joined ASCII buffer (no trailing newline) and
@@ -183,8 +180,6 @@ def slab_from_columns(data, starts) -> WorkloadSlab | None:
     the columns are trusted to describe a newline-unambiguous ASCII
     stream (generation guarantees it; the cache tier checksums it).
     """
-    if _np is None:
-        return None
     arr = _np.frombuffer(data, _np.uint8)
     if not isinstance(starts, _np.ndarray):
         starts = _np.frombuffer(starts, _np.int64)
@@ -203,10 +198,10 @@ class SlabColumn:
 
     Decoding happens at most once per slab: any bulk access (iteration,
     slicing) materialises the full decoded list into ``slab.records`` —
-    shared by every window, exactly like the object plane's single cached
-    workload list — while single-record indexing decodes just that line
-    until the shared list exists.  Windows must be treated as immutable,
-    the same repo-wide contract cached record lists already carry.
+    shared by every window as the one decoded workload list — while
+    single-record indexing decodes just that line until the shared list
+    exists.  Windows must be treated as immutable, the same repo-wide
+    contract cached record lists already carry.
     """
 
     __slots__ = ("slab", "start", "stop")
@@ -342,8 +337,6 @@ def slab_for(records: Any) -> WorkloadSlab | None:
     shape the pump's pristine-chunk tracking requires (chunk row ``base``
     equals slab row).
     """
-    if _np is None:
-        return None
     if type(records) is SlabColumn:
         return records.slab if records.start == 0 else None
     if type(records) is not list or len(records) < SLAB_MIN_RECORDS:
@@ -580,12 +573,7 @@ class GrepKernel(Kernel):
 
     def __init__(self, needle: str) -> None:
         self.needle = needle
-        self._bulk = (
-            _np is not None
-            and len(needle) >= 2
-            and needle.isascii()
-            and "\n" not in needle
-        )
+        self._bulk = len(needle) >= 2 and needle.isascii() and "\n" not in needle
         if self._bulk:
             encoded = needle.encode("ascii")
             self._word = int.from_bytes(encoded[:2], "little")
@@ -700,7 +688,7 @@ class SampleKernel(Kernel):
     def __init__(self, fraction: float, rng: random.Random) -> None:
         self.fraction = fraction
         self.rng = rng
-        self._bulk = _np is not None
+        self._bulk = True
         self._state = None
         self._gauss = None
 
@@ -770,9 +758,7 @@ class ColumnKernel(Kernel):
         self.index = index
         self.sep = sep
         self._fast = index == 0 and isinstance(sep, str) and len(sep) == 1
-        self.supports_slab = bool(
-            self._fast and _np is not None and ord(sep) < 128
-        )
+        self.supports_slab = self._fast and ord(sep) < 128
         self._slab: WorkloadSlab | None = None
         self._column: list | None = None
 
@@ -982,7 +968,7 @@ class StatisticsKernel(StatefulKernel):
     Every accumulated quantity is an integer-valued double far below
     2**53, so NumPy's sequential accumulates are exact and folding the
     prior totals in after the fact equals the reference's running fold.
-    Small chunks (or no NumPy) take a hoisted reference-shaped loop.
+    Small chunks take a hoisted reference-shaped loop.
 
     The chunk's query lengths are parsed first and folded second.  A
     malformed record stops the parse; the lengths parsed before it are
@@ -1006,7 +992,7 @@ class StatisticsKernel(StatefulKernel):
         """Fold parsed lengths into the owner state (reference order)."""
         fn = self._fn
         n = len(lengths)
-        if _np is None or n < _MIN_BULK:
+        if n < _MIN_BULK:
             out: list = []
             emit = out.append
             minimum, maximum = fn.minimum, fn.maximum

@@ -12,7 +12,7 @@ from repro.workloads.aol import (
     iter_record_chunks,
     parse_record,
 )
-from repro.workloads.cache import WorkloadCache, ensure_disk_cached, load_workload
+from repro.workloads.cache import WorkloadCache
 
 __all__ = [
     "nexmark",
@@ -23,10 +23,8 @@ __all__ = [
     "GENERATOR_VERSION",
     "GREP_NEEDLE",
     "WorkloadCache",
-    "ensure_disk_cached",
     "expected_grep_matches",
     "generate_records",
     "iter_record_chunks",
-    "load_workload",
     "parse_record",
 ]

@@ -14,6 +14,11 @@ benchmark queries depend on:
 * rank/URL columns are present for roughly half the records (AOL kept
   them only for click events);
 * generation is fully deterministic given a seed.
+
+:func:`generate_records` is the reference generator.  The benchmark
+harness ingests the same workload as byte columns generated slab-direct
+by :mod:`repro.workloads.columnar` (:meth:`AolWorkload.columnar`), which
+``tests/workloads/test_columnar.py`` pins byte for byte against it.
 """
 
 from __future__ import annotations
@@ -96,8 +101,8 @@ def iter_record_chunks(
     The concatenation of all chunks is **bit-identical** to
     :func:`generate_records` (same RNG draw sequence, same lines) — the
     chunking only bounds how much transient state exists at once, so the
-    on-disk cache can be written in a single streaming pass instead of
-    holding the workload twice.
+    pure-Python column generator can stream it without holding the
+    workload twice.
     """
     if num_records < 0:
         raise ValueError(f"num_records must be >= 0, got {num_records}")
@@ -179,45 +184,34 @@ VERIFY_SAMPLE_TARGET = 1_000
 class AolWorkload:
     """A reusable workload instance: records plus derived ground truths.
 
-    Record materialisation goes through :mod:`repro.workloads.cache`: an
-    in-process memo shares one list between every workload/harness with the
-    same (version, seed, count), and large workloads additionally hit the
-    versioned on-disk cache, so generation is paid once per machine instead
-    of once per harness (or per worker process of a parallel campaign).
-    The returned list must be treated as immutable.
+    The workload lives as byte columns (:meth:`columnar`), which go through
+    :mod:`repro.workloads.cache`: an in-process memo shares one
+    :class:`~repro.workloads.columnar.ColumnarWorkload` between every
+    workload/harness with the same (version, seed, count), and large
+    workloads additionally hit the versioned on-disk cache, so generation
+    is paid once per machine instead of once per harness (or per worker
+    process of a parallel campaign).  :attr:`records` is the one shared
+    decode of those columns and must be treated as immutable.
     """
 
     def __init__(self, num_records: int = FULL_SCALE_RECORDS, seed: int = 2006) -> None:
         self.num_records = num_records
         self.seed = seed
-        self._records: list[str] | None = None
         self._columnar = None
 
     @property
     def records(self) -> list[str]:
-        """The generated lines (built lazily, cached).
-
-        When the columnar representation already exists, its lazily
-        decoded record list is served instead of materialising a second
-        copy through the line cache — the two are bit-identical.
-        """
-        if self._records is None:
-            if self._columnar is not None:
-                self._records = self._columnar.records
-            else:
-                from repro.workloads.cache import load_workload
-
-                self._records = load_workload(self.num_records, self.seed)
-        return self._records
+        """The generated lines: the one shared decode of :meth:`columnar`."""
+        return self.columnar().records
 
     def columnar(self):
-        """The workload as shared byte columns (the columnar data plane).
+        """The workload as shared byte columns (the harness's data plane).
 
-        Goes through the columnar cache tiers of
-        :mod:`repro.workloads.cache` — slab-direct generation on a cold
-        miss, an O(1) ``mmap`` load on a warm one — and returns a
+        Goes through the cache tiers of :mod:`repro.workloads.cache` —
+        slab-direct generation on a cold miss, an O(1) ``mmap`` load on a
+        warm one — and returns a
         :class:`~repro.workloads.columnar.ColumnarWorkload` whose byte
-        stream is bit-identical to :attr:`records`.
+        stream is bit-identical to :func:`generate_records`.
         """
         if self._columnar is None:
             from repro.workloads.cache import load_columnar_workload

@@ -1,36 +1,22 @@
-"""Versioned on-disk cache for generated workloads.
+"""Versioned workload cache: the AOL workload's byte columns, generated once.
 
-Generating the paper's 1,000,001-record AOL workload costs several seconds
-of host time — roughly three times the execution phase it feeds — and a
-parallel campaign would pay it once per worker process on top of once per
-invocation.  This module makes generation a once-per-machine cost:
+Generating the paper's 1,000,001-record AOL workload is the largest
+start-up cost of a campaign, and a parallel campaign would pay it once
+per worker process on top of once per invocation.  This module makes
+generation a once-per-machine cost with two tiers:
 
-* an **in-process memo** shares one materialised list between every
+* an **in-process memo** shares one
+  :class:`~repro.workloads.columnar.ColumnarWorkload` between every
   workload/harness with the same key, so forked worker processes inherit
   it for free;
-* a **versioned on-disk cache** persists the generated lines in a compact
-  line format, keyed by ``(generator version, seed, record count)`` — the
-  version comes from :data:`repro.workloads.aol.GENERATOR_VERSION`, so a
-  changed generator never serves stale bytes;
-* entries are written **atomically** (temp file + ``os.replace`` in the
-  cache directory) and carry a checksum over the payload: a truncated,
-  corrupted or hand-edited entry is detected on load, removed, and
-  regenerated.
+* a **versioned on-disk cache** persists the columns, keyed by
+  ``(generator version, seed, record count)`` — the version comes from
+  :data:`repro.workloads.aol.GENERATOR_VERSION`, so a changed generator
+  never serves stale bytes.  Entries are written **atomically** (temp
+  file + ``os.replace`` in the cache directory).
 
-Layout of an entry (one file)::
-
-    repro-aol-cache\tversion=1\tseed=2006\trecords=1000001\tchecksum=<32 hex>
-    <line 1>
-    <line 2>
-    ...
-
-The checksum field has a fixed width so the header can be written first
-and patched in place after the payload streamed through the hash — one
-pass, no double materialisation.
-
-**The columnar tier** stores the same workload in the columnar data
-plane's native layout — one header line, the ``int64`` line-start column,
-then the raw byte blob::
+An entry stores the workload in the data plane's native layout — one
+header line, the ``int64`` line-start column, then the raw byte blob::
 
     repro-aol-columns\tversion=1\tseed=2006\trecords=N\tdata_size=B\tchecksum=<32 hex>
     <starts: N little-endian int64>
@@ -42,8 +28,8 @@ becomes a zero-copy ``np.frombuffer`` view and ``data`` a ``memoryview``
 until a record string is actually requested.  Validation stays cheap:
 the checksum covers the starts column, and the header's exact byte
 length, record count and data size must all agree with the file
-(truncation, header edits and offset corruption are all caught;
-like the line tier, the check targets corruption, not adversaries).
+(truncation, header edits and offset corruption are all caught; the
+check targets corruption, not adversaries).
 Invalid entries are unlinked and regenerated, and a generator bump
 changes the file name, so staleness is a plain miss.
 
@@ -62,15 +48,11 @@ import mmap
 import os
 import pathlib
 import tempfile
-from typing import Iterable
+
+import numpy as _np
 
 from repro.workloads import aol
 from repro.workloads.columnar import ColumnarWorkload, generate_columns
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the reference container has numpy
-    _np = None
 
 #: Set to ``0`` to disable the on-disk tier entirely.
 CACHE_ENV = "REPRO_WORKLOAD_CACHE"
@@ -82,12 +64,10 @@ CACHE_MIN_ENV = "REPRO_WORKLOAD_CACHE_MIN"
 #: Workloads smaller than this stay in the in-process memo only.
 DEFAULT_MIN_RECORDS = 100_000
 
-_MAGIC = "repro-aol-cache"
 _COLUMNS_MAGIC = "repro-aol-columns"
 #: blake2b is the fastest hash in the standard library; 16 bytes is ample
 #: for corruption (not adversarial) detection.
 _DIGEST_SIZE = 16
-_CHECKSUM_WIDTH = _DIGEST_SIZE * 2
 
 _DEFAULT_DIR = pathlib.Path(__file__).resolve().parents[3] / ".cache" / "workloads"
 
@@ -97,20 +77,13 @@ def disk_cache_enabled() -> bool:
     return os.environ.get(CACHE_ENV, "1") not in ("0", "")
 
 
-def _header(seed: int, num_records: int, checksum: str) -> bytes:
-    return (
-        f"{_MAGIC}\tversion={aol.GENERATOR_VERSION}\tseed={seed}"
-        f"\trecords={num_records}\tchecksum={checksum}\n"
-    ).encode("ascii")
-
-
 class WorkloadCache:
-    """The on-disk tier: load/store generated workloads atomically.
+    """The on-disk tier: load/store generated workload columns atomically.
 
     ``directory`` defaults to ``$REPRO_WORKLOAD_CACHE_DIR`` or
     ``.cache/workloads`` under the repository root; ``min_records``
     (default ``$REPRO_WORKLOAD_CACHE_MIN`` or 100,000) is the smallest
-    workload :func:`load_workload` will persist.
+    workload :func:`load_columnar_workload` will persist.
     """
 
     def __init__(
@@ -124,109 +97,6 @@ class WorkloadCache:
         if min_records is None:
             min_records = int(os.environ.get(CACHE_MIN_ENV, DEFAULT_MIN_RECORDS))
         self.min_records = min_records
-
-    def entry_path(self, seed: int, num_records: int) -> pathlib.Path:
-        """Where the entry for ``(generator version, seed, count)`` lives."""
-        return self.directory / (
-            f"aol-v{aol.GENERATOR_VERSION}-seed{seed}-n{num_records}.txt"
-        )
-
-    # ------------------------------------------------------------------
-    def load(self, seed: int, num_records: int) -> list[str] | None:
-        """Return the cached lines, or ``None`` on miss.
-
-        A present-but-invalid entry (wrong header, bad checksum, wrong
-        line count — i.e. corrupted or produced by a different generator)
-        counts as a miss and is deleted so the caller's regeneration can
-        replace it.
-        """
-        path = self.entry_path(seed, num_records)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        lines = self._parse(data, seed, num_records)
-        if lines is None:
-            # Corrupt or stale: drop it; the caller regenerates.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return lines
-
-    def _parse(self, data: bytes, seed: int, num_records: int) -> list[str] | None:
-        newline = data.find(b"\n")
-        if newline < 0:
-            return None
-        # One zero-copy view of the payload: hashed and decoded without
-        # duplicating the multi-megabyte slice.
-        payload = memoryview(data)[newline + 1 :]
-        expected_checksum = hashlib.blake2b(
-            payload, digest_size=_DIGEST_SIZE
-        ).hexdigest()
-        if data[: newline + 1] != _header(seed, num_records, expected_checksum):
-            return None
-        if not len(payload):
-            return [] if num_records == 0 else None
-        lines = str(payload, "utf-8").split("\n")
-        if lines[-1] != "":
-            return None
-        lines.pop()
-        if len(lines) != num_records:
-            return None
-        return lines
-
-    # ------------------------------------------------------------------
-    def store(
-        self, seed: int, num_records: int, chunks: Iterable[list[str]]
-    ) -> pathlib.Path:
-        """Persist ``chunks`` (e.g. :func:`repro.workloads.aol.iter_record_chunks`).
-
-        Single streaming pass: the header is written with a placeholder
-        checksum, the payload streams through the hash, and the checksum
-        is patched in place before the atomic ``os.replace`` publishes the
-        entry.  A crash mid-write leaves only a ``*.tmp`` file behind,
-        never a half-valid entry.
-        """
-        path = self.entry_path(seed, num_records)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-        placeholder = _header(seed, num_records, "0" * _CHECKSUM_WIDTH)
-        checksum_offset = placeholder.index(b"checksum=") + len(b"checksum=")
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=path.name, suffix=".tmp"
-        )
-        written = 0
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(placeholder)
-                for chunk in chunks:
-                    if not chunk:
-                        continue
-                    written += len(chunk)
-                    payload = ("\n".join(chunk) + "\n").encode("utf-8")
-                    digest.update(payload)
-                    handle.write(payload)
-                if written != num_records:
-                    raise ValueError(
-                        f"generator produced {written} records, "
-                        f"expected {num_records}"
-                    )
-                handle.seek(checksum_offset)
-                handle.write(digest.hexdigest().encode("ascii"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    # ------------------------------------------------------------------
-    # The columnar layout (see the module docstring for the file format).
 
     def columns_path(self, seed: int, num_records: int) -> pathlib.Path:
         """Where the columnar entry for ``(version, seed, count)`` lives."""
@@ -251,7 +121,7 @@ class WorkloadCache:
         The returned workload keeps the mapping alive; its columns are
         zero-copy views into the page cache.
         """
-        if _np is None or num_records < 1:
+        if num_records < 1:
             return None
         path = self.columns_path(seed, num_records)
         try:
@@ -340,11 +210,6 @@ class WorkloadCache:
 # The in-process memo tier plus orchestration.
 # ----------------------------------------------------------------------
 
-#: (generator version, seed, num_records) -> materialised lines.  Bounded:
-#: a workload list is large, so only a handful are kept alive.
-_MEMO: dict[tuple[int, int, int], list[str]] = {}
-_MEMO_MAX_ENTRIES = 4
-
 #: (generator version, seed, num_records) -> shared ColumnarWorkload.  The
 #: slab (and its lazily decoded record list) is shared across every
 #: harness and matrix cell with the same key.
@@ -353,63 +218,8 @@ _COLUMNS_MEMO_MAX_ENTRIES = 2
 
 
 def clear_memo() -> None:
-    """Drop the in-process memos (tests and benchmarks use this)."""
-    _MEMO.clear()
+    """Drop the in-process memo (tests and benchmarks use this)."""
     _COLUMNS_MEMO.clear()
-
-
-def _generate_through_cache(
-    cache: WorkloadCache, seed: int, num_records: int
-) -> list[str]:
-    """Generate, streaming chunks into the disk cache along the way."""
-    lines: list[str] = []
-
-    def collecting_chunks() -> Iterable[list[str]]:
-        for chunk in aol.iter_record_chunks(num_records, seed):
-            lines.extend(chunk)
-            yield chunk
-
-    try:
-        cache.store(seed, num_records, collecting_chunks())
-    except OSError:
-        # An unwritable cache directory must never fail the campaign; the
-        # generated lines are complete either way.
-        if len(lines) != num_records:
-            return aol.generate_records(num_records, seed)
-    return lines
-
-
-def load_workload(
-    num_records: int, seed: int = 2006, cache: WorkloadCache | None = None
-) -> list[str]:
-    """The workload lines for ``(num_records, seed)``, cheapest tier first.
-
-    Memo hit → shared list (zero cost).  Disk hit → one sequential read,
-    checksum-verified.  Miss → generate once, streaming into the disk
-    cache when the workload is large enough (``cache.min_records``) and
-    the disk tier is enabled.  Passing an explicit ``cache`` forces the
-    disk tier regardless of size (tests use this).
-
-    The returned list is shared between callers: treat it as immutable.
-    """
-    key = (aol.GENERATOR_VERSION, seed, num_records)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    use_disk = cache is not None or disk_cache_enabled()
-    effective = cache or WorkloadCache()
-    if cache is None and num_records < effective.min_records:
-        use_disk = False
-    if use_disk:
-        lines = effective.load(seed, num_records)
-        if lines is None:
-            lines = _generate_through_cache(effective, seed, num_records)
-    else:
-        lines = aol.generate_records(num_records, seed)
-    if len(_MEMO) >= _MEMO_MAX_ENTRIES:
-        _MEMO.pop(next(iter(_MEMO)))
-    _MEMO[key] = lines
-    return lines
 
 
 def load_columnar_workload(
@@ -417,11 +227,14 @@ def load_columnar_workload(
 ) -> ColumnarWorkload:
     """The workload as columns for ``(num_records, seed)``, cheapest tier first.
 
-    Mirrors :func:`load_workload` tier for tier: memo hit → the shared
+    Memo hit → the shared
     :class:`~repro.workloads.columnar.ColumnarWorkload` (zero cost); disk
-    hit → an O(1) ``mmap`` of the columnar entry; miss → slab-direct
-    generation, stored to disk when large enough.  The returned workload
-    (and everything derived from it) must be treated as immutable.
+    hit → an O(1) ``mmap`` of the entry; miss → slab-direct generation,
+    stored to disk when the workload is large enough
+    (``cache.min_records``) and the disk tier is enabled.  Passing an
+    explicit ``cache`` forces the disk tier regardless of size (tests use
+    this).  The returned workload (and everything derived from it) must
+    be treated as immutable.
     """
     key = (aol.GENERATOR_VERSION, seed, num_records)
     hit = _COLUMNS_MEMO.get(key)
@@ -453,8 +266,9 @@ def ensure_columns_cached(
 ) -> pathlib.Path | None:
     """Pre-seed the columnar disk entry (parallel campaigns, before fan-out).
 
-    Returns the entry path, or ``None`` when below the disk threshold or
-    with the disk tier disabled.
+    Returns the entry path, or ``None`` when below the disk threshold,
+    with the disk tier disabled, or when the cache directory is not
+    writable (the workers then generate, as the serial path does).
     """
     effective = cache or WorkloadCache()
     if cache is None and (
@@ -469,10 +283,13 @@ def ensure_columns_cached(
     if loaded is None:
         memoised = _COLUMNS_MEMO.get(key)
         if memoised is not None:
-            effective.store_columns(seed, num_records, memoised.data, memoised.starts)
+            data, starts = memoised.data, memoised.starts
         else:
             data, starts = generate_columns(num_records, seed)
+        try:
             effective.store_columns(seed, num_records, data, starts)
+        except OSError:
+            return None  # an unwritable cache directory never fails the campaign
         loaded = effective.load_columns(seed, num_records)
     # Re-point the memo at the mmap-backed entry: forked workers then share
     # file-backed read-only pages through the page cache (and spawned
@@ -487,37 +304,4 @@ def ensure_columns_cached(
             ):
                 _COLUMNS_MEMO.pop(next(iter(_COLUMNS_MEMO)))
             _COLUMNS_MEMO[key] = loaded
-    return path
-
-
-def ensure_disk_cached(
-    num_records: int, seed: int = 2006, cache: WorkloadCache | None = None
-) -> pathlib.Path | None:
-    """Pre-seed the disk cache (parallel campaigns call this before
-    fanning out, so workers load instead of regenerating).
-
-    Returns the entry path, or ``None`` when the workload is below the
-    disk threshold or the disk tier is disabled.
-    """
-    effective = cache or WorkloadCache()
-    if cache is None and (
-        not disk_cache_enabled() or num_records < effective.min_records
-    ):
-        return None
-    path = effective.entry_path(seed, num_records)
-    if effective.load(seed, num_records) is not None:
-        return path
-    key = (aol.GENERATOR_VERSION, seed, num_records)
-    memoised = _MEMO.get(key)
-    if memoised is not None:
-        effective.store(
-            seed,
-            num_records,
-            (
-                memoised[start : start + aol.DEFAULT_CHUNK_SIZE]
-                for start in range(0, num_records, aol.DEFAULT_CHUNK_SIZE)
-            ),
-        )
-    else:
-        _generate_through_cache(effective, seed, num_records)
     return path

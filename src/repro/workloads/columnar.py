@@ -35,9 +35,10 @@ How it stays bit-identical *and* fast:
   :func:`repro.workloads.aol.iter_record_chunks` — same bytes, reference
   speed.
 
-``REPRO_COLUMNAR=0`` turns the whole columnar plane off (the benchmark
-harness then ingests materialised record lists exactly as before); the
-campaign results are bit-identical either way, which
+This is the only way the benchmark harness and the capacity probes ingest
+the AOL workload.  Record lists stay a public input of the sender, broker
+and pump, and a campaign fed the materialised list instead of the column
+reports bit-identical results, which
 ``tests/benchmark/test_columnar_plane.py`` proves over the full grid.
 """
 
@@ -52,11 +53,11 @@ import subprocess
 import tempfile
 from array import array
 
+import numpy as np
+
 from repro.simtime.randomness import RandomSource
 from repro.workloads import aol
 
-#: Set to ``0`` to disable the columnar data plane (harness-level switch).
-COLUMNAR_ENV = "REPRO_COLUMNAR"
 #: Set to ``0`` to disable the compiled C generator (pure-Python fallback).
 NATIVE_ENV = "REPRO_NATIVE"
 #: Overrides the directory holding compiled native helpers.
@@ -81,19 +82,6 @@ _OFF_DH = _OFF_Q3 + 31 * 31 * 31
 _OFF_MS = _OFF_DH + 28 * 24
 _OFF_RU = _OFF_MS + 60 * 60
 _OFF_NC = _OFF_RU + 10 * 5 * 31
-
-
-def columnar_enabled() -> bool:
-    """Whether the harness should run the columnar data plane.
-
-    On by default; ``REPRO_COLUMNAR=0`` disables it, and it degrades to
-    off without NumPy (the slab layer cannot be built).
-    """
-    if os.environ.get(COLUMNAR_ENV, "1") in ("0", ""):
-        return False
-    from repro.dataflow.kernels import _np
-
-    return _np is not None
 
 
 def native_enabled() -> bool:
@@ -405,13 +393,6 @@ def iter_column_chunks(
 
 def _shift_starts(starts: array, offset: int) -> array:
     """A copy of ``starts`` with ``offset`` added to every element."""
-    try:
-        import numpy as np
-    except ImportError:
-        shifted = array("q", starts)
-        for index in range(len(shifted)):
-            shifted[index] += offset
-        return shifted
     shifted = array("q", bytes(8 * len(starts)))
     out = np.frombuffer(shifted, dtype=np.int64)
     np.add(np.frombuffer(starts, dtype=np.int64), offset, out=out)

@@ -13,7 +13,6 @@ output on every engine and pump tier.
 
 from __future__ import annotations
 
-import os
 from array import array
 
 import pytest
@@ -60,21 +59,13 @@ TIERS = {
 
 
 def slab_column(lines: list[str]) -> SlabColumn:
-    """``lines`` as a column-built slab window, the adopted log layout.
-
-    Skips without NumPy, except when the columnar plane is forced
-    (``REPRO_COLUMNAR=1``): there a missing slab layer must fail, not skip.
-    """
-    if os.environ.get("REPRO_COLUMNAR") != "1":
-        pytest.importorskip("numpy")
+    """``lines`` as a column-built slab window, the adopted log layout."""
     starts = array("q")
     position = 0
     for line in lines:
         starts.append(position)
         position += len(line) + 1
-    slab = slab_from_columns("\n".join(lines).encode("ascii"), starts)
-    assert slab is not None, "the slab layer needs NumPy"
-    return SlabColumn(slab)
+    return SlabColumn(slab_from_columns("\n".join(lines).encode("ascii"), starts))
 
 
 def build_world(chaos: bool = True) -> tuple[Simulator, BrokerCluster]:

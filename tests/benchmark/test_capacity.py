@@ -25,7 +25,7 @@ class TestProbe:
     def test_sustainable_probe_drains_within_grace(self):
         cfg = config()
         rate = estimate_service_rate(cfg, "flink", "grep") * 0.5
-        probe = run_probe(cfg, "flink", "grep", rate, columnar=False)
+        probe = run_probe(cfg, "flink", "grep", rate)
         assert probe.sustainable
         assert probe.shed == 0
         assert probe.accepted == SMALL.records
@@ -34,7 +34,7 @@ class TestProbe:
     def test_overload_probe_is_unsustainable_but_terminates(self):
         cfg = config()
         rate = estimate_service_rate(cfg, "flink", "grep") * 4.0
-        probe = run_probe(cfg, "flink", "grep", rate, columnar=False)
+        probe = run_probe(cfg, "flink", "grep", rate)
         assert not probe.sustainable
         # Backpressure, not loss: everything lands, just late.
         assert probe.accepted == SMALL.records
@@ -45,7 +45,7 @@ class TestProbe:
     def test_percentiles_are_ordered(self):
         cfg = config()
         rate = estimate_service_rate(cfg, "flink", "grep") * 0.8
-        probe = run_probe(cfg, "flink", "grep", rate, columnar=False)
+        probe = run_probe(cfg, "flink", "grep", rate)
         assert probe.event_p50 <= probe.event_p95 <= probe.event_p99
         assert probe.proc_p50 <= probe.proc_p95 <= probe.proc_p99
         # Event time includes the nominal wait before admission.
@@ -53,15 +53,15 @@ class TestProbe:
 
     def test_probe_is_deterministic(self):
         cfg = config()
-        a = run_probe(cfg, "apex", "sample", 100_000.0, columnar=False)
-        b = run_probe(cfg, "apex", "sample", 100_000.0, columnar=False)
+        a = run_probe(cfg, "apex", "sample", 100_000.0)
+        b = run_probe(cfg, "apex", "sample", 100_000.0)
         assert a == b
 
-    def test_probe_identical_across_planes(self):
+    def test_probe_identical_across_planes(self, list_world):
         cfg = config()
-        list_plane = run_probe(cfg, "spark", "grep", 120_000.0, columnar=False)
-        columnar = run_probe(cfg, "spark", "grep", 120_000.0, columnar=True)
-        assert list_plane == columnar
+        with list_world():
+            list_plane = run_probe(cfg, "spark", "grep", 120_000.0)
+        assert list_plane == run_probe(cfg, "spark", "grep", 120_000.0)
 
     def test_probe_identical_across_tiers(self):
         cfg = config()
@@ -76,9 +76,7 @@ class TestProbe:
             for tier, (vectorized, use_kernels) in tiers.items():
                 StreamPump.vectorized = vectorized
                 StreamPump.use_kernels = use_kernels
-                results[tier] = run_probe(
-                    cfg, "flink", "projection", 50_000.0, columnar=False
-                )
+                results[tier] = run_probe(cfg, "flink", "projection", 50_000.0)
         finally:
             StreamPump.vectorized, StreamPump.use_kernels = saved
         assert results["tuple"] == results["batch"] == results["kernel"]
@@ -87,51 +85,46 @@ class TestProbe:
 class TestKneeSearch:
     def test_finds_a_bracketed_knee(self):
         cfg = config()
-        cell = find_capacity(cfg, "flink", "grep", columnar=False)
+        cell = find_capacity(cfg, "flink", "grep")
         assert cell.sustainable_rate > 0
         assert cell.probes >= 1 + SMALL.search_iterations
         # The knee is genuinely the boundary: sustainable at the knee,
         # unsustainable a factor above it.
-        at_knee = run_probe(
-            cfg, "flink", "grep", cell.sustainable_rate, columnar=False
-        )
-        above = run_probe(
-            cfg, "flink", "grep", cell.sustainable_rate * 2.0, columnar=False
-        )
+        at_knee = run_probe(cfg, "flink", "grep", cell.sustainable_rate)
+        above = run_probe(cfg, "flink", "grep", cell.sustainable_rate * 2.0)
         assert at_knee.sustainable
         assert not above.sustainable
 
-    def test_overload_at_twice_the_knee_is_safe(self):
-        """The ISSUE's acceptance scenario, on both data planes."""
+    def test_overload_at_twice_the_knee_is_safe(self, list_world):
+        """Overload stays bounded, fed the slab column or the record list."""
         cfg = config()
-        cell = find_capacity(cfg, "flink", "grep", columnar=False)
-        for columnar in (False, True):
-            probe = run_probe(
-                cfg, "flink", "grep", cell.sustainable_rate * 2.0,
-                columnar=columnar,
-            )
+        cell = find_capacity(cfg, "flink", "grep")
+        overload = cell.sustainable_rate * 2.0
+        with list_world():
+            list_fed = run_probe(cfg, "flink", "grep", overload)
+        for probe in (list_fed, run_probe(cfg, "flink", "grep", overload)):
             assert probe.max_queue_depth <= SMALL.queue_bound
             assert probe.offered == probe.accepted + probe.shed
             assert probe.accepted == SMALL.records  # terminated, no loss
 
     def test_search_is_deterministic(self):
         cfg = config()
-        a = find_capacity(cfg, "spark", "sample", columnar=False)
-        b = find_capacity(cfg, "spark", "sample", columnar=False)
+        a = find_capacity(cfg, "spark", "sample")
+        b = find_capacity(cfg, "spark", "sample")
         assert a == b
 
 
 class TestCapacityReport:
     def test_serial_parallel_bit_identical(self):
         cfg = config(systems=("flink", "apex"), queries=("grep", "identity"))
-        runner = CapacityRunner(cfg, columnar=False)
+        runner = CapacityRunner(cfg)
         serial = runner.run(parallel=False)
         parallel = runner.run(parallel=True, workers=2)
         assert serial.cells == parallel.cells
 
     def test_grid_order_and_lookup(self):
         cfg = config(systems=("flink", "spark"), queries=("grep",))
-        report = CapacityRunner(cfg, columnar=False).run()
+        report = CapacityRunner(cfg).run()
         assert [(c.system, c.query) for c in report.cells] == [
             ("flink", "grep"),
             ("spark", "grep"),
@@ -143,7 +136,7 @@ class TestCapacityReport:
     def test_harness_entry_point(self):
         from repro.benchmark.harness import StreamBenchHarness
 
-        harness = StreamBenchHarness(config(), columnar=False)
+        harness = StreamBenchHarness(config())
         report = harness.run_capacity()
         assert len(report.cells) == 1
         assert report.cells[0].queue_bound == SMALL.queue_bound
@@ -164,7 +157,7 @@ class TestCapacityReport:
         from repro.benchmark.reporting import render_capacity
 
         cfg = config()
-        report = CapacityRunner(cfg, columnar=False).run()
+        report = CapacityRunner(cfg).run()
         text = render_capacity(report)
         assert "Sustainable throughput" in text
         assert "Flink" in text
@@ -189,21 +182,15 @@ class TestParallelProbes:
         # safely below the serial fraction's ceiling.
         cfg = config()
         rate = estimate_service_rate(cfg, "flink", "grep", parallelism=4) * 0.15
-        probe = run_probe(
-            cfg, "flink", "grep", rate, columnar=False, parallelism=4
-        )
+        probe = run_probe(cfg, "flink", "grep", rate, parallelism=4)
         assert probe.sustainable
         assert probe.accepted == SMALL.records
         assert probe.offered == probe.accepted + probe.shed
 
     def test_parallel_probe_is_deterministic(self):
         cfg = config()
-        a = run_probe(
-            cfg, "apex", "sample", 100_000.0, columnar=False, parallelism=2
-        )
-        b = run_probe(
-            cfg, "apex", "sample", 100_000.0, columnar=False, parallelism=2
-        )
+        a = run_probe(cfg, "apex", "sample", 100_000.0, parallelism=2)
+        b = run_probe(cfg, "apex", "sample", 100_000.0, parallelism=2)
         assert a == b
 
     def test_parallelism_one_matches_legacy_path(self):
@@ -211,10 +198,8 @@ class TestParallelProbes:
         # names — a probe asked for parallelism=1 must equal one that
         # never mentioned parallelism at all.
         cfg = config()
-        legacy = run_probe(cfg, "flink", "grep", 80_000.0, columnar=False)
-        explicit = run_probe(
-            cfg, "flink", "grep", 80_000.0, columnar=False, parallelism=1
-        )
+        legacy = run_probe(cfg, "flink", "grep", 80_000.0)
+        explicit = run_probe(cfg, "flink", "grep", 80_000.0, parallelism=1)
         assert explicit == legacy
 
     def test_knee_grows_sublinearly_with_parallelism(self):
@@ -223,9 +208,7 @@ class TestParallelProbes:
         # per-record coordination — so speedup stays below linear.
         cfg = config()
         knees = {
-            p: find_capacity(
-                cfg, "flink", "grep", columnar=False, parallelism=p
-            ).sustainable_rate
+            p: find_capacity(cfg, "flink", "grep", parallelism=p).sustainable_rate
             for p in (1, 2, 4)
         }
         assert knees[1] < knees[2] < knees[4]
@@ -237,12 +220,10 @@ class TestParallelProbes:
         cfg = config()
         for parallelism in (1, 2):
             native = find_capacity(
-                cfg, "flink", "grep", columnar=False,
-                kind="native", parallelism=parallelism,
+                cfg, "flink", "grep", kind="native", parallelism=parallelism
             )
             beam = find_capacity(
-                cfg, "flink", "grep", columnar=False,
-                kind="beam", parallelism=parallelism,
+                cfg, "flink", "grep", kind="beam", parallelism=parallelism
             )
             assert beam.sustainable_rate < native.sustainable_rate
 
@@ -256,7 +237,7 @@ class TestParallelProbes:
 class TestScalabilityReport:
     def test_sweep_shape_order_and_lookups(self):
         cfg = config(capacity=SWEEP)
-        report = CapacityRunner(cfg, columnar=False).run_scalability()
+        report = CapacityRunner(cfg).run_scalability()
         assert [
             (c.system, c.kind, c.query, c.parallelism) for c in report.cells
         ] == [
@@ -272,14 +253,14 @@ class TestScalabilityReport:
 
     def test_sweep_serial_parallel_bit_identical(self):
         cfg = config(capacity=SWEEP)
-        runner = CapacityRunner(cfg, columnar=False)
+        runner = CapacityRunner(cfg)
         serial = runner.run_scalability(parallel=False)
         parallel = runner.run_scalability(parallel=True, workers=2)
         assert serial.cells == parallel.cells
 
     def test_curves_monotonic_per_kind(self):
         cfg = config(capacity=SWEEP)
-        report = CapacityRunner(cfg, columnar=False).run_scalability()
+        report = CapacityRunner(cfg).run_scalability()
         for kind in ("native", "beam"):
             rates = [
                 c.sustainable_rate
@@ -300,7 +281,7 @@ class TestScalabilityReport:
                 kinds=("native",),
             )
         )
-        report = StreamBenchHarness(cfg, columnar=False).run_scalability()
+        report = StreamBenchHarness(cfg).run_scalability()
         assert len(report.cells) == 2
 
     def test_sweep_settings_validation(self):
@@ -317,7 +298,7 @@ class TestScalabilityReport:
         from repro.benchmark.reporting import render_scalability
 
         cfg = config(capacity=SWEEP)
-        report = CapacityRunner(cfg, columnar=False).run_scalability()
+        report = CapacityRunner(cfg).run_scalability()
         text = render_scalability(report)
         assert "Scalability curves" in text
         assert "Speedup vs P=1" in text

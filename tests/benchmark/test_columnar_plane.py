@@ -1,19 +1,20 @@
-"""Columnar-vs-object data-plane bit-identity, end to end.
+"""Column-fed vs list-fed campaigns: bit-identity, end to end.
 
-The columnar plane (slab-direct generation, zero-copy broker adoption,
-array-based measurement) is a host-side optimisation only: every simulated
-quantity — clock charges, RNG streams, produce sequencing, LogAppendTime
-stamps — must be unchanged.  These tests pin that contract for the full
-48-cell matrix and for a chaos campaign whose faults actually bite, plus
-the unit-level mechanics that make it hold: log slab adoption, sender
-window batching and the DoFn adapter's no-copy return path.
+The harness ingests the workload as a slab column (slab-direct generation,
+zero-copy broker adoption, array-based measurement).  That layout is a
+host-side optimisation only: every simulated quantity — clock charges,
+RNG streams, produce sequencing, LogAppendTime stamps — must equal what
+sending the materialised record list gives.  The ``list_world`` fixture
+builds that list-fed reference world (the sender, log and pump take their
+list paths), and these tests pin the contract for the full 48-cell matrix
+and for a chaos campaign whose faults actually bite, plus the unit-level
+mechanics that make it hold: log slab adoption, sender window batching
+and the DoFn adapter's no-copy return path.
 """
 
 from __future__ import annotations
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.beam.transforms.core import DoFn
 from repro.beam.runners.util import DoFnAdapter
@@ -27,33 +28,20 @@ from repro.simtime import SimClock, Simulator
 from repro.workloads.columnar import ColumnarWorkload
 
 
-def run_with_plane(config, columnar, chaos=None):
-    """Run the full matrix with the data plane forced via the env knob.
-
-    ``run_matrix`` executes each cell in an isolated world that resolves
-    its plane from ``REPRO_COLUMNAR``, so the knob — not just the outer
-    harness flag — must be set for the whole campaign.
-    """
-    mp = pytest.MonkeyPatch()
-    try:
-        mp.setenv("REPRO_COLUMNAR", "1" if columnar else "0")
-        harness = StreamBenchHarness(config, chaos=chaos)
-        assert harness.columnar is columnar
-        return harness.run_matrix(parallel=False)
-    finally:
-        mp.undo()
+def run_both_worlds(list_world, config, chaos=None):
+    """The serial matrix fed the record list, then fed the slab column."""
+    with list_world():
+        lists = StreamBenchHarness(config, chaos=chaos).run_matrix(parallel=False)
+    columns = StreamBenchHarness(config, chaos=chaos).run_matrix(parallel=False)
+    return lists, columns
 
 
 class TestMatrixBitIdentity:
     """The acceptance contract: all 48 grid cells equal per field."""
 
     @pytest.fixture(scope="class")
-    def reports(self):
-        config = BenchmarkConfig(records=1_500, runs=2)
-        return (
-            run_with_plane(config, columnar=False),
-            run_with_plane(config, columnar=True),
-        )
+    def reports(self, list_world):
+        return run_both_worlds(list_world, BenchmarkConfig(records=1_500, runs=2))
 
     def test_covers_full_grid(self, reports):
         objects, _ = reports
@@ -71,7 +59,7 @@ class TestChaosBitIdentity:
     """Fault-tolerant campaigns agree too — retries, dedup and all."""
 
     @pytest.fixture(scope="class")
-    def reports(self):
+    def reports(self, list_world):
         config = BenchmarkConfig(
             records=1_500,
             runs=2,
@@ -85,10 +73,7 @@ class TestChaosBitIdentity:
             latency_jitter=0.0005,
             outages=(NodeOutage(node_id=1, start=0.01, duration=0.05),),
         )
-        return (
-            run_with_plane(config, columnar=False, chaos=plan),
-            run_with_plane(config, columnar=True, chaos=plan),
-        )
+        return run_both_worlds(list_world, config, chaos=plan)
 
     def test_chaos_reports_equal_per_field(self, reports):
         objects, columns = reports
@@ -109,26 +94,23 @@ class TestHarnessIngestAdoption:
         return topic.partitions[0]
 
     def test_columnar_ingest_adopts_slab(self):
-        harness = StreamBenchHarness(
-            BenchmarkConfig(records=2_000), columnar=True
-        )
+        harness = StreamBenchHarness(BenchmarkConfig(records=2_000))
         log = self._input_log(harness)
         assert type(log._values) is SlabColumn
         assert len(log) == 2_000
         # Zero-copy: the no-copy read hands back the adopted column itself.
         assert log.read_values(0, None, copy=False) is log._values
 
-    def test_object_ingest_stays_list(self):
-        harness = StreamBenchHarness(
-            BenchmarkConfig(records=2_000), columnar=False
-        )
-        log = self._input_log(harness)
+    def test_object_ingest_stays_list(self, list_world):
+        with list_world():
+            log = self._input_log(StreamBenchHarness(BenchmarkConfig(records=2_000)))
         assert type(log._values) is list
 
-    def test_planes_store_equal_values_and_timestamps(self):
+    def test_planes_store_equal_values_and_timestamps(self, list_world):
         config = BenchmarkConfig(records=2_000)
-        obj = self._input_log(StreamBenchHarness(config, columnar=False))
-        col = self._input_log(StreamBenchHarness(config, columnar=True))
+        with list_world():
+            obj = self._input_log(StreamBenchHarness(config))
+        col = self._input_log(StreamBenchHarness(config))
         assert list(col._values) == obj._values
         assert col.read_timestamps(0) == obj.read_timestamps(0)
         assert col.timestamp_bounds() == obj.timestamp_bounds()

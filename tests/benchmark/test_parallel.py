@@ -20,6 +20,7 @@ from repro.benchmark.parallel import (
 )
 from repro.broker import FaultPlan
 from repro.broker.faults import NodeOutage
+from repro.workloads.cache import ensure_columns_cached
 
 
 def full_grid_config(**overrides):
@@ -156,6 +157,22 @@ class TestRunnerPlumbing:
         parallel_by_config = StreamBenchHarness(config).run_matrix()
         serial = StreamBenchHarness(config).run_matrix(parallel=False)
         assert parallel_by_config.runs == serial.runs
+
+    def test_unwritable_cache_dir_matches_serial(self, tmp_path, monkeypatch):
+        """A cache directory that cannot be created must not crash the
+        fan-out: the pre-seed reports the miss and each worker generates
+        the workload, exactly as the serial path does."""
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(blocked / "sub"))
+        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_MIN", "100")
+        monkeypatch.delenv("REPRO_WORKLOAD_CACHE", raising=False)
+        config = full_grid_config(
+            records=2_000, runs=2, systems=("flink",), queries=("grep", "sample")
+        )
+        assert ensure_columns_cached(config.records, config.seed) is None
+        serial = MatrixRunner(config).run(parallel=False)
+        assert MatrixRunner(config).run(parallel=True, workers=2) == serial
 
     def test_cellspec_is_slotted_and_picklable(self):
         import pickle

@@ -1,9 +1,8 @@
 """Sharded-vs-single-node benchmark bit-identity, end to end.
 
-Broker topology is a *host-side* knob (``REPRO_BROKER_NODES``), exactly
-like the columnar data plane: routing partitions through per-node
-:class:`~repro.broker.broker.Broker` serving maps must not move a single
-simulated quantity.  These tests pin that contract — the full 48-cell
+Broker topology is a *host-side* knob (``REPRO_BROKER_NODES``): routing
+partitions through per-node :class:`~repro.broker.broker.Broker` serving
+maps must not move a single simulated quantity.  These tests pin that contract — the full 48-cell
 Figure-5 grid and a chaos campaign whose single-node outage actually
 bites must produce per-field identical reports on a 1-node and a 4-node
 cluster — plus the exact cross-shard accounting of

@@ -22,8 +22,6 @@ from repro.dataflow.functions import (
 )
 from repro.dataflow.kernels import ChainKernel, GrepKernel, KernelSpec
 
-np = pytest.importorskip("numpy")
-
 
 def grep_fn(needle="xx"):
     return FilterFunction(

@@ -34,8 +34,6 @@ from repro.dataflow.kernels import (
     slab_for,
 )
 
-np = pytest.importorskip("numpy")
-
 
 def ref_grep(needle, values):
     return [v for v in values if needle in v]
@@ -589,14 +587,6 @@ class TestStatisticsKernel:
         out = kernels.StatisticsKernel(fn)(values)
         ref = make_statistics()
         assert out == ref_process(ref, values)
-        assert fn.snapshot() == ref.snapshot()
-
-    def test_no_numpy_fallback(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
-        fn = make_statistics()
-        out = kernels.StatisticsKernel(fn)(AOL_LIKE)
-        ref = make_statistics()
-        assert out == ref_process(ref, AOL_LIKE)
         assert fn.snapshot() == ref.snapshot()
 
 

@@ -3,7 +3,7 @@
 ``ShardedPump`` gives every shard its own serially lowered pump, so an
 order-sensitive operator is only as safe to shard as its serial kernel is
 faithful to the per-record reference.  These tests pin the two edges that
-rest on: the sample kernel's NumPy-less per-record path draws the very
+rest on: the sample kernel's per-record reference path draws the very
 stream of the NumPy mask path, and an ``AfterCount``-triggered windowed
 aggregate lowers to no kernel at all and keeps the reference tier.
 """
@@ -32,7 +32,7 @@ class TestOrderSensitiveSharding:
         expected = [bulk(lines[:500]), bulk(lines[500:])]
         rng = random.Random(41)
         reference = kernels.SampleKernel(0.4, rng)
-        reference._bulk = False  # NumPy-less host: per-record reference
+        reference._bulk = False  # the per-record reference path
         assert [reference(lines[:500]), reference(lines[500:])] == expected
         bulk.flush(), reference.flush()
         # The post-chunk generator state is part of the contract: the next

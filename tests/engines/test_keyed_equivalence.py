@@ -12,9 +12,6 @@ plan compiler's wire fusion actually engages) get the same treatment
 through a raw pump, including pane-dict insertion order for the windowed
 Q5.  A chaos campaign repeats the matrix under broker faults, where any
 extra or reordered request would land the fault schedule differently.
-
-CI runs this suite on the default data plane (tier-1) and again with
-``REPRO_COLUMNAR=1`` forced, so both planes are covered.
 """
 
 from __future__ import annotations

@@ -116,7 +116,7 @@ class TestChunkedGeneration:
 class TestWorkloadWrapper:
     def test_lazy_and_cached(self):
         workload = AolWorkload(100)
-        assert workload._records is None
+        assert workload._columnar is None
         first = workload.records
         assert workload.records is first
 
@@ -127,20 +127,20 @@ class TestWorkloadWrapper:
     def test_verify_passes(self):
         AolWorkload(2_000).verify()
 
-    def test_verify_samples_whole_stream(self):
+    def test_verify_samples_whole_stream(self, monkeypatch):
         """A malformed record far beyond the first 100 lines is caught."""
         workload = AolWorkload(5_000)
         lines = list(workload.records)
         lines[4_999] = "no tabs at all"
-        workload._records = lines
+        monkeypatch.setattr(AolWorkload, "records", lines)
         with pytest.raises(ValueError):
             workload.verify()
 
-    def test_verify_stride_covers_interior(self):
+    def test_verify_stride_covers_interior(self, monkeypatch):
         workload = AolWorkload(5_000)
         lines = list(workload.records)
         lines[2_500] = "broken\tline"
-        workload._records = lines
+        monkeypatch.setattr(AolWorkload, "records", lines)
         with pytest.raises(ValueError):
             workload.verify(sample_stride=1)
 

@@ -1,6 +1,15 @@
-"""Tests for the versioned on-disk workload cache."""
+"""The record list as the versioned on-disk workload cache serves it.
+
+``AolWorkload.records`` is the decode of the cached byte columns, so a
+list read back from a disk entry must equal generation, a write that
+fails must leave no entry behind, and a corrupted, truncated, edited or
+stale entry must count as a miss.  ``test_columnar_cache.py`` checks the
+columns themselves.
+"""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -8,8 +17,8 @@ from repro.workloads import aol
 from repro.workloads.cache import (
     WorkloadCache,
     clear_memo,
-    ensure_disk_cached,
-    load_workload,
+    ensure_columns_cached,
+    load_columnar_workload,
 )
 
 
@@ -28,141 +37,94 @@ def cache(tmp_path):
 
 
 class TestRoundTrip:
-    def test_load_equals_generation(self, cache):
-        lines = load_workload(3_000, seed=11, cache=cache)
+    def test_load_equals_generation(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(tmp_path / "disk"))
+        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_MIN", "0")
+        monkeypatch.delenv("REPRO_WORKLOAD_CACHE", raising=False)
+        lines = aol.AolWorkload(3_000, seed=11).records
         assert lines == aol.generate_records(3_000, seed=11)
         clear_memo()
-        assert load_workload(3_000, seed=11, cache=cache) == lines
+        # The second workload decodes its list from the mmap'ed entry.
+        warm = aol.AolWorkload(3_000, seed=11)
+        assert warm.columnar().mmap_backed
+        assert warm.records == lines
 
-    def test_entry_created_atomically(self, cache):
-        load_workload(2_000, seed=11, cache=cache)
+    def test_entry_created_atomically(self, cache, monkeypatch):
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", fail_replace)
+            lines = load_columnar_workload(2_000, seed=11, cache=cache).records
+        # The failed write left neither a partial entry nor a temp file.
+        assert lines == aol.generate_records(2_000, seed=11)
+        assert list(cache.directory.iterdir()) == []
+        clear_memo()
+        load_columnar_workload(2_000, seed=11, cache=cache)
         entries = list(cache.directory.iterdir())
-        assert [e.name for e in entries] == [cache.entry_path(11, 2_000).name]
+        assert [e.name for e in entries] == [cache.columns_path(11, 2_000).name]
         assert not any(e.name.endswith(".tmp") for e in entries)
 
-    def test_empty_workload(self, cache):
-        assert load_workload(0, seed=3, cache=cache) == []
-        clear_memo()
-        assert load_workload(0, seed=3, cache=cache) == []
-
-    def test_keys_are_independent(self, cache):
-        a = load_workload(1_000, seed=1, cache=cache)
-        b = load_workload(1_000, seed=2, cache=cache)
-        c = load_workload(1_500, seed=1, cache=cache)
-        assert a != b
-        assert len(c) == 1_500
-        assert len(list(cache.directory.iterdir())) == 3
-
     def test_memo_shares_one_list(self, cache):
-        first = load_workload(1_000, seed=1, cache=cache)
-        assert load_workload(1_000, seed=1, cache=cache) is first
+        first = load_columnar_workload(1_000, seed=1, cache=cache).records
+        assert load_columnar_workload(1_000, seed=1, cache=cache).records is first
 
 
 class TestCorruptionAndStaleness:
     def test_corrupted_payload_detected_and_regenerated(self, cache):
-        reference = load_workload(2_000, seed=9, cache=cache)
-        path = cache.entry_path(9, 2_000)
+        reference = load_columnar_workload(2_000, seed=9, cache=cache).records
+        path = cache.columns_path(9, 2_000)
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
+        # The checksum covers the starts column, the part of the entry
+        # that locates every record; flip a byte in its middle.
+        header_len = data.index(b"\n") + 1
+        data[header_len + 4 * 2_000] ^= 0xFF
         path.write_bytes(bytes(data))
         clear_memo()
 
-        assert cache.load(9, 2_000) is None
+        assert cache.load_columns(9, 2_000) is None
         assert not path.exists()  # the bad entry was dropped
-        regenerated = load_workload(2_000, seed=9, cache=cache)
+        regenerated = load_columnar_workload(2_000, seed=9, cache=cache).records
         assert regenerated == reference
         assert path.exists()  # ... and replaced by a valid one
         clear_memo()
-        assert cache.load(9, 2_000) == reference
+        assert cache.load_columns(9, 2_000).records == reference
 
     def test_truncated_entry_is_a_miss(self, cache):
-        load_workload(2_000, seed=9, cache=cache)
-        path = cache.entry_path(9, 2_000)
-        path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+        load_columnar_workload(2_000, seed=9, cache=cache)
+        path = cache.columns_path(9, 2_000)
+        # Losing only the last byte of the last record is enough.
+        path.write_bytes(path.read_bytes()[:-1])
         clear_memo()
-        assert cache.load(9, 2_000) is None
+        assert cache.load_columns(9, 2_000) is None
+        assert not path.exists()
 
     def test_stale_generator_version_is_a_miss(self, cache, monkeypatch):
-        load_workload(2_000, seed=9, cache=cache)
-        stale_path = cache.entry_path(9, 2_000)
+        load_columnar_workload(2_000, seed=9, cache=cache)
+        stale_path = cache.columns_path(9, 2_000)
         monkeypatch.setattr(aol, "GENERATOR_VERSION", aol.GENERATOR_VERSION + 1)
         # The new version keys a different path, so the old entry is
         # simply never consulted again.
-        assert cache.entry_path(9, 2_000) != stale_path
-        assert cache.load(9, 2_000) is None
+        assert cache.columns_path(9, 2_000) != stale_path
+        assert cache.load_columns(9, 2_000) is None
+        assert stale_path.exists()
 
     def test_edited_header_is_a_miss(self, cache):
-        load_workload(2_000, seed=9, cache=cache)
-        path = cache.entry_path(9, 2_000)
+        load_columnar_workload(2_000, seed=9, cache=cache)
+        path = cache.columns_path(9, 2_000)
         data = path.read_bytes()
         path.write_bytes(data.replace(b"records=2000", b"records=2001", 1))
         clear_memo()
-        assert cache.load(9, 2_000) is None
-
-    def test_store_rejects_wrong_record_count(self, cache):
-        with pytest.raises(ValueError):
-            cache.store(1, 10, iter([["only", "three", "lines"]]))
-        assert not any(
-            e.name.endswith(".tmp") for e in cache.directory.iterdir()
-        )
+        assert cache.load_columns(9, 2_000) is None
+        assert not path.exists()
 
 
 class TestTiering:
-    def test_small_workloads_stay_memory_only(self, tmp_path, monkeypatch):
-        directory = tmp_path / "disk"
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
-        lines = load_workload(500, seed=4)  # default threshold is 100k
-        assert lines == aol.generate_records(500, seed=4)
-        assert not directory.exists()
-
-    def test_disk_tier_can_be_disabled(self, tmp_path, monkeypatch):
-        directory = tmp_path / "disk"
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_MIN", "100")
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "0")
-        load_workload(500, seed=4)
-        assert not directory.exists()
-
-    def test_threshold_env_engages_disk(self, tmp_path, monkeypatch):
-        directory = tmp_path / "disk"
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_MIN", "100")
-        load_workload(500, seed=4)
-        assert directory.exists()
-        assert WorkloadCache().load(4, 500) == aol.generate_records(500, seed=4)
-
     def test_ensure_disk_cached(self, cache):
-        assert ensure_disk_cached(1_000, seed=6, cache=cache) == cache.entry_path(
-            6, 1_000
-        )
-        # Idempotent, and serves the pre-seeded entry afterwards.
-        assert ensure_disk_cached(1_000, seed=6, cache=cache).exists()
-        assert cache.load(6, 1_000) == aol.generate_records(1_000, seed=6)
-
-    def test_ensure_disk_cached_respects_threshold(self, tmp_path, monkeypatch):
-        directory = tmp_path / "disk"
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
-        assert ensure_disk_cached(500, seed=4) is None
-        assert not directory.exists()
-
-    def test_unwritable_directory_degrades_gracefully(self, tmp_path):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file, not a directory")
-        cache = WorkloadCache(blocked / "sub", min_records=0)
-        lines = load_workload(800, seed=2, cache=cache)
-        assert lines == aol.generate_records(800, seed=2)
-
-
-class TestWorkloadIntegration:
-    def test_aol_workload_uses_memo(self):
-        a = aol.AolWorkload(1_200, seed=8)
-        b = aol.AolWorkload(1_200, seed=8)
-        assert a.records is b.records
-
-    def test_harness_workloads_share_one_list(self):
-        from repro.benchmark import BenchmarkConfig, StreamBenchHarness
-
-        config = BenchmarkConfig(records=1_200, runs=1)
-        first = StreamBenchHarness(config)
-        second = StreamBenchHarness(config)
-        assert first.workload.records is second.workload.records
+        path = ensure_columns_cached(1_000, seed=6, cache=cache)
+        assert path == cache.columns_path(6, 1_000)
+        # Idempotent, and the memo then serves the pre-seeded entry itself.
+        assert ensure_columns_cached(1_000, seed=6, cache=cache).exists()
+        served = load_columnar_workload(1_000, seed=6, cache=cache)
+        assert served.mmap_backed
+        assert served.records == aol.generate_records(1_000, seed=6)

@@ -1,9 +1,11 @@
-"""The memmap-backed columnar tier of the workload cache.
+"""The workload cache: the in-process memo and the memmap-backed disk tier.
 
 Round trips, corruption and staleness: a loaded entry must be
 bit-identical to generation, and any invalid file — truncated, edited
 offsets, foreign header — must count as a miss, be unlinked, and be
-replaced by regeneration.
+replaced by regeneration.  Tiering: small workloads stay memory-only,
+the environment knobs switch the disk tier, and an unwritable directory
+falls back to generation.
 """
 
 from __future__ import annotations
@@ -45,6 +47,19 @@ class TestRoundTrip:
         assert bytes(warm.data) == bytes(workload.data)
         assert list(warm.starts) == list(workload.starts)
         assert warm.records == workload.records
+
+    def test_empty_workload(self, cache):
+        assert load_columnar_workload(0, seed=3, cache=cache).records == []
+        clear_memo()
+        assert load_columnar_workload(0, seed=3, cache=cache).records == []
+
+    def test_keys_are_independent(self, cache):
+        a = load_columnar_workload(1_000, seed=1, cache=cache)
+        b = load_columnar_workload(1_000, seed=2, cache=cache)
+        c = load_columnar_workload(1_500, seed=1, cache=cache)
+        assert a.records != b.records
+        assert len(c.records) == 1_500
+        assert len(list(cache.directory.iterdir())) == 3
 
     def test_memo_shares_one_workload(self, cache):
         first = load_columnar_workload(1_000, seed=1, cache=cache)
@@ -105,6 +120,12 @@ class TestCorruption:
         assert cache.load_columns(7, 1_500) is None
         assert not path.exists()
 
+    def test_store_rejects_wrong_record_count(self, cache):
+        data, starts = generate_columns(3, seed=1)
+        with pytest.raises(ValueError):
+            cache.store_columns(1, 10, data, starts)
+        assert not cache.directory.exists()
+
 
 class TestStaleness:
     def test_version_bump_changes_file_name(self, cache, monkeypatch):
@@ -140,3 +161,63 @@ class TestEnsure:
         stamp = first.stat().st_mtime_ns
         assert ensure_columns_cached(1_200, seed=6, cache=cache) == first
         assert first.stat().st_mtime_ns == stamp
+
+    def test_ensure_respects_threshold(self, tmp_path, monkeypatch):
+        directory = tmp_path / "disk"
+        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
+        assert ensure_columns_cached(500, seed=4) is None
+        assert not directory.exists()
+
+    def test_unwritable_directory_degrades_gracefully(self, tmp_path):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        cache = WorkloadCache(blocked / "sub", min_records=0)
+        workload = load_columnar_workload(800, seed=2, cache=cache)
+        assert workload.records == aol.generate_records(800, seed=2)
+        # Pre-seeding reports the miss instead of raising: parallel
+        # campaigns then let each worker generate, like the serial path.
+        assert ensure_columns_cached(800, seed=2, cache=cache) is None
+        clear_memo()
+        assert ensure_columns_cached(800, seed=2, cache=cache) is None
+
+
+class TestTiering:
+    @pytest.mark.parametrize(
+        "env, on_disk",
+        [
+            ({}, False),
+            ({"REPRO_WORKLOAD_CACHE_MIN": "100", "REPRO_WORKLOAD_CACHE": "0"}, False),
+            ({"REPRO_WORKLOAD_CACHE_MIN": "100"}, True),
+        ],
+        ids=["below-default-min", "cache-disabled", "min-env-engages"],
+    )
+    def test_env_selects_the_disk_tier(self, tmp_path, monkeypatch, env, on_disk):
+        directory = tmp_path / "disk"
+        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
+        monkeypatch.delenv("REPRO_WORKLOAD_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_WORKLOAD_CACHE_MIN", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        workload = load_columnar_workload(500, seed=4)
+        assert workload.records == aol.generate_records(500, seed=4)
+        assert directory.exists() is on_disk
+        if on_disk:
+            assert WorkloadCache().load_columns(4, 500).records == workload.records
+
+
+class TestWorkloadIntegration:
+    def test_aol_workload_uses_memo(self):
+        a = aol.AolWorkload(1_200, seed=8)
+        b = aol.AolWorkload(1_200, seed=8)
+        # ``records`` is the one shared decode of the memoised columns.
+        assert a.records is a.columnar().records
+        assert a.records is b.records
+        assert a.records == aol.generate_records(1_200, seed=8)
+
+    def test_harness_workloads_share_one_list(self):
+        from repro.benchmark import BenchmarkConfig, StreamBenchHarness
+
+        config = BenchmarkConfig(records=1_200, runs=1)
+        first = StreamBenchHarness(config)
+        second = StreamBenchHarness(config)
+        assert first.workload.records is second.workload.records

@@ -19,6 +19,7 @@ from array import array
 import pytest
 
 from repro.broker.log import PartitionLog
+from repro.dataflow.kernels import SlabColumn, slab_from_columns
 from repro.simtime import SimClock
 from repro.workloads import columnar
 from repro.workloads.columnar import generate_columns, iter_column_chunks
@@ -106,20 +107,15 @@ def bounded_log():
 
 
 def chunk_column(num_records: int, seed: int = 2006):
-    """One generated chunk wrapped as a SlabColumn (skips without numpy)."""
-    kernels = pytest.importorskip("repro.dataflow.kernels")
+    """One generated chunk wrapped as a SlabColumn."""
     data, starts = generate_columns(num_records, seed)
-    slab = kernels.slab_from_columns(data, starts)
-    assert slab is not None
-    return kernels.SlabColumn(slab)
+    return SlabColumn(slab_from_columns(data, starts))
 
 
 class TestTrimmedLogReAdoption:
     """The broker half of O(chunk) streaming: drained logs re-adopt."""
 
     def test_foreign_slab_readopts_after_trim_to_empty(self, bounded_log):
-        from repro.dataflow.kernels import SlabColumn
-
         first = chunk_column(500, seed=2006)
         second = chunk_column(500, seed=2007)
         bounded_log.append_batch(first.view(0, 500))
@@ -156,8 +152,6 @@ class TestTrimmedLogReAdoption:
 
     def test_streamed_chunks_stay_bounded(self, bounded_log):
         """Chunk in, drain, chunk in: depth never exceeds one chunk."""
-        from repro.dataflow.kernels import SlabColumn
-
         for seed in (2006, 2007, 2008):
             column = chunk_column(1_000, seed=seed)
             for start in range(0, 1_000, 250):
