@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.benchmark import stats
 from repro.benchmark.config import BenchmarkConfig
@@ -203,6 +204,24 @@ class _FixedSchedule(ArrivalProcess):
         self, total: int, batch_size: int, rng: random.Random
     ) -> Iterator[tuple[int, float]]:
         return iter(self._batches)
+
+
+def arrival_instants(
+    batches: Iterable[tuple[int, float]], started: float
+) -> np.ndarray:
+    """Per-record nominal arrival instants of a batch schedule.
+
+    A batch's offset is when its *last* record has arrived, so its records
+    interpolate linearly from the previous batch's offset up to it:
+    record *i* (from 1) arrives at ``(started + prev) + step * i``.
+    """
+    parts = []
+    prev = 0.0
+    for count, offset in batches:
+        step = (offset - prev) / count
+        parts.append((started + prev) + step * np.arange(1, count + 1))
+        prev = offset
+    return np.concatenate(parts)
 
 
 def build_native_stages(
@@ -457,19 +476,13 @@ def run_probe(
     schedule_rng = simulator.random.stream(f"loadgen/{CAPACITY_TOPIC}/schedule")
     batches = tuple(process.schedule(total, settings.arrival_batch, schedule_rng))
     started = simulator.now()
-    # Per-record nominal arrival instants for event-time latency: a batch's
-    # offset is when its *last* record has arrived, so records interpolate
-    # linearly from the previous batch's offset up to it.
-    arrivals = array("d")
-    prev = 0.0
-    for count, offset in batches:
-        step = (offset - prev) / count
-        base = started + prev
-        arrivals.extend(base + step * (i + 1) for i in range(count))
-        prev = offset
+    arrivals = arrival_instants(batches, started)
 
-    event_lat = array("d")
-    proc_lat = array("d")
+    # Latency columns, one NumPy array per drain step: event time from each
+    # record's nominal arrival, processing time from its broker admission
+    # stamp.  Joined once at the end for the percentiles.
+    event_parts: list[np.ndarray] = []
+    proc_parts: list[np.ndarray] = []
     consumed = 0
 
     def drain() -> int:
@@ -486,13 +499,13 @@ def run_probe(
         simulator.charge(cost)
         consumer.acknowledge()
         done = simulator.now()
-        for index in range(len(values)):
-            event_lat.append(done - arrivals[consumed + index])
-            proc_lat.append(done - stamps[index])
-        consumed += len(values)
+        count = len(values)
+        event_parts.append(done - arrivals[consumed : consumed + count])
+        proc_parts.append(done - np.frombuffer(stamps))
+        consumed += count
         if sharded is not None:
             sharded.observe(done, backlog=log.queue_depth())
-        return len(values)
+        return count
 
     generator = LoadGenerator(
         cluster,
@@ -520,6 +533,9 @@ def run_probe(
             )
     elapsed = simulator.now() - started
     offer_window = total / rate
+    # Python floats, so every percentile field stays a ``float``.
+    event_lat = np.concatenate(event_parts).tolist()
+    proc_lat = np.concatenate(proc_parts).tolist()
     sustainable = (
         report.records_shed == 0
         and elapsed <= offer_window * (1.0 + settings.grace)

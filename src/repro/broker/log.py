@@ -23,9 +23,12 @@ class PartitionLog:
     Storage is column-oriented (parallel columns for values, keys and
     timestamps) — the benchmark appends tens of millions of records, and
     per-record objects would dominate memory and time.  The timestamp
-    column is a compact ``array('d')`` slab (8 bytes per record instead of
-    a ~56-byte boxed float plus pointer); values read out of it are exact
-    C doubles, i.e. bit-identical to the floats that went in.
+    column is a compact ``array('d')`` slab, 8 bytes per record; values
+    read out of it are exact C doubles, i.e. bit-identical to the floats
+    that went in.  :meth:`append_batch` stamps a whole batch with one
+    LogAppendTime, as Kafka writes it once in the batch header, and fills
+    the column with a single C-level repeat of that double instead of
+    unboxing one Python float per record.
 
     **Slab adoption** (the columnar data plane's zero-copy ingest): when a
     batch arrives as a keyless :class:`~repro.dataflow.kernels.SlabColumn`
@@ -182,29 +185,28 @@ class PartitionLog:
         Only valid for ``LogAppendTime`` topics (batch appends share one
         broker arrival instant, as a Kafka produce request does).  The
         sequences are copied into the log's column storage, never retained.
+        A rejected batch (key count mismatch, full queue) changes no column.
         """
         if self.timestamp_type is not TimestampType.LOG_APPEND_TIME:
             raise ValueError("append_batch requires LogAppendTime")
         first = self.end_offset
         count = len(values)
+        if keys is not None and len(keys) != count:
+            raise ValueError("keys and values must have equal length")
         if count == 0:
             return first
         self.ensure_capacity(count)
-        now = self._clock.now()
+        # One LogAppendTime per batch, repeated by a C memcpy rather than
+        # unboxed from a Python float once per record.
+        stamps = array("d", (self._clock.now(),)) * count
         if keys is None and type(values) is SlabColumn:
             self._adopt_column(values)
-            self._timestamps.extend([now] * count)
-            return first
-        if type(self._values) is not list:
-            self._degrade()
-        self._values.extend(values)
-        if keys is None:
-            self._keys.extend([None] * count)
         else:
-            if len(keys) != count:
-                raise ValueError("keys and values must have equal length")
-            self._keys.extend(keys)
-        self._timestamps.extend([now] * count)
+            if type(self._values) is not list:
+                self._degrade()
+            self._values.extend(values)
+            self._keys.extend([None] * count if keys is None else keys)
+        self._timestamps.extend(stamps)
         return first
 
     def _adopt_column(self, view: SlabColumn) -> None:

@@ -1,14 +1,22 @@
 """Tests for repro.benchmark.capacity: probes, knee search, determinism."""
 
+import random
+from array import array
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from repro.benchmark.capacity import (
     CapacityRunner,
+    ProbeResult,
+    arrival_instants,
     estimate_service_rate,
     find_capacity,
     run_probe,
 )
 from repro.benchmark.config import BenchmarkConfig, CapacitySettings
+from repro.benchmark.loadgen import make_arrivals
 from repro.engines.common.pump import StreamPump
 
 
@@ -80,6 +88,77 @@ class TestProbe:
         finally:
             StreamPump.vectorized, StreamPump.use_kernels = saved
         assert results["tuple"] == results["batch"] == results["kernel"]
+
+
+def per_record_arrivals(batches, started):
+    """Arrival instants one record at a time, in Python floats: the
+    reference for the NumPy column :func:`arrival_instants` builds."""
+    arrivals = array("d")
+    prev = 0.0
+    for count, offset in batches:
+        step = (offset - prev) / count
+        base = started + prev
+        arrivals.extend(base + step * (i + 1) for i in range(count))
+        prev = offset
+    return arrivals
+
+
+BURSTY = CapacitySettings(records=25_000, queue_bound=500, process="bursty")
+
+#: A bursty P=2 probe (three burst cycles, a saturated queue), as the
+#: per-record Python latency loop computed it.
+BURSTY_PROBE = ProbeResult(
+    rate=300000.0,
+    sustainable=True,
+    offered=25000,
+    accepted=25000,
+    shed=0,
+    blocked_seconds=0.038532900000000064,
+    max_queue_depth=500,
+    offer_window=0.08333333333333333,
+    elapsed=0.08416073333333335,
+    event_p50=0.009158296364239812,
+    event_p95=0.02297045990370212,
+    event_p99=0.025021458506348,
+    proc_p50=0.0012548000000000281,
+    proc_p95=0.0014723999999999848,
+    proc_p99=0.0015149510972445185,
+    shard_costs=(0.02009599999999998, 0.020083999999999987),
+)
+
+LATENCY_FIELDS = ("event_p50", "event_p95", "event_p99", "proc_p50", "proc_p95", "proc_p99")
+
+
+class TestLatencyColumns:
+    """The probe's arrival and latency columns are NumPy arrays, computed
+    with the same IEEE-754 operations as a per-record loop."""
+
+    @pytest.mark.parametrize("process", ["uniform", "bursty"])
+    def test_arrival_column_matches_per_record_loop(self, process):
+        schedule = make_arrivals(process, 123_457.0).schedule(
+            25_013, 200, random.Random(11)
+        )
+        batches = tuple(schedule)
+        started = 0.1 + 0.2
+        column = arrival_instants(batches, started)
+        assert column.dtype == np.float64
+        assert column.tobytes() == per_record_arrivals(batches, started).tobytes()
+
+    def test_bursty_probe_reproduces_recorded_result(self):
+        cfg = config(capacity=BURSTY)
+        probe = run_probe(cfg, "flink", "grep", 300_000.0, parallelism=2)
+        for name in (f.name for f in fields(ProbeResult)):
+            assert repr(getattr(probe, name)) == repr(getattr(BURSTY_PROBE, name)), name
+
+    @pytest.mark.parametrize(
+        "settings, parallelism", [(SMALL, 1), (BURSTY, 2)], ids=["uniform", "bursty"]
+    )
+    def test_latency_fields_are_python_floats(self, settings, parallelism):
+        probe = run_probe(
+            config(capacity=settings), "flink", "grep", 300_000.0, parallelism=parallelism
+        )
+        for name in LATENCY_FIELDS:
+            assert type(getattr(probe, name)) is float, name
 
 
 class TestKneeSearch:

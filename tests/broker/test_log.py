@@ -7,7 +7,9 @@ import pytest
 from repro.broker.errors import OffsetOutOfRangeError
 from repro.broker.log import PartitionLog
 from repro.broker.records import TimestampType
+from repro.dataflow.kernels import SlabColumn, slab_from_columns
 from repro.simtime import SimClock
+from repro.workloads.columnar import generate_columns
 
 
 @pytest.fixture
@@ -74,13 +76,110 @@ class TestAppendBatch:
         assert [r.key for r in log.iter_all()] == ["k1", "k2"]
 
     def test_batch_key_length_mismatch(self, log):
+        """A rejected batch touches no column: the next append gets offset 0."""
         with pytest.raises(ValueError):
             log.append_batch(["a"], keys=["k1", "k2"])
+        assert log.end_offset == 0
+        assert len(log) == 0
+        assert log.read(0) == []
+        assert len(log.read_timestamps(0)) == 0
+        assert log.append("b") == 0
+        assert [(r.value, r.key) for r in log.read(0)] == [("b", None)]
 
     def test_batch_rejected_for_create_time(self, clock):
         log = PartitionLog("t", 0, clock, TimestampType.CREATE_TIME)
         with pytest.raises(ValueError):
             log.append_batch(["a"])
+
+
+def slab_column(num_records: int, seed: int) -> SlabColumn:
+    """A generated workload wrapped as a keyless slab column."""
+    return SlabColumn(slab_from_columns(*generate_columns(num_records, seed)))
+
+
+# Each scenario drives one ``append_batch`` path and returns the type of
+# value column that path leaves behind.
+
+
+def plain_list(log, append):
+    append(["a", "b", "c"])
+    append(["d"])
+    append(["e", "f"])
+    return list
+
+
+def keyed_list(log, append):
+    append(["a", "b"], keys=["k1", "k2"])
+    append(["c", "d", "e"], keys=["k3", None, "k5"])
+    return list
+
+
+def first_adopted_window(log, append):
+    append(slab_column(10, seed=2006).view(0, 4))
+    return SlabColumn
+
+
+def contiguous_widen(log, append):
+    column = slab_column(10, seed=2006)
+    for start, stop in ((0, 4), (4, 7), (7, 10)):
+        append(column.view(start, stop))
+    return SlabColumn
+
+
+def foreign_window_degrade(log, append):
+    append(slab_column(10, seed=2006).view(0, 4))
+    append(slab_column(10, seed=2007).view(2, 5))
+    append(["x", "y"])
+    return list
+
+
+def trimmed_then_readopted(log, append):
+    append(slab_column(10, seed=2006).view(0, 4))
+    log.mark_consumed(log.end_offset)  # a bounded log trims itself empty
+    column = slab_column(10, seed=2007)
+    append(column.view(0, 5))
+    append(column.view(5, 8))
+    return SlabColumn
+
+
+class TestBatchStamps:
+    """Every ``append_batch`` path stores the batch's one LogAppendTime per
+    record, bit for bit as a per-record ``[now] * count`` reference."""
+
+    #: Clock advances between batches: doubles with untidy bit patterns.
+    STEPS = (0.1 + 0.2, 1e-9, 1.0 / 3.0, 1e-9, 0.1 + 0.2)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            plain_list,
+            keyed_list,
+            first_adopted_window,
+            contiguous_widen,
+            foreign_window_degrade,
+            trimmed_then_readopted,
+        ],
+    )
+    def test_stamps_match_per_record_reference(self, clock, scenario):
+        # Bounded, so that acknowledging records trims them.
+        log = PartitionLog("t", 0, clock, max_queue=100)
+        reference: list[float] = []  # indexed by offset
+        steps = iter(self.STEPS)
+
+        def append(values, keys=None):
+            clock.advance(next(steps))
+            log.append_batch(values, keys=keys)
+            reference.extend([clock.now()] * len(values))
+
+        storage = scenario(log, append)
+        assert type(log._values) is storage
+        start = log.start_offset
+        retained = reference[start:]
+        expected = array("d", retained).tobytes()
+        assert log.read_timestamps(start).tobytes() == expected
+        assert array("d", log.read_columns(start).timestamps).tobytes() == expected
+        bounds = array("d", log.timestamp_bounds())
+        assert bounds.tobytes() == array("d", (retained[0], retained[-1])).tobytes()
 
 
 class TestRead:
