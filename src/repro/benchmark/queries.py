@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 import repro.beam as beam
 from repro.dataflow.functions import FilterFunction, MapFunction, StreamFunction
 from repro.dataflow.kernels import KernelSpec
-from repro.workloads.aol import GREP_NEEDLE
+from repro.workloads.aol import GREP_NEEDLE, event_time, first_word, query_column
 
 #: Fraction of records the sample query keeps (paper: "about 40%").
 SAMPLE_FRACTION = 0.4
@@ -150,7 +150,7 @@ class _WordCountFunction(StreamFunction):
 
     def process(self, value: str) -> Iterable[tuple[str, int]]:
         out = []
-        for word in _query_column(value).split():
+        for word in query_column(value).split():
             count = self.counts.get(word, 0) + 1
             self.counts[word] = count
             out.append((word, count))
@@ -177,7 +177,7 @@ class _DistinctCountFunction(StreamFunction):
         self.seen.clear()
 
     def process(self, value: str) -> Iterable[int]:
-        self.seen.add(_query_column(value))
+        self.seen.add(query_column(value))
         return (len(self.seen),)
 
     def snapshot(self) -> set[str]:
@@ -207,7 +207,7 @@ class _StatisticsFunction(StreamFunction):
         self.count = 0
 
     def process(self, value: str) -> Iterable[tuple[float, float, float]]:
-        length = float(len(_query_column(value)))
+        length = float(len(query_column(value)))
         self.minimum = min(self.minimum, length)
         self.maximum = max(self.maximum, length)
         self.total += length
@@ -221,30 +221,6 @@ class _StatisticsFunction(StreamFunction):
         self.minimum, self.maximum, self.total, self.count = state
 
 
-def _query_column(line: str) -> str:
-    parts = line.split("\t")
-    return parts[1] if len(parts) > 1 else line
-
-
-def _aol_timestamp(line: str) -> float:
-    """Event time in seconds from the fixed-width AOL ``QueryTime`` column.
-
-    The generator emits ``2006-03-DD HH:MM:SS`` (fixed width), so the
-    digits slice positionally — no datetime parsing on the hot path.
-    """
-    t = line.split("\t", 3)[2]
-    return float(
-        int(t[8:10]) * 86400
-        + int(t[11:13]) * 3600
-        + int(t[14:16]) * 60
-        + int(t[17:19])
-    )
-
-
-def _aol_first_word(line: str) -> str:
-    return _query_column(line).partition(" ")[0]
-
-
 def _windowed_function() -> StreamFunction:
     """Hourly per-first-word query counts over event time.
 
@@ -256,8 +232,8 @@ def _windowed_function() -> StreamFunction:
 
     return WindowedAggregateFunction(
         window_fn=beam.FixedWindows(3600.0),
-        key_fn=_aol_first_word,
-        timestamp_fn=_aol_timestamp,
+        key_fn=first_word,
+        timestamp_fn=event_time,
         name="Windowed",
         cost_weight=2.4,
     )

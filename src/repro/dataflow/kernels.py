@@ -72,6 +72,16 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   StreamBench queries as bulk column extraction plus one hoisted
   accumulation loop (statistics additionally uses NumPy's sequential
   accumulates, exact because every quantity is an integer-valued double).
+- **AOL slab paths**: on a pristine slab window, wordcount, statistics
+  and the AOL windowed count read the fields they need from the slab
+  bytes.  One shared field locator (one tab scan and one
+  ``searchsorted`` per chunk) gives every line's first tab offsets; a
+  second helper decodes ragged byte spans into one newline-joined
+  ``str``.  Statistics folds query-span lengths without building a
+  string, wordcount decodes only the query spans, and windowed decodes
+  only the first words and reads event times from the ``QueryTime``
+  digit bytes.  Distinct-count keeps its string loop (its set needs
+  every query string anyway).
 - ``keyed_reduce`` / ``update_state`` / ``group_by_key``: the engines'
   keyed operators (Flink ``KeyedStream.reduce``, Spark
   ``updateStateByKey``, Beam GroupByKey) as hoisted per-chunk loops over
@@ -88,13 +98,15 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
 - ``windowed_aggregate``: trigger-less windowed panes
   (``repro.dataflow.windowing``) with the ``FixedWindows`` assignment
   arithmetic inlined; ``AfterCount`` triggers deliberately keep the
-  reference/batch tiers (a documented fallback edge).
+  reference/batch tiers (a documented fallback edge).  The slab path
+  serves only owners that count per ``first_word`` over ``event_time``
+  (:mod:`repro.workloads.aol`); a chunk with a line it cannot prove the
+  reference parses the same way takes the hoisted loop whole.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -186,6 +198,20 @@ def slab_from_columns(data, starts) -> WorkloadSlab:
     return WorkloadSlab(None, None, data, arr, starts)
 
 
+def _window_slice(records: Sequence[Any], start: int, stop: int, index: slice) -> list:
+    """``list(records[start:stop])[index]``, without copying the window first.
+
+    ``range`` slicing resolves the slice to absolute rows.  A reversed
+    slice that runs through row 0 stops at -1, which a list slice would
+    read as the last row, so that stop becomes ``None``.
+    """
+    rows = range(start, stop)[index]
+    if not rows:
+        return []
+    end = rows.stop if rows.stop >= 0 else None
+    return records[rows.start : end : rows.step]
+
+
 class SlabColumn:
     """A record window over a column-built slab, materialising lazily.
 
@@ -231,8 +257,7 @@ class SlabColumn:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            return self._lines()[self.start + start : self.start + stop : step]
+            return _window_slice(self._lines(), self.start, self.stop, index)
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
@@ -284,8 +309,7 @@ class ChunkView:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            return self._records[self._start + start : self._start + stop : step]
+            return _window_slice(self._records, self._start, self._stop, index)
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
@@ -889,26 +913,99 @@ class StatefulKernel(Kernel):
         return f"{type(self).__name__}[{label}]"
 
 
-#: The query column of a tab-separated line, per line of a blob —
-#: ``split("\t")[1]`` for lines with a separator.  Lines *without* one
-#: yield no match, which the wordcount slab path detects as a count
-#: mismatch and falls back per line.
-_QUERY_COLUMN = re.compile(r"(?m)^[^\t\n]*\t([^\t\n]*)")
-
 #: Sentinel window bound: every comparison with NaN is false, so a
 #: locality test against it always takes the recompute path.
 _NAN = float("nan")
+
+_TAB = 9  # ord("\t")
+_SPACE = 32  # ord(" ")
+
+#: Byte offsets of the eight ``QueryTime`` digits inside the fixed-width
+#: ``2006-03-DD HH:MM:SS`` field, and each digit's weight in seconds.
+_TIME_DIGITS = _np.array([8, 9, 11, 12, 14, 15, 17, 18])
+_TIME_WEIGHTS = _np.array([864000, 86400, 36000, 3600, 600, 60, 10, 1])
+_TIME_WIDTH = 19
+
+
+def _byte_offsets(arr, byte: int, positions, stop: int, count: int = 1) -> list:
+    """The first ``count`` offsets of ``byte`` at or after each position.
+
+    ``positions`` ascend, and only ``arr[positions[0]:stop]`` is scanned:
+    one ``flatnonzero`` finds every occurrence and one ``searchsorted``
+    places each position's first; its next occurrences follow it in the
+    sorted offsets.  ``count`` sentinels equal to ``stop`` stand in where
+    there are fewer occurrences.
+    """
+    begin = int(positions[0])
+    found = _np.flatnonzero(arr[begin:stop] == byte)
+    offsets = _np.full(len(found) + count, stop, _np.int64)
+    offsets[: len(found)] = found + begin
+    first = offsets.searchsorted(positions)
+    return [offsets[first + j] for j in range(count)]
+
+
+def _line_tabs(slab: WorkloadSlab, base: int, n: int, count: int):
+    """Byte bounds and first ``count`` tab offsets of rows ``[base, base + n)``.
+
+    Returns ``(begins, ends, tabs)``: ``ends`` excludes the newline, and
+    in each of the ``count`` arrays of ``tabs`` an offset ``>= ends``
+    means the line has fewer tabs.
+    """
+    starts = slab.starts
+    begins = starts[base : base + n]
+    stop = int(starts[base + n]) - 1 if base + n < len(starts) else slab.size
+    ends = _np.empty(n, _np.int64)
+    ends[:-1] = begins[1:] - 1
+    ends[-1] = stop
+    return begins, ends, _byte_offsets(slab.arr, _TAB, begins, stop, count)
+
+
+def _query_spans(slab: WorkloadSlab, base: int, n: int):
+    """Byte spans of :func:`repro.workloads.aol.query_column` per line.
+
+    The span runs from the first tab to the second, or to the line end
+    when there is no second; a tab-less line is its own query column.
+    """
+    begins, ends, (tab1, tab2) = _line_tabs(slab, base, n, 2)
+    return _np.where(tab1 < ends, tab1 + 1, begins), _np.minimum(tab2, ends)
+
+
+def _gather_spans(arr, begins, ends) -> str:
+    """The byte spans ``[begins, ends)`` decoded, each followed by a newline.
+
+    One gather copies every span together with the byte after it, and
+    that byte is overwritten with a newline: ``ColumnKernel``'s
+    overwrite-decode-split trick over ragged widths.  A span never
+    contains a newline (the slab has exactly one per line boundary), so
+    ``split("\\n")`` of the result is exact.
+    """
+    seps = _np.cumsum(ends - begins + 1) - 1  # output offset of each newline
+    # Source offsets as a running sum: +1 inside a span, then a jump from
+    # one span's separator byte to the next span's first byte.
+    steps = _np.ones(int(seps[-1]) + 1, _np.int64)
+    steps[0] = begins[0]
+    steps[seps[:-1] + 1] = begins[1:] - ends[:-1]
+    index = _np.cumsum(steps)
+    index[seps] = 0  # the last span may end at the end of the buffer
+    out = arr[index]
+    out[seps] = _NL
+    return out.tobytes().decode("ascii")
 
 
 class WordCountKernel(StatefulKernel):
     """Running word count: bulk column extraction + one hoisted loop.
 
     The reference splits, counts and emits record by record; the kernel
-    extracts the query column for the whole chunk (one regex pass over the
-    slab text when the chunk is a pristine slab window), splits every
-    column into a single word stream — newline is whitespace, so per-line
-    word order is preserved — and updates ``owner.counts`` in one hoisted
-    loop emitting the identical ``(word, count)`` stream.
+    extracts the query column of the whole chunk, splits all columns as
+    one newline-joined text — newline is whitespace, so per-line word
+    order is preserved — and updates ``owner.counts`` in one hoisted loop
+    emitting the identical ``(word, count)`` stream.  On a pristine slab
+    window the columns never exist as strings: the field locator gives
+    every query span and one gather decodes them all.
+
+    A malformed record stops the extraction; the columns extracted before
+    it are counted and its error re-raised, which leaves the owner
+    exactly where the reference loop leaves it.
     """
 
     supports_slab = True
@@ -916,27 +1013,27 @@ class WordCountKernel(StatefulKernel):
     def __call__(self, values: Sequence[Any]) -> list:
         columns = []
         append = columns.append
-        for line in values:
-            parts = line.split("\t", 2)
-            append(parts[1] if len(parts) > 1 else line)
-        return self._count(columns)
+        try:
+            for line in values:
+                parts = line.split("\t", 2)
+                append(parts[1] if len(parts) > 1 else line)
+        except Exception:
+            self._count("\n".join(columns))
+            raise
+        return self._count("\n".join(columns))
 
     def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
-        n = len(values)
-        starts = slab.starts
-        begin = int(starts[base])
-        end = int(starts[base + n]) - 1 if base + n < len(starts) else slab.size
-        columns = _QUERY_COLUMN.findall(slab.text[begin:end])
-        if len(columns) != n:  # a line has no separator: exact per-line path
-            return self(values)
-        return self._count(columns)
+        if not values:
+            return []
+        begins, ends = _query_spans(slab, base, len(values))
+        return self._count(_gather_spans(slab.arr, begins, ends))
 
-    def _count(self, columns: list) -> list:
+    def _count(self, text: str) -> list:
         counts = self._fn.counts
         out: list = []
         append = out.append
         get = counts.get
-        for word in "\n".join(columns).split():
+        for word in text.split():
             count = get(word, 0) + 1
             counts[word] = count
             append((word, count))
@@ -973,8 +1070,11 @@ class StatisticsKernel(StatefulKernel):
     The chunk's query lengths are parsed first and folded second.  A
     malformed record stops the parse; the lengths parsed before it are
     folded and its error re-raised, which leaves the owner exactly where
-    the reference loop leaves it.
+    the reference loop leaves it.  On a pristine slab window the lengths
+    are the field locator's query spans, and no string is built.
     """
+
+    supports_slab = True
 
     def __call__(self, values: Sequence[Any]) -> list:
         lengths: list = []
@@ -987,6 +1087,14 @@ class StatisticsKernel(StatefulKernel):
             self._fold(lengths)
             raise
         return self._fold(lengths)
+
+    def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
+        if not values:
+            return []
+        begins, ends = _query_spans(slab, base, len(values))
+        # Python floats, like the reference's ``float(len(...))``: no
+        # NumPy scalar may reach the owner state.
+        return self._fold((ends - begins).astype(_np.float64).tolist())
 
     def _fold(self, lengths: list) -> list:
         """Fold parsed lengths into the owner state (reference order)."""
@@ -1169,13 +1277,66 @@ class WindowedAggregateKernel(StatefulKernel):
     its validation raises identically); other window functions call
     ``assign`` per element.  Only trigger-less owners declare the spec —
     ``AfterCount`` keeps the reference/batch tiers.
+
+    The slab path serves owners that count per
+    :func:`~repro.workloads.aol.first_word` over
+    :func:`~repro.workloads.aol.event_time` in ``FixedWindows`` (no
+    filter, no reducer).  It parses the chunk from the slab bytes: the
+    field locator gives each line's tabs, the event time comes from the
+    eight ``QueryTime`` digits in integer arithmetic, the window bounds
+    from the same double operations as the loop below, and each first
+    word from the query span up to its first space.  The panes then fold
+    in record order.  A chunk with any line the reference would parse
+    differently or reject — fewer than two tabs, a time field shorter
+    than 19 bytes, a non-digit at a digit position, a window with
+    ``end <= start`` — takes the hoisted loop whole, so values, pane
+    order and the state at a raise stay the reference's.
     """
 
     def __init__(self, fn: Any) -> None:
         super().__init__(fn)
         from repro.beam.window import FixedWindows
+        from repro.workloads.aol import event_time, first_word
 
         self._fixed = type(fn.window_fn) is FixedWindows
+        self.supports_slab = (
+            self._fixed
+            and fn.filter_fn is None
+            and fn.reducer is None
+            and fn.key_fn is first_word
+            and fn.timestamp_fn is event_time
+        )
+
+    def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
+        if not values:
+            return []
+        fn = self._fn
+        arr = slab.arr
+        _, ends, (tab1, tab2, tab3) = _line_tabs(slab, base, len(values), 3)
+        times = tab2 + 1
+        # A line with fewer than two tabs fails this too: its second tab
+        # offset lies at or past its end.
+        if not bool((_np.minimum(tab3, ends) - times >= _TIME_WIDTH).all()):
+            return self(values)
+        digits = arr[times[:, None] + _TIME_DIGITS] - 48  # uint8: wraps below "0"
+        if not bool((digits <= 9).all()):
+            return self(values)
+        timestamps = (digits @ _TIME_WEIGHTS).astype(_np.float64)
+        size, offset = fn.window_fn.size, fn.window_fn.offset
+        lows = _np.floor_divide(timestamps - offset, size) * size + offset
+        highs = lows + size
+        if not bool((highs > lows).all()):
+            return self(values)
+        queries = tab1 + 1
+        spaces = _byte_offsets(arr, _SPACE, queries, int(ends[-1]))[0]
+        words = _gather_spans(arr, queries, _np.minimum(spaces, tab2)).split("\n")
+        words.pop()  # the empty piece after the final newline
+        panes = fn.panes
+        get = panes.get
+        initial = fn.initial
+        for key in zip(words, lows.tolist(), highs.tolist()):
+            panes[key] = get(key, initial) + 1
+        return []
 
     def __call__(self, values: Sequence[Any]) -> list:
         fn = self._fn

@@ -84,6 +84,33 @@ def parse_record(line: str) -> AolRecord:
     return AolRecord(*parts)
 
 
+def query_column(line: str) -> str:
+    """The query column, ``line.split("\\t")[1]``; a tab-less line is its
+    own query column."""
+    parts = line.split("\t")
+    return parts[1] if len(parts) > 1 else line
+
+
+def event_time(line: str) -> float:
+    """Event time in seconds from the fixed-width ``QueryTime`` column.
+
+    The generator emits ``2006-03-DD HH:MM:SS`` (fixed width), so the
+    digits slice positionally — no datetime parsing on the hot path.
+    """
+    t = line.split("\t", 3)[2]
+    return float(
+        int(t[8:10]) * 86400
+        + int(t[11:13]) * 3600
+        + int(t[14:16]) * 60
+        + int(t[17:19])
+    )
+
+
+def first_word(line: str) -> str:
+    """The query column up to its first space."""
+    return query_column(line).partition(" ")[0]
+
+
 def expected_grep_matches(num_records: int) -> int:
     """Number of records containing the grep needle at a given scale."""
     return round(num_records * FULL_SCALE_GREP_MATCHES / FULL_SCALE_RECORDS)

@@ -307,6 +307,47 @@ class TestChunkView:
         assert ChunkView([1], 0, 1)
 
 
+#: Slice bounds and steps around a 10-row window, out-of-range and
+#: negative ones included.
+_BOUNDS = (None, 0, 3, 9, 20, -1, -4, -20)
+_STEPS = (None, 1, 3, -1, -2, -3)
+SLICES = [slice(a, b, c) for a in _BOUNDS for b in _BOUNDS for c in _STEPS]
+
+
+def _slab_column(start, stop):
+    slab = kernels._build_slab([f"row{i}" for i in range(20)])
+    return kernels.SlabColumn(slab, start, stop)
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: _slab_column(0, 10),
+        lambda: _slab_column(4, 14),
+        lambda: ChunkView(list(range(20)), 0, 10),
+        lambda: ChunkView(list(range(20)), 4, 14),
+        lambda: ChunkView(_slab_column(0, 20), 0, 10),
+        lambda: ChunkView(_slab_column(0, 20), 4, 14),
+    ),
+    ids=(
+        "slab-column-at-0",
+        "slab-column-at-4",
+        "chunk-view-at-0",
+        "chunk-view-at-4",
+        "chunk-view-over-slab-column-at-0",
+        "chunk-view-over-slab-column-at-4",
+    ),
+)
+def test_window_slices_match_list_slices(make):
+    """Every slice of a window equals the same slice of its rows as a
+    list, reversed slices through row 0 of the underlying list included."""
+    window = make()
+    rows = list(window)
+    assert len(rows) == 10
+    for index in SLICES:
+        assert window[index] == rows[index], index
+
+
 class TestFusionAndChains:
     def test_composed_all_spec_compiles(self):
         rng = random.Random(5)
@@ -547,8 +588,8 @@ class TestWordCountKernel:
         assert fn.counts == ref.counts
 
     def test_slab_count_mismatch_falls_back(self):
-        """A separator-free line breaks the regex count; the kernel must
-        detect the mismatch and take the exact per-line path."""
+        """A separator-free line is its own query column: the field
+        locator must span the whole line, as the reference does."""
         records = ["a\tone two", "no-separator here", "b\tthree"] * 30
         slab = kernels._build_slab(records)
         fn = make_wordcount()
@@ -938,10 +979,16 @@ def _owner_state(fn):
     "make, values",
     (
         (make_statistics, AOL_LIKE[:150] + [None] + AOL_LIKE[150:]),
+        (make_wordcount, ["u1\tfoo bar", "u2\tbaz foo", None, "u3\tqux"]),
         (make_windowed_sum, TIMESTAMPS[:350] + ["not-a-time"] + TIMESTAMPS[350:]),
         (make_windowed_sum, TIMESTAMPS[:310] + [950.0] + TIMESTAMPS[310:]),
     ),
-    ids=("statistics-malformed", "windowed-malformed", "windowed-raising-reducer"),
+    ids=(
+        "statistics-malformed",
+        "wordcount-malformed",
+        "windowed-malformed",
+        "windowed-raising-reducer",
+    ),
 )
 def test_mid_chunk_error_leaves_reference_state(make, values):
     """The kernel raises the reference loop's exception and leaves the

@@ -1,12 +1,16 @@
 """The stateful kernel tier is observationally identical to both others.
 
 Keyed counterpart of ``test_kernel_equivalence.py``: the stateful
-StreamBench extension queries (wordcount, distinct-count, statistics) run
-through the full benchmark matrix — natively on all three engines and via
-Beam on Flink and Apex (the Spark runner refuses stateful DoFns, the
-capability gap that shaped the paper's benchmark) — under all three pump
-tiers, and every simulated observable must be **bit-identical**: run
-durations, measurements, output topics, snapshots.  The Nexmark pipelines
+StreamBench extension queries (wordcount, distinct-count, statistics,
+windowed) run through the full benchmark matrix — natively on all three
+engines and via Beam on Flink and Apex (the Spark runner refuses stateful
+DoFns, the capability gap that shaped the paper's benchmark) — under all
+three pump tiers, and every simulated observable must be
+**bit-identical**: run durations, measurements, output topics,
+snapshots.  On the kernel tier the native cells read the broker's slab
+column, so the wordcount, statistics and windowed slab paths parse the
+AOL fields from bytes; the windowed panes reach the output topic at
+drain, in pane order.  The Nexmark pipelines
 (Q0–Q5 over *encoded* events, decode composed ahead of the query so the
 plan compiler's wire fusion actually engages) get the same treatment
 through a raw pump, including pane-dict insertion order for the windowed
@@ -42,7 +46,7 @@ from repro.workloads.nexmark_queries import (
 )
 
 SYSTEMS = ("flink", "spark", "apex")
-KEYED_QUERIES = ("wordcount", "distinct-count", "statistics")
+KEYED_QUERIES = ("wordcount", "distinct-count", "statistics", "windowed")
 PARALLELISMS = (1, 2)
 
 #: The three execution tiers as (vectorized, use_kernels).
@@ -91,7 +95,7 @@ def _campaign() -> tuple[list, dict, float]:
 @pytest.fixture(scope="module")
 def campaigns():
     """One keyed-matrix campaign per tier, slab threshold lowered so the
-    wordcount slab path is genuinely exercised on the kernel tier."""
+    slab paths are genuinely exercised on the kernel tier."""
     results = {}
     mp = pytest.MonkeyPatch()
     try:
