@@ -12,17 +12,16 @@ pipeline.
 Two kinds of measurement:
 
 * **Pump microbenchmarks** — the same stage pipeline is pumped through
-  all three execution tiers: the per-record reference loop (``tuple``,
-  ``vectorized=False``), the chunk-at-a-time batch path (``batch``,
-  ``vectorized=True`` with kernels off), and the compiled-kernel path
-  (``kernel``, the production default — see
-  ``repro.dataflow.kernels``); outputs are asserted identical and both
-  speedups over the tuple path are reported.  The ``identity-op``
-  scenario is the headline: a pass-through operator measures pure host
-  dispatch overhead, which is exactly what the batch protocol and the
-  kernels eliminate.  The keyed scenarios (stateful wordcount and the
-  Nexmark Q3/Q4/Q5 queries over encoded events) exercise the stateful
-  kernel tier and the plan compiler's decode fusion.
+  both execution tiers: the per-record reference loop (``tuple``,
+  ``vectorized=False``) and the compiled-kernel path (``kernel``, the
+  production default — see ``repro.dataflow.kernels``); outputs are
+  asserted identical and the kernel's speedup over the tuple path is
+  reported.  The ``identity-op`` scenario is the headline: a
+  pass-through operator measures pure host dispatch overhead, which is
+  exactly what the kernels eliminate.  The keyed scenarios (stateful
+  wordcount and the Nexmark Q3/Q4/Q5 queries over encoded events)
+  exercise the stateful kernel tier and the plan compiler's decode
+  fusion.
 * **Generation** — cold workload generation, slab-direct byte columns
   (``repro.workloads.columnar``) vs the per-record string generator.
   The ratio is the CI floor for the columnar plane's reason to exist.
@@ -32,12 +31,6 @@ Two kinds of measurement:
   genuinely cold.
   Workload generation is reported separately: it is not part of the
   paper's pipeline (the AOL file pre-exists on disk).
-* **Sharded ingest** — partition-parallel ingestion over the sharded
-  broker plane: one worker process per shard, each mmap-sharing the same
-  columnar cache entry and pushing its contiguous row range into its own
-  partition of an ``n``-node topic.  Per-shard rates, aggregate MB/s and
-  the 4-node-vs-1-node wall-clock speedup ride with the end-to-end
-  section; CI's perf-smoke gates the speedup floor.
 * **Scale sweep** — chunk-streamed 1M/10M/100M ingest+grep runs in
   bounded memory: each spawned worker generates, ingests, drains and
   greps its shard O(chunk) bytes at a time, reporting clean per-process
@@ -71,13 +64,12 @@ Two kinds of measurement:
   per-pump numbers.
 
 Results are written to ``BENCH_pump.json`` at the repository root; each
-scenario records records/sec for all three paths plus ``speedup``
-(kernel over tuple, the headline ratio) and ``batch_speedup`` (batch
-over tuple).  CI's perf-smoke job gates on the *speedups*
-(machine-independent ratios) against ``benchmarks/perf/baseline.json``
-and on the absolute per-query kernel floors from the issue — absolute
-throughput is recorded for trend-watching but not gated, because runner
-hardware varies.
+scenario records records/sec for both paths plus ``speedup`` (kernel
+over tuple, the headline ratio).  CI's perf-smoke job gates on the
+*speedups* (machine-independent ratios) against
+``benchmarks/perf/baseline.json`` and on the absolute per-query kernel
+floors from the issue — absolute throughput is recorded for
+trend-watching but not gated, because runner hardware varies.
 
 Run directly for the full-scale campaign::
 
@@ -248,12 +240,8 @@ def _build_stages(function: StreamFunction) -> list[PhysicalStage]:
     ]
 
 
-#: Execution tiers timed by the microbenchmark, as (vectorized, use_kernels).
-TIERS: dict[str, tuple[bool, bool]] = {
-    "tuple": (False, False),
-    "batch": (True, False),
-    "kernel": (True, True),
-}
+#: Execution tiers timed by the microbenchmark, as their ``vectorized`` setting.
+TIERS: dict[str, bool] = {"tuple": False, "kernel": True}
 
 
 def _time_pump_once(
@@ -262,7 +250,6 @@ def _time_pump_once(
     tier: str,
 ) -> tuple[float, int]:
     """One timed pump run on ``tier``; returns (seconds, records_out)."""
-    vectorized, use_kernels = TIERS[tier]
     function = make_function()
     function.open()
     pump = StreamPump(
@@ -271,8 +258,7 @@ def _time_pump_once(
         variance=RunVariance(),
         rng=random.Random(7),
     )
-    pump.vectorized = vectorized
-    pump.use_kernels = use_kernels
+    pump.vectorized = TIERS[tier]
     started = time.perf_counter()
     result = pump.run(records)
     seconds = time.perf_counter() - started
@@ -281,14 +267,14 @@ def _time_pump_once(
 
 
 def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str, Any]:
-    """Pump all three execution tiers over every scenario; returns results.
+    """Pump both execution tiers over every scenario; returns results.
 
     Each scenario's output record count must agree across the tiers (the
     equivalence *test* suites prove bit-identity; this is the cheap sanity
     check that the timed code paths did the same work).
 
-    Timing is *interleaved and rotated*: every repeat times all three
-    tiers back to back in a per-repeat rotated order, and each tier keeps
+    Timing is *interleaved and rotated*: every repeat times both tiers
+    back to back in a per-repeat rotated order, and each tier keeps
     its best repeat.  On thermally-throttled hosts a tier-major loop
     systematically flatters whichever tier runs first on a cool CPU, and
     a fixed within-repeat order flatters whichever tier follows the
@@ -330,9 +316,7 @@ def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str
             "records": n_in,
             "records_out": outs["kernel"],
             "tuple_records_per_sec": round(n_in / seconds["tuple"]),
-            "batch_records_per_sec": round(n_in / seconds["batch"]),
             "kernel_records_per_sec": round(n_in / seconds["kernel"]),
-            "batch_speedup": round(seconds["tuple"] / seconds["batch"], 2),
             # The headline ratio: compiled kernels vs the tuple reference.
             "speedup": round(seconds["tuple"] / seconds["kernel"], 2),
         }
@@ -484,151 +468,15 @@ def run_workload_cache_bench(num_records: int = 200_000, repeats: int = 3) -> di
     }
 
 
-def _ingest_shard(
-    num_records: int, seed: int, shard: int, n_shards: int
-) -> dict[str, Any]:
-    """One shard's ingest world (top-level so process pools can pickle it).
-
-    The worker mmaps the shared columnar cache entry (pre-seeded by the
-    parent — no per-worker regeneration, and the read-only pages are
-    shared through the page cache), builds a zero-copy window over its
-    contiguous row range, and pushes it into its own partition of a
-    sharded topic on a ``num_nodes == n_shards`` cluster.  Returns the
-    :class:`~repro.benchmark.sender.SenderReport` plus host timings.
-    """
-    from repro.benchmark.sender import DataSender
-    from repro.broker import AdminClient, BrokerCluster
-    from repro.simtime import Simulator
-    from repro.workloads.cache import load_columnar_workload
-
-    mark = time.perf_counter()
-    workload = load_columnar_workload(num_records, seed)
-    column = workload.column()
-    load_seconds = time.perf_counter() - mark
-
-    lo = shard * num_records // n_shards
-    hi = (shard + 1) * num_records // n_shards
-    starts = workload.starts
-    data_bytes = (
-        int(starts[hi]) - 1 if hi < num_records else len(workload.data)
-    ) - int(starts[lo])
-
-    simulator = Simulator(seed=11)
-    cluster = BrokerCluster(simulator, num_nodes=n_shards)
-    AdminClient(cluster).create_topic(
-        "sharded-ingest", num_partitions=n_shards, num_nodes=n_shards
-    )
-    sender = DataSender(
-        cluster, "sharded-ingest", create_topic=False, partition=shard
-    )
-    mark = time.perf_counter()
-    report = sender.send(column.view(lo, hi))
-    ingest_seconds = time.perf_counter() - mark
-    return {
-        "shard": shard,
-        "records": hi - lo,
-        "bytes": data_bytes,
-        "load_seconds": load_seconds,
-        "ingest_seconds": ingest_seconds,
-        "report": report,
-    }
-
-
-def run_sharded_ingest_bench(
-    num_records: int = 2_000_000, node_counts: tuple[int, ...] = (1, 4)
-) -> dict[str, Any]:
-    """Partition-parallel ingest: N shard workers vs the single-node path.
-
-    For each topology the same workload is split into contiguous row
-    ranges and ingested by one worker process per shard, each into its own
-    partition of a topic sharded over ``n`` broker nodes.  The parent
-    pre-seeds the columnar disk cache once, so every worker mmaps the same
-    read-only entry instead of regenerating (or copying) the workload.
-    Reported per topology: per-shard ingest rates, the exactly-merged
-    :class:`SenderReport` (offered == accepted + shed across shards), and
-    aggregate MB/s over the parent-side wall clock.  ``speedup`` is
-    wall(1 node) / wall(max nodes) — the ISSUE's ≥2x floor for 4 nodes.
-    As with the matrix section, a single-CPU affinity cannot run workers
-    concurrently at all, so the speedup is reported as ``null`` with a
-    note there instead of a meaningless ratio.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.benchmark.sender import SenderReport
-    from repro.workloads.cache import ensure_columns_cached
-
-    seed = 2006
-    ensure_columns_cached(num_records, seed)
-    per_node: dict[str, Any] = {}
-    walls: dict[int, float] = {}
-    for n_shards in node_counts:
-        started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=n_shards) as pool:
-            shards = list(
-                pool.map(
-                    _ingest_shard,
-                    [num_records] * n_shards,
-                    [seed] * n_shards,
-                    range(n_shards),
-                    [n_shards] * n_shards,
-                )
-            )
-        wall = time.perf_counter() - started
-        walls[n_shards] = wall
-        merged = SenderReport.merge([s["report"] for s in shards])
-        if merged.records_sent != num_records:
-            raise AssertionError(
-                f"{n_shards}-node ingest lost records: "
-                f"{merged.records_sent} != {num_records}"
-            )
-        total_bytes = sum(s["bytes"] for s in shards)
-        per_node[str(n_shards)] = {
-            "nodes": n_shards,
-            "wall_seconds": round(wall, 3),
-            "aggregate_records_per_sec": round(num_records / wall),
-            "aggregate_mb_per_sec": round(total_bytes / wall / 1e6, 1),
-            "records_sent": merged.records_sent,
-            "records_offered": merged.records_offered,
-            "records_shed": merged.records_shed,
-            "retries": merged.retries,
-            "per_shard": [
-                {
-                    "shard": s["shard"],
-                    "records": s["records"],
-                    "load_seconds": round(s["load_seconds"], 3),
-                    "ingest_seconds": round(s["ingest_seconds"], 3),
-                    "ingest_records_per_sec": round(
-                        s["records"] / s["ingest_seconds"]
-                    ),
-                }
-                for s in shards
-            ],
-        }
-    fastest = max(node_counts)
-    result: dict[str, Any] = {
-        "records": num_records,
-        "node_counts": list(node_counts),
-        "cpu_affinity": available_cpus(),
-        "per_node": per_node,
-        "speedup": round(walls[min(node_counts)] / walls[fastest], 2),
-    }
-    if available_cpus() == 1:
-        result["speedup"] = None
-        result["speedup_note"] = (
-            "single-CPU affinity: shard workers cannot run concurrently, "
-            "so 1-node vs N-node wall-clock is not a speedup measurement"
-        )
-    return result
-
-
 def _drain_shard(
     num_records: int, seed: int, shard: int, n_shards: int
 ) -> dict[str, Any]:
     """One shard's ingest-then-drain world (top-level for pickling).
 
-    Mirrors :func:`_ingest_shard` but times the *drain*: after pushing
-    its contiguous row range into its own partition of a P-partition
-    topic, the worker assigns a consumer to exactly that partition and
+    The worker mmaps the shared columnar cache entry (pre-seeded by the
+    parent), pushes a zero-copy window over its contiguous row range into
+    its own partition of a P-partition topic, then assigns a consumer to
+    exactly that partition and
     pumps the records through the production grep kernel chunk by chunk
     (poll -> process -> acknowledge, the capacity probe's drain loop).
     Only the drain phase is on the reported clock.
@@ -646,9 +494,7 @@ def _drain_shard(
 
     simulator = Simulator(seed=11)
     cluster = BrokerCluster(simulator, num_nodes=n_shards)
-    AdminClient(cluster).create_topic(
-        "parallel-drain", num_partitions=n_shards, num_nodes=n_shards
-    )
+    AdminClient(cluster).create_topic("parallel-drain", num_partitions=n_shards)
     sender = DataSender(cluster, "parallel-drain", create_topic=False, partition=shard)
     sender.send(column.view(lo, hi))
 
@@ -705,7 +551,7 @@ def run_parallel_drain_bench(
     measurement.  ``speedup`` is wall(P=1) / wall(P=max), the CI floor on
     multi-core runners; on a single-CPU affinity the workers cannot run
     concurrently at all, so it is reported as ``null`` with a note, as
-    with the sharded-ingest and matrix sections.
+    with the matrix section.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -804,9 +650,7 @@ def _drain_order_sensitive_shard(
 
     simulator = Simulator(seed=11)
     cluster = BrokerCluster(simulator, num_nodes=n_shards)
-    AdminClient(cluster).create_topic(
-        "order-drain", num_partitions=n_shards, num_nodes=n_shards
-    )
+    AdminClient(cluster).create_topic("order-drain", num_partitions=n_shards)
     sender = DataSender(cluster, "order-drain", create_topic=False, partition=shard)
     sender.send(column.view(lo, hi))
 
@@ -1032,7 +876,7 @@ def _stream_shard(
     Generates its row range as O(chunk)-sized slab windows
     (:func:`repro.workloads.columnar.iter_column_chunks`), streams them
     into a bounded partition (``max_queue == chunk_records``), and drains
-    each chunk zero-copy through the hosting broker — counting grep
+    each chunk zero-copy from its partition log — counting grep
     matches with the production kernel — before acknowledging, so the
     consumed prefix is trimmed and the next chunk's slab is re-adopted
     into the emptied log.  Peak resident memory therefore stays at
@@ -1050,10 +894,7 @@ def _stream_shard(
     cluster = BrokerCluster(simulator, num_nodes=n_shards)
     topic = "scale-stream"
     AdminClient(cluster).create_topic(
-        topic,
-        num_partitions=n_shards,
-        num_nodes=n_shards,
-        max_queue=chunk_records,
+        topic, num_partitions=n_shards, max_queue=chunk_records
     )
     log = cluster.partition_log(topic, shard)
     kernel = GrepKernel(GREP_NEEDLE)
@@ -1329,13 +1170,6 @@ def main() -> None:
     )
     parser.add_argument("--skip-capacity", action="store_true")
     parser.add_argument(
-        "--shard-records",
-        type=int,
-        default=2_000_000,
-        help="workload scale for the sharded (partition-parallel) ingest timing",
-    )
-    parser.add_argument("--skip-sharded", action="store_true")
-    parser.add_argument(
         "--drain-records",
         type=int,
         default=2_000_000,
@@ -1389,12 +1223,6 @@ def main() -> None:
         )
     if not args.skip_end_to_end:
         payload["end_to_end"] = run_end_to_end(args.records)
-    if not args.skip_sharded:
-        # Partition-parallel ingest rides with the end-to-end scenario:
-        # same workload family, host-clock phase measurement.
-        payload.setdefault("end_to_end", {})["sharded_ingest"] = (
-            run_sharded_ingest_bench(args.shard_records)
-        )
     if not args.skip_drain:
         payload["parallel_drain"] = run_parallel_drain_bench(args.drain_records)
     if not args.skip_order_sensitive:

@@ -1,12 +1,12 @@
-"""Perf-smoke gate: the batch and kernel fast paths must stay fast.
+"""Perf-smoke gate: the compiled-kernel fast path must stay fast.
 
 Runs the pump microbenchmark at a reduced scale (``REPRO_PERF_RECORDS``,
-default 100,000) and gates on **speedup ratios** — each fast tier vs the
+default 100,000) and gates on **speedup ratios** — the kernel tier vs the
 per-record reference loop on the *same* machine — which are comparable
 across hardware, unlike absolute records/sec.  Checks:
 
 * the headline ``identity-op`` scenario (pure dispatch overhead, the cost
-  the fast tiers exist to eliminate) must keep its ≥5× speedup;
+  the kernel tier exists to eliminate) must keep its ≥5× speedup;
 * every per-query compiled kernel keeps its absolute floor from the
   ISSUE — ≥3× over the tuple path for ``projection``, ``grep`` and
   ``sample``, ≥5× for the fused ``chained`` pipeline.  The committed
@@ -20,10 +20,8 @@ across hardware, unlike absolute records/sec.  Checks:
   absolute floor: it is emit-bound (the fresh ``(word, count)`` tuple
   per word dominates every tier), so it is gated by the
   baseline-regression family only — see docs/architecture.md;
-* no scenario may regress more than 30% below the checked-in baseline
-  ratios in ``baseline.json`` — for *both* ratio families (kernel/tuple
-  in ``speedups``, batch/tuple in ``batch_speedups``), so a regression
-  in either fast tier is caught even while the other holds;
+* no scenario may regress more than 30% below the checked-in
+  kernel/tuple baseline ratios in ``baseline.json`` (``speedups``);
 * a warm mmap load of the workload cache's columnar entry must stay ≥5×
   faster than cold slab-direct generation of the same workload (the
   cache's reason to exist);
@@ -39,8 +37,8 @@ across hardware, unlike absolute records/sec.  Checks:
 * the partition-parallel drain (P worker processes, per-shard consumers
   over a P-partition topic) must reconcile its aggregate grep counts on
   any host, and keep its ≥2x P=4-vs-P=1 wall-clock floor on ≥4-core
-  hosts (``null`` + note on single-CPU affinity, like the matrix and
-  sharded-ingest sections);
+  hosts (``null`` + note on single-CPU affinity, like the matrix
+  section);
 * the order-sensitive drains (same topology, through the sample and
   statistics kernels) must match every
   shard's exact expected output count on any host, and each keep the
@@ -78,7 +76,6 @@ from pump_bench import (
     run_microbenchmark,
     run_parallel_drain_bench,
     run_scalability_bench,
-    run_sharded_ingest_bench,
     run_sharded_order_sensitive_bench,
     run_workload_cache_bench,
     write_bench,
@@ -111,10 +108,6 @@ FLOOR_TOLERANCE = float(os.environ.get("REPRO_PERF_FLOOR_TOLERANCE", "0.75"))
 #: Cold slab-direct generation vs the string generator — the ISSUE's
 #: acceptance floor for the columnar data plane.
 MIN_GENERATION_SPEEDUP = float(os.environ.get("REPRO_PERF_MIN_GENERATION", "3.0"))
-#: Workload scale for the sharded (partition-parallel) ingest timing.
-SHARD_RECORDS = int(os.environ.get("REPRO_PERF_SHARD_RECORDS", "20000000"))
-#: 4-node vs 1-node partition-parallel ingest — the ISSUE's floor.
-MIN_SHARDED_SPEEDUP = float(os.environ.get("REPRO_PERF_MIN_SHARDED", "2.0"))
 #: Workload scale for the partition-parallel drain timing.
 DRAIN_RECORDS = int(os.environ.get("REPRO_PERF_DRAIN_RECORDS", "2000000"))
 #: P=4 vs P=1 partition-parallel drain — the ISSUE's floor.
@@ -203,18 +196,17 @@ def test_keyed_kernel_floors(micro: dict) -> None:
 
 
 def test_no_regression_vs_baseline(micro: dict) -> None:
-    """Both ratio families stay within 30% of their checked-in baselines."""
+    """Every kernel speedup stays within 30% of its checked-in baseline."""
     baseline = json.loads(pathlib.Path(BASELINE_PATH).read_text())
     failures = []
-    for family, key in (("speedups", "speedup"), ("batch_speedups", "batch_speedup")):
-        for name, expected in baseline[family].items():
-            measured = micro["scenarios"][name][key]
-            floor = REGRESSION_FLOOR * expected
-            if measured < floor:
-                failures.append(
-                    f"{name} [{key}]: {measured:.2f}x < {floor:.2f}x "
-                    f"(baseline {expected:.2f}x, -30% allowed)"
-                )
+    for name, expected in baseline["speedups"].items():
+        measured = micro["scenarios"][name]["speedup"]
+        floor = REGRESSION_FLOOR * expected
+        if measured < floor:
+            failures.append(
+                f"{name}: {measured:.2f}x < {floor:.2f}x "
+                f"(baseline {expected:.2f}x, -30% allowed)"
+            )
     assert not failures, "speedup regressions:\n" + "\n".join(failures)
 
 
@@ -275,39 +267,6 @@ def test_matrix_parallel_speedup(payload: dict) -> None:
         f"parallel matrix only {result['speedup']:.2f}x vs serial "
         f"(floor {floor:.2f}x from baseline {expected:.2f}x, "
         f"{result['cpu_count']} cores, {result['workers']} workers)"
-    )
-
-
-def test_sharded_ingest_accounting_smoke(payload: dict) -> None:
-    """Sharded ingest reconciles exactly on any host (tiny scale).
-
-    ``SenderReport.merge`` raises when the summed shard counters do not
-    reconcile, and ``run_sharded_ingest_bench`` raises when merged
-    ``records_sent`` loses records — so a clean return *is* the
-    assertion; the explicit checks document the contract.
-    """
-    result = run_sharded_ingest_bench(200_000, node_counts=(1, 4))
-    for entry in result["per_node"].values():
-        assert entry["records_sent"] == result["records"]
-        assert entry["records_offered"] == (
-            entry["records_sent"] + entry["records_shed"]
-        )
-    payload.setdefault("sharded_ingest_smoke", result)
-
-
-@pytest.mark.skipif(
-    available_cpus() < 4,
-    reason="shard fan-out cannot beat one node below 4 schedulable cores",
-)
-def test_sharded_ingest_speedup(payload: dict) -> None:
-    """4-node partition-parallel ingest keeps its ≥2x floor over 1 node."""
-    result = run_sharded_ingest_bench(SHARD_RECORDS, node_counts=(1, 4))
-    payload["sharded_ingest"] = result
-    gate = MIN_SHARDED_SPEEDUP * FLOOR_TOLERANCE
-    assert result["speedup"] >= gate, (
-        f"4-node sharded ingest only {result['speedup']:.2f}x vs 1 node "
-        f"(gate {gate:.2f}x = {MIN_SHARDED_SPEEDUP}x floor × "
-        f"{FLOOR_TOLERANCE} tolerance at {SHARD_RECORDS} records)"
     )
 
 
@@ -444,18 +403,11 @@ def test_scalability_beam_penalty_per_system(scalability: dict) -> None:
         )
 
 
-def test_batch_path_is_the_default() -> None:
-    """Production pumps must use the fast path out of the box."""
-    from repro.engines.common.pump import StreamPump
-
-    assert StreamPump.vectorized is True
-
-
 def test_kernel_path_is_the_default() -> None:
     """Compiled kernels are the production tier, not an opt-in."""
     from repro.engines.common.pump import StreamPump
 
-    assert StreamPump.use_kernels is True
+    assert StreamPump.vectorized is True
 
 
 def test_capacity_knee_and_percentiles(capacity_bench: dict) -> None:

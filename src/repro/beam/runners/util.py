@@ -89,18 +89,6 @@ class GroupByKeyFunction(StreamFunction):
         self.groups.setdefault(value[0], []).append(value[1])
         return ()
 
-    def process_batch(self, values: Sequence[Any]) -> list[Any]:
-        setdefault = self.groups.setdefault
-        for value in values:
-            if not (isinstance(value, tuple) and len(value) == 2):
-                from repro.beam.errors import BeamError
-
-                raise BeamError(
-                    f"GroupByKey expects (key, value) pairs, got {value!r}"
-                )
-            setdefault(value[0], []).append(value[1])
-        return []
-
     def finish(self) -> Iterable[tuple[Any, list[Any]]]:
         return [(key, values) for key, values in self.groups.items()]
 

@@ -24,7 +24,7 @@ campaign seed alone (the :class:`~repro.benchmark.parallel.MatrixRunner`
 pattern), the pump charges raw cost-model costs (no variance draws), and
 the arrival schedule is precomputed once per probe — so the capacity
 report is bit-identical between serial and parallel execution and across
-all three execution tiers.
+both execution tiers.
 
 **Scalability curves** (:meth:`CapacityRunner.run_scalability`) sweep the
 knee over parallelism levels per system × SDK kind × query: a probe at
@@ -427,9 +427,7 @@ def run_probe(
     if parallelism is None:
         parallelism = settings.parallelism
     simulator = Simulator(seed=config.seed)
-    from repro.broker.broker import default_num_nodes
-
-    cluster = BrokerCluster(simulator, num_nodes=default_num_nodes())
+    cluster = BrokerCluster(simulator)
     admin = AdminClient(cluster)
     admin.create_topic(CAPACITY_TOPIC, max_queue=settings.queue_bound)
     records = AolWorkload(settings.records, seed=config.seed).columnar().column()

@@ -206,16 +206,6 @@ class StreamBenchHarness:
     lists.  Every simulated quantity — clock charges, RNG streams,
     produce sequencing — is what sending the materialised record list
     would give, so the layout never reaches a report.
-
-    ``num_nodes`` sizes the broker cluster (default: the
-    ``REPRO_BROKER_NODES`` environment knob, 3 — the paper's — unless
-    overridden).  It is deliberately a host-side knob, not a
-    :class:`BenchmarkConfig` field: the config is embedded in the report,
-    and partition routing through per-node brokers never touches
-    simulated time, so reports are bit-identical per field between a
-    single-node and an N-node cluster
-    (``tests/benchmark/test_sharded_plane.py`` pins this over the full
-    grid and under chaos).
     """
 
     def __init__(
@@ -223,16 +213,10 @@ class StreamBenchHarness:
         config: BenchmarkConfig | None = None,
         chaos: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
-        num_nodes: int | None = None,
     ) -> None:
-        from repro.broker.broker import default_num_nodes
-
         self.config = config or BenchmarkConfig()
         self.simulator = Simulator(seed=self.config.seed)
-        self.broker = BrokerCluster(
-            self.simulator,
-            num_nodes=num_nodes if num_nodes is not None else default_num_nodes(),
-        )
+        self.broker = BrokerCluster(self.simulator)
         #: The declarative plan and policy are kept so ``run_matrix`` can
         #: attach the same chaos to each cell's isolated world.
         self._chaos_plan = chaos

@@ -53,39 +53,6 @@ class SenderReport:
             return 0.0
         return self.records_sent / self.duration
 
-    @classmethod
-    def merge(cls, reports: Sequence["SenderReport"]) -> "SenderReport":
-        """Aggregate per-shard reports into one exact cluster-wide report.
-
-        Counters (sent, retries, duplicates avoided, offered, shed) are
-        summed exactly; the merged window spans the earliest start to the
-        latest finish.  The load-accounting invariant must reconcile
-        *across* shards, not just per partition — a merge whose summed
-        ``offered != accepted + shed`` means a shard under- or over-counted
-        and raises ``ValueError`` rather than hiding the imbalance.
-        """
-        reports = list(reports)
-        if not reports:
-            raise ValueError("cannot merge an empty sequence of reports")
-        topics = sorted({report.topic for report in reports})
-        merged = cls(
-            topic=topics[0] if len(topics) == 1 else "+".join(topics),
-            records_sent=sum(r.records_sent for r in reports),
-            started_at=min(r.started_at for r in reports),
-            finished_at=max(r.finished_at for r in reports),
-            retries=sum(r.retries for r in reports),
-            duplicates_avoided=sum(r.duplicates_avoided for r in reports),
-            records_offered=sum(r.records_offered for r in reports),
-            records_shed=sum(r.records_shed for r in reports),
-        )
-        if merged.records_offered != merged.records_accepted + merged.records_shed:
-            raise ValueError(
-                f"shard accounting does not reconcile: offered "
-                f"{merged.records_offered} != accepted {merged.records_accepted}"
-                f" + shed {merged.records_shed}"
-            )
-        return merged
-
 
 class DataSender:
     """Pushes records into a broker topic at a configured rate.

@@ -19,7 +19,7 @@ measured execution times just as a real Kafka deployment would.
 """
 
 from repro.broker.admin import AdminClient, TopicDescription
-from repro.broker.broker import Broker, BrokerCluster, BrokerNode, default_num_nodes
+from repro.broker.broker import BrokerCluster, BrokerNode
 from repro.broker.consumer import Consumer, ConsumerGroupCoordinator, TopicPartition
 from repro.broker.errors import (
     BrokerError,
@@ -49,10 +49,8 @@ from repro.broker.topic import Topic, TopicConfig
 __all__ = [
     "AdminClient",
     "TopicDescription",
-    "Broker",
     "BrokerCluster",
     "BrokerNode",
-    "default_num_nodes",
     "ChaosSchedule",
     "Consumer",
     "ConsumerGroupCoordinator",

@@ -39,37 +39,17 @@ class AdminClient:
         replication_factor: int = 1,
         timestamp_type: TimestampType = TimestampType.LOG_APPEND_TIME,
         max_queue: int | None = None,
-        num_nodes: int | None = None,
-        shard_map: tuple[int, ...] | None = None,
     ) -> Topic:
         """Create a topic with the paper's defaults.
 
         ``max_queue`` bounds each partition's in-flight record count
         (flow control); ``None`` keeps partitions unbounded.
-
-        Sharded placement: ``num_nodes=k`` spreads the partitions
-        round-robin over the cluster's first ``k`` nodes (partition ``p``
-        on node ``p % k``); ``shard_map`` pins each partition's node id
-        explicitly.  The two are mutually exclusive; the default (both
-        ``None``) keeps the cluster-wide round-robin assignment.
         """
-        if num_nodes is not None:
-            if shard_map is not None:
-                raise ValueError("pass num_nodes or shard_map, not both")
-            if num_nodes < 1:
-                raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-            if num_nodes > len(self.cluster.nodes):
-                raise ValueError(
-                    f"num_nodes {num_nodes} exceeds cluster size "
-                    f"{len(self.cluster.nodes)}"
-                )
-            shard_map = tuple(p % num_nodes for p in range(num_partitions))
         config = TopicConfig(
             num_partitions=num_partitions,
             replication_factor=replication_factor,
             timestamp_type=timestamp_type,
             max_queue=max_queue,
-            shard_map=shard_map,
         )
         return self.cluster.create_topic(name, config)
 
@@ -80,20 +60,12 @@ class AdminClient:
         replication_factor: int = 1,
         timestamp_type: TimestampType = TimestampType.LOG_APPEND_TIME,
         max_queue: int | None = None,
-        num_nodes: int | None = None,
-        shard_map: tuple[int, ...] | None = None,
     ) -> Topic:
         """Delete ``name`` if it exists, then create it fresh."""
         if self.cluster.has_topic(name):
             self.cluster.delete_topic(name)
         return self.create_topic(
-            name,
-            num_partitions,
-            replication_factor,
-            timestamp_type,
-            max_queue,
-            num_nodes=num_nodes,
-            shard_map=shard_map,
+            name, num_partitions, replication_factor, timestamp_type, max_queue
         )
 
     def delete_topic(self, name: str) -> None:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.broker.errors import (
     BrokerUnavailableError,
-    NotLeaderForPartitionError,
     ReplicationError,
     TopicAlreadyExistsError,
     UnknownTopicError,
@@ -21,24 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.broker.log import PartitionLog
     from repro.broker.retry import RetryPolicy
 
-#: Environment knob for the default cluster size used by the benchmark
-#: harness.  Topology is a host-side concern: every simulated quantity is
-#: independent of how many nodes host the partitions, so this never appears
-#: in a BenchmarkConfig (reports must not differ by topology).
-NODES_ENV = "REPRO_BROKER_NODES"
-
-
-def default_num_nodes() -> int:
-    """Cluster size from ``REPRO_BROKER_NODES`` (default 3, the paper's)."""
-    raw = os.environ.get(NODES_ENV, "").strip()
-    if not raw:
-        return 3
-    try:
-        value = int(raw)
-    except ValueError:
-        return 3
-    return value if value >= 1 else 3
-
 
 @dataclass(frozen=True)
 class BrokerNode:
@@ -49,55 +29,6 @@ class BrokerNode:
 
     def __repr__(self) -> str:
         return f"BrokerNode(id={self.node_id}, host={self.host!r})"
-
-
-class Broker:
-    """One broker node's serving side: the partition logs it leads.
-
-    The cluster routes every client request for a partition through the
-    hosting :class:`Broker` (``cluster.partition_log``), mirroring how a
-    Kafka client resolves the partition leader from cluster metadata and
-    talks to that node only.  Hosting follows leadership: on failover the
-    log moves to the elected successor's broker (replica promotion — the
-    replica already holds the data, so it is the *same* log object).
-    """
-
-    def __init__(self, node: BrokerNode) -> None:
-        self.node = node
-        self._logs: dict[tuple[str, int], "PartitionLog"] = {}
-
-    def host(self, topic: str, partition: int, log: "PartitionLog") -> None:
-        """Start serving ``topic``/``partition`` from this node."""
-        self._logs[(topic, partition)] = log
-
-    def drop(self, topic: str, partition: int) -> None:
-        """Stop serving ``topic``/``partition`` (topic deletion/failover)."""
-        self._logs.pop((topic, partition), None)
-
-    def drop_topic(self, topic: str) -> None:
-        """Stop serving every partition of ``topic``."""
-        for key in [k for k in self._logs if k[0] == topic]:
-            del self._logs[key]
-
-    def hosts(self, topic: str, partition: int) -> bool:
-        """Whether this node currently serves ``topic``/``partition``."""
-        return (topic, partition) in self._logs
-
-    def partition_log(self, topic: str, partition: int) -> "PartitionLog":
-        """The served log, or :class:`NotLeaderForPartitionError` if not here."""
-        try:
-            return self._logs[(topic, partition)]
-        except KeyError:
-            raise NotLeaderForPartitionError(
-                topic, partition, self.node.node_id
-            ) from None
-
-    def hosted_partitions(self) -> list[tuple[str, int]]:
-        """The (topic, partition) pairs served by this node, sorted."""
-        return sorted(self._logs)
-
-    def __repr__(self) -> str:
-        return f"Broker(node={self.node.node_id}, partitions={len(self._logs)})"
 
 
 @dataclass(frozen=True)
@@ -146,8 +77,6 @@ class BrokerCluster:
         self.nodes = [
             BrokerNode(node_id=i, host=f"kafka-{i}.sim") for i in range(num_nodes)
         ]
-        #: Per-node serving side; ``partition_log`` routes through these.
-        self.brokers: dict[int, Broker] = {n.node_id: Broker(n) for n in self.nodes}
         self.costs = BrokerCosts()
         self._topics: dict[str, _TopicState] = {}
         self._next_leader = 0
@@ -177,24 +106,9 @@ class BrokerCluster:
                 f"replication factor {config.replication_factor} exceeds "
                 f"cluster size {len(self.nodes)}"
             )
-        nodes_by_id = {n.node_id: n for n in self.nodes}
-        if config.shard_map is not None:
-            unknown = [i for i in config.shard_map if i not in nodes_by_id]
-            if unknown:
-                raise ValueError(
-                    f"shard_map names unknown node ids {unknown} "
-                    f"(cluster has nodes {sorted(nodes_by_id)})"
-                )
         topic = Topic(name, config, self.simulator.clock)
-        if config.shard_map is not None:
-            # Explicit placement does not advance the round-robin cursor, so
-            # sharded topics never perturb the default topics' leader layout.
-            leaders = [nodes_by_id[i] for i in config.shard_map]
-        else:
-            leaders = [self._pick_leader() for _ in range(config.num_partitions)]
+        leaders = [self._pick_leader() for _ in range(config.num_partitions)]
         self._topics[name] = _TopicState(topic=topic, leaders=leaders)
-        for index, leader in enumerate(leaders):
-            self.brokers[leader.node_id].host(name, index, topic.partitions[index])
         return topic
 
     def delete_topic(self, name: str) -> None:
@@ -202,8 +116,6 @@ class BrokerCluster:
         if name not in self._topics:
             raise UnknownTopicError(name)
         del self._topics[name]
-        for broker in self.brokers.values():
-            broker.drop_topic(name)
 
     def topic(self, name: str) -> Topic:
         """Look up a topic; raises :class:`UnknownTopicError` if missing."""
@@ -229,15 +141,14 @@ class BrokerCluster:
         return state.leaders[partition]
 
     def partition_log(self, topic: str, partition: int) -> "PartitionLog":
-        """Resolve a partition's log through its hosting :class:`Broker`.
+        """The log of ``topic``'s ``partition``.
 
-        This is the client-side metadata lookup: leader node, then that
-        node's serving map.  It returns the same log object as
-        ``cluster.topic(t).partition(p)`` — routing is a host-side concern
-        and never touches simulated time.
+        Raises :class:`UnknownTopicError` or
+        :class:`~repro.broker.errors.PartitionOutOfRangeError`.  Failover
+        moves leadership, not the log: the promoted replica already holds
+        the data, so the same log object serves before and after.
         """
-        leader = self.partition_leader(topic, partition)
-        return self.brokers[leader.node_id].partition_log(topic, partition)
+        return self.topic(topic).partition(partition)
 
     def _pick_leader(self) -> BrokerNode:
         node = self.nodes[self._next_leader % len(self.nodes)]
@@ -279,12 +190,6 @@ class BrokerCluster:
                     if successor is not None:
                         state.leaders[index] = successor
                         self.failovers += 1
-                        # Replica promotion: the successor already holds the
-                        # data, so the same log moves to its serving map.
-                        name = state.topic.name
-                        log = state.topic.partitions[index]
-                        self.brokers[node_id].drop(name, index)
-                        self.brokers[successor.node_id].host(name, index, log)
 
     def recover_node(self, node_id: int) -> None:
         """Mark a node up again (idempotent).

@@ -144,6 +144,12 @@ class ChaosSchedule:
         return outage
 
     def _push_outage(self, outage: NodeOutage) -> None:
+        node_ids = [node.node_id for node in self.cluster.nodes]
+        if outage.node_id not in node_ids:
+            raise ValueError(
+                f"outage names unknown node id {outage.node_id} "
+                f"(cluster has nodes {node_ids})"
+            )
         heapq.heappush(
             self._events, (outage.start, self._next_seq(), "down", outage.node_id)
         )

@@ -238,8 +238,6 @@ class Producer:
 
         def attempt() -> None:
             self.cluster.guard_request(topic, partition)
-            # Resolve the log through the hosting broker (shard routing);
-            # after a failover this follows leadership to the promoted node.
             log = self.cluster.partition_log(topic, partition)
             self.cluster.simulator.charge(charge)
             # A replay (the batch landed, its ack was lost) occupies no new

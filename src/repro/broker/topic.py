@@ -23,18 +23,12 @@ class TopicConfig:
     ``max_queue`` bounds each partition's in-flight (un-consumed) record
     count for flow control; ``None`` (the default) keeps partitions
     unbounded, preserving the closed-loop benchmark's full-history reads.
-
-    ``shard_map`` pins partition leadership explicitly: entry ``p`` is the
-    node id that leads partition ``p``.  ``None`` (the default) keeps the
-    cluster's round-robin assignment.  The map must name one node per
-    partition; the cluster validates the ids against its size at creation.
     """
 
     num_partitions: int = 1
     replication_factor: int = 1
     timestamp_type: TimestampType = TimestampType.LOG_APPEND_TIME
     max_queue: int | None = None
-    shard_map: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
@@ -45,14 +39,6 @@ class TopicConfig:
             )
         if self.max_queue is not None and self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.shard_map is not None:
-            if len(self.shard_map) != self.num_partitions:
-                raise ValueError(
-                    f"shard_map names {len(self.shard_map)} partitions but the "
-                    f"topic has {self.num_partitions}"
-                )
-            if any(node_id < 0 for node_id in self.shard_map):
-                raise ValueError(f"shard_map node ids must be >= 0: {self.shard_map}")
 
 
 class Topic:

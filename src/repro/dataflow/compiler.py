@@ -1,10 +1,11 @@
-"""Plan compiler: lower a stage's function to the best execution tier.
+"""Plan compiler: lower a stage's function to a compiled kernel.
 
 :func:`lower_stage` is the single entry point the pump's stages use
 (:meth:`repro.engines.common.stages.PhysicalStage.compiled_kernel`); it
-replaces the old per-operator pattern matching with one lowering pass that
-chooses per stage along the tier ladder **kernel → vectorized batch →
-reference loop**.
+replaces the old per-operator pattern matching with one lowering pass.
+On the kernel tier a stage runs what this returns, or its function's
+``process_batch`` when it returns ``None``; the per-record reference
+loop is the pump's other tier.
 
 Lowering rules:
 
@@ -22,9 +23,8 @@ Lowering rules:
    so one opaque part no longer demotes a whole chain off the kernel
    tier.  Segment-wise execution is part-major, exactly the order
    ``ComposedFunction.process_batch`` uses, so outputs are bit-identical.
-4. A function with no spec at all lowers to ``None`` and the pump falls
-   down the ladder (``process_batch``, then the per-record reference
-   loop).
+4. A function with no spec at all lowers to ``None`` and the pump runs
+   its ``process_batch``.
 
 Lowering is serial: one kernel instance per stage, run on the calling
 thread.  A pump pool (:class:`~repro.engines.common.sharded.ShardedPump`)
@@ -48,8 +48,9 @@ from repro.dataflow.kernels import Kernel
 class BatchSegment(Kernel):
     """A run of spec-less parts executed through their ``process_batch``.
 
-    This is exactly the vectorized-batch tier for those parts, wrapped so
-    it can sit between kernel segments of the same composed stage.
+    This is exactly the pump's ``process_batch`` fallback for those
+    parts, wrapped so it can sit between kernel segments of the same
+    composed stage.
     """
 
     def __init__(self, parts: Sequence[Any]) -> None:
@@ -102,7 +103,7 @@ class SegmentKernel(Kernel):
 
 
 def lower_stage(function: Any) -> Kernel | None:
-    """Lower ``function`` to a kernel, or ``None`` for the batch tier."""
+    """Lower ``function`` to a kernel, or ``None`` for ``process_batch``."""
     if function is None:
         return None
     if isinstance(function, ComposedFunction):

@@ -115,9 +115,6 @@ class IdentityFunction(StreamFunction):
     def process(self, value: Any) -> Iterable[Any]:
         return (value,)
 
-    def process_batch(self, values: Sequence[Any]) -> list[Any]:
-        return list(values)
-
 
 class MapFunction(StreamFunction):
     """Apply ``fn`` to each record, emitting exactly one output."""

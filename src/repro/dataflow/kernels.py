@@ -1,14 +1,15 @@
-"""Compiled batch kernels: the closure-free third execution tier.
+"""Compiled batch kernels: the pump's closure-free fast execution tier.
 
-The pump executes operators at one of three tiers (see
+The pump executes operators at one of two tiers (see
 ``docs/architecture.md``, *Execution tiers*):
 
 1. **reference** — the per-record loop (``StreamPump.vectorized = False``),
-2. **batch** — chunk-at-a-time ``process_batch`` (still one Python
-   callable invocation per record for map/filter closures),
-3. **kernel** — this module: the logical shape of a function, declared as
-   a :class:`KernelSpec`, is compiled into a fused batch kernel that
-   processes a whole chunk without entering a per-record closure.
+   the semantic oracle;
+2. **kernel** — this module (the default): the logical shape of a
+   function, declared as a :class:`KernelSpec`, is compiled into a fused
+   batch kernel that processes a whole chunk without entering a
+   per-record closure.  A function that declares no spec runs its
+   chunk-at-a-time ``process_batch`` on this tier instead.
 
 A kernel is a *host-side* optimisation only: it must produce bit-identical
 outputs to the reference loop (the simulated clock depends only on record
@@ -97,8 +98,8 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   identically.
 - ``windowed_aggregate``: trigger-less windowed panes
   (``repro.dataflow.windowing``) with the ``FixedWindows`` assignment
-  arithmetic inlined; ``AfterCount`` triggers deliberately keep the
-  reference/batch tiers (a documented fallback edge).  The slab path
+  arithmetic inlined; ``AfterCount`` triggers deliberately declare no
+  spec and run ``process_batch`` (a documented fallback edge).  The slab path
   serves only owners that count per ``first_word`` over ``event_time``
   (:mod:`repro.workloads.aol`); a chunk with a line it cannot prove the
   reference parses the same way takes the hoisted loop whole.
@@ -1276,7 +1277,7 @@ class WindowedAggregateKernel(StatefulKernel):
     operations, with degenerate results delegated back to ``assign`` so
     its validation raises identically); other window functions call
     ``assign`` per element.  Only trigger-less owners declare the spec —
-    ``AfterCount`` keeps the reference/batch tiers.
+    ``AfterCount`` runs ``process_batch``.
 
     The slab path serves owners that count per
     :func:`~repro.workloads.aol.first_word` over

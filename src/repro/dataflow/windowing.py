@@ -12,8 +12,8 @@ The function declares a :class:`~repro.dataflow.kernels.KernelSpec` only
 when it is trigger-less (``None`` or ``AfterWatermark`` — on bounded
 input the watermark passes every window end exactly at drain), so the
 compiled :class:`~repro.dataflow.kernels.WindowedAggregateKernel` never
-has to replicate mid-stream firing; ``AfterCount`` keeps the
-reference/batch tiers.  This is a documented fallback edge.
+has to replicate mid-stream firing; ``AfterCount`` runs
+``process_batch`` instead.  This is a documented fallback edge.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ turns the hang into a diagnostic error.
 depth)`` triples as a pump processes chunks.  It is pure observation: no
 simulated time is charged and no RNG is drawn, so attaching a tracker
 never perturbs a run — results stay bit-identical with and without one,
-on every execution tier (tuple, batch, kernel).
+on both execution tiers (tuple, kernel).
 
 The watchdog is a *simulated-time* deadline: if the observed offset stops
 advancing for more than ``stall_timeout`` simulated seconds while

@@ -59,28 +59,26 @@ class StreamPump:
     exists purely as simulation granularity and does not affect totals.
 
     **Execution tiers.**  Each chunk runs through the stages at one of
-    three host-side tiers, fastest available first: a **compiled kernel**
-    (``repro.dataflow.kernels``; used when the stage's function declares a
-    :class:`~repro.dataflow.kernels.KernelSpec` and ``use_kernels`` is on),
-    the chunk-at-a-time **batch** path (:meth:`StreamFunction.process_batch`,
-    when ``vectorized`` is on), or the per-record **reference loop**.  Tier
-    choice changes nothing observable: the chunk boundaries, per-chunk cost
+    two host-side tiers.  With ``vectorized`` on (the default) each
+    operator stage runs its **compiled kernel** (``repro.dataflow.kernels``),
+    or its function's chunk-at-a-time
+    :meth:`~repro.dataflow.functions.StreamFunction.process_batch` when
+    lowering returns no kernel.  With it off every stage runs the
+    per-record **reference loop**, the semantic oracle.  Tier choice
+    changes nothing observable: the chunk boundaries, per-chunk cost
     charges, emission timestamps, and the determinism contract (exactly
-    three variance draws per run) are identical in all three — the
+    three variance draws per run) are identical in both — the
     equivalence suites (``tests/engines/test_batch_equivalence.py``,
     ``tests/engines/test_kernel_equivalence.py``) and the host-perf
     baseline (``benchmarks/perf/``) prove bit-identical behaviour and
-    measure the speedups.  Kernels may adopt RNG state for bulk drawing;
+    measure the speedup.  Kernels may adopt RNG state for bulk drawing;
     :meth:`run` returns it at the end of the run (and the recovery path
     after every chunk) via the kernels' ``flush`` hooks.
     """
 
-    #: Use the batch fast path (class-level switch; the reference
-    #: per-record loop stays available for equivalence and perf baselines).
+    #: Run compiled kernels (class-level switch; the reference per-record
+    #: loop stays available for equivalence and perf baselines).
     vectorized: bool = True
-    #: Execute spec-declaring functions through compiled kernels (the
-    #: third tier; only consulted when ``vectorized`` is also on).
-    use_kernels: bool = True
 
     def __init__(
         self,
@@ -128,9 +126,7 @@ class StreamPump:
     @property
     def tier(self) -> str:
         """The execution tier this pump is configured for."""
-        if self.vectorized and self.use_kernels:
-            return "kernel"
-        return "batch" if self.vectorized else "tuple"
+        return "kernel" if self.vectorized else "tuple"
 
     # ------------------------------------------------------------------
     def run(self, records: Sequence[Any]) -> PumpResult:
@@ -326,7 +322,7 @@ class StreamPump:
         slab — the generated byte columns flow into the kernels without a
         single record object or re-pack in between.
         """
-        if not (self.use_kernels and self.vectorized):
+        if not self.vectorized:
             return None
         for stage in self.stages:
             if stage.kind is StageKind.OPERATOR:
@@ -345,7 +341,7 @@ class StreamPump:
         slab=None,
         base: int = 0,
     ) -> tuple[float, list[Any]]:
-        use_kernels = self.use_kernels and self.vectorized
+        vectorized = self.vectorized
         cost = 0.0
         # ``values`` is an untransformed slice of the slab's records list
         # until the first stage that returns a different list; slab-aware
@@ -355,7 +351,7 @@ class StreamPump:
             n_in = len(values)
             if stage.kind is StageKind.OPERATOR:
                 assert stage.function is not None
-                kernel = stage.compiled_kernel() if use_kernels else None
+                kernel = stage.compiled_kernel() if vectorized else None
                 if kernel is not None:
                     if pristine and kernel.supports_slab:
                         outputs = kernel.call_slab(slab, base, values)
@@ -363,7 +359,7 @@ class StreamPump:
                         outputs = kernel(values)
                     pristine = pristine and outputs is values
                     values = outputs
-                elif self.vectorized:
+                elif vectorized:
                     pristine = False
                     values = stage.function.process_batch(values)
                 else:

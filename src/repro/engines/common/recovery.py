@@ -185,10 +185,7 @@ class RecoveringPump:
         if tracker is None and stall_timeout is not None:
             tracker = LagTracker(stall_timeout=stall_timeout)
         if tracker is not None and tracker.tier == "unknown":
-            if StreamPump.vectorized:
-                tracker.tier = "kernel" if StreamPump.use_kernels else "batch"
-            else:
-                tracker.tier = "tuple"
+            tracker.tier = "kernel" if StreamPump.vectorized else "tuple"
         self.tracker = tracker
 
     def run(self, records: Sequence[Any]) -> RecoveryReport:

@@ -70,7 +70,7 @@ class PhysicalStage:
 
         Lowering goes through the plan compiler
         (:func:`repro.dataflow.compiler.lower_stage`), which picks the
-        best tier per stage — fused/stateful kernels, wire-fused decode
+        best kernel per stage — fused/stateful kernels, wire-fused decode
         pairs, or segment-wise mixes of kernels and batch runs — instead
         of per-operator pattern matching.
         """

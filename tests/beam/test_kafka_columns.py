@@ -50,12 +50,8 @@ from repro.yarn import YarnCluster
 TOPIC = "in"
 PARTITIONS = 3
 
-#: The three execution tiers as (vectorized, use_kernels).
-TIERS = {
-    "kernel": (True, True),
-    "batch": (True, False),
-    "reference": (False, False),
-}
+#: The two execution tiers as their ``StreamPump.vectorized`` setting.
+TIERS = {"kernel": True, "reference": False}
 
 
 def slab_column(lines: list[str]) -> SlabColumn:
@@ -374,9 +370,7 @@ def without_metadata(pipeline, broker):
 
 @pytest.fixture(params=list(TIERS))
 def tier(request, monkeypatch):
-    vectorized, use_kernels = TIERS[request.param]
-    monkeypatch.setattr(StreamPump, "vectorized", vectorized)
-    monkeypatch.setattr(StreamPump, "use_kernels", use_kernels)
+    monkeypatch.setattr(StreamPump, "vectorized", TIERS[request.param])
     return request.param
 
 

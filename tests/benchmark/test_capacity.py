@@ -74,20 +74,14 @@ class TestProbe:
     def test_probe_identical_across_tiers(self):
         cfg = config()
         results = {}
-        tiers = {
-            "tuple": (False, False),
-            "batch": (True, False),
-            "kernel": (True, True),
-        }
-        saved = (StreamPump.vectorized, StreamPump.use_kernels)
+        saved = StreamPump.vectorized
         try:
-            for tier, (vectorized, use_kernels) in tiers.items():
+            for tier, vectorized in (("tuple", False), ("kernel", True)):
                 StreamPump.vectorized = vectorized
-                StreamPump.use_kernels = use_kernels
                 results[tier] = run_probe(cfg, "flink", "projection", 50_000.0)
         finally:
-            StreamPump.vectorized, StreamPump.use_kernels = saved
-        assert results["tuple"] == results["batch"] == results["kernel"]
+            StreamPump.vectorized = saved
+        assert results["tuple"] == results["kernel"]
 
 
 def per_record_arrivals(batches, started):

@@ -9,6 +9,7 @@ from repro.broker import (
     FaultPlan,
     NodeOutage,
     Producer,
+    RequestTimedOutError,
     RetryPolicy,
     TopicConfig,
     TopicPartition,
@@ -89,6 +90,37 @@ class TestNodeFailover:
             producer.send_values("r3", ["c"])
         assert cluster.topic("r3").partition(0).read_values(0) == ["a", "b", "c"]
 
+    def test_failover_keeps_the_log_and_its_sequence_state(self, cluster, monkeypatch):
+        cluster.create_topic("t", TopicConfig(num_partitions=2, replication_factor=2))
+        producer = Producer(cluster, idempotent=True)
+        pid = producer.producer_id
+        producer.send_values("t", ["c"], partition=1)
+        lost = []
+
+        def lose_first_ack(topic, partition):
+            if not lost:
+                lost.append((topic, partition))
+                raise RequestTimedOutError(topic, partition)
+
+        monkeypatch.setattr(cluster, "post_append", lose_first_ack)
+        with pytest.raises(RequestTimedOutError):
+            producer.send_values("t", ["a", "b"], partition=0)  # landed, ack lost
+        dead = cluster.partition_leader("t", 0).node_id
+        cluster.fail_node(dead)
+        assert cluster.partition_leader("t", 0).node_id != dead
+        for p in range(2):
+            assert cluster.partition_log("t", p) is cluster.topic("t").partition(p)
+        # The pre-failover batch replays as a duplicate on the new leader.
+        log0 = cluster.partition_log("t", 0)
+        assert log0.is_replay(pid, 0)
+        producer.send_values("t", ["a", "b"], partition=0)
+        assert producer.duplicates_avoided == 2
+        assert log0.read_values(0) == ["a", "b"]
+        # Sequence numbers stay per partition.
+        log1 = cluster.partition_log("t", 1)
+        assert log1.is_replay(pid, 0)
+        assert not log1.is_replay(pid, 1)
+
 
 class TestScheduledOutages:
     def test_outage_applies_at_simulated_time(self, cluster):
@@ -129,6 +161,26 @@ class TestScheduledOutages:
         cluster.simulator.charge(1.0)
         with pytest.raises(RetriableBrokerError):
             cluster.guard_request("t", 0)
+
+
+class TestOutageNodeValidation:
+    def test_attach_chaos_rejects_an_unknown_node(self, cluster):
+        plan = FaultPlan(
+            seed=1, outages=(NodeOutage(node_id=7, start=0.0, duration=1.0),)
+        )
+        with pytest.raises(
+            ValueError, match=r"unknown node id 7 \(cluster has nodes \[0, 1, 2\]\)"
+        ):
+            cluster.attach_chaos(plan)
+        assert cluster.chaos is None
+
+    def test_schedule_outage_rejects_an_unknown_node(self, cluster):
+        cluster.create_topic("t")
+        schedule = cluster.attach_chaos(FaultPlan())
+        with pytest.raises(ValueError, match="unknown node id 9"):
+            schedule.schedule_outage(9, after=0.0)
+        cluster.guard_request("t", 0)  # nothing was scheduled
+        assert (schedule.crashes_applied, schedule.recoveries_applied) == (0, 0)
 
 
 class TestTransientFaults:

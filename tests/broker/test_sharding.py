@@ -1,30 +1,17 @@
-"""Sharded topic placement and per-node broker routing.
+"""Partition routing over the nodes of a cluster.
 
-The scale-out data plane shards a topic's partitions over broker nodes:
-``AdminClient.create_topic(num_nodes=k)`` spreads partitions round-robin
-over the first ``k`` nodes, ``shard_map`` pins placement explicitly, and
-every produce/fetch resolves its partition log through the *hosting*
-:class:`~repro.broker.broker.Broker`'s serving map.  Routing is a
-host-side concern only — the same :class:`PartitionLog` objects serve
-every topology — and failover moves hosting together with leadership.
+A fresh cluster leads a topic's partitions round-robin over its nodes,
+yet every produce and fetch resolves its :class:`PartitionLog` through
+the topic itself: ``partition_log`` returns the one log object whichever
+node leads the partition, failover promotes a replica without moving or
+copying that log, and idempotent sequence state lives in the log.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.broker import (
-    AdminClient,
-    Broker,
-    BrokerCluster,
-    Consumer,
-    Producer,
-    TopicPartition,
-    default_num_nodes,
-)
-from repro.broker.broker import NODES_ENV
-from repro.broker.errors import NotLeaderForPartitionError
-from repro.broker.topic import TopicConfig
+from repro.broker import AdminClient, BrokerCluster, Producer
 
 
 @pytest.fixture
@@ -37,153 +24,40 @@ def admin(cluster):
     return AdminClient(cluster)
 
 
-class TestShardedPlacement:
-    def test_num_nodes_spreads_partitions_round_robin(self, cluster, admin):
-        admin.create_topic("t", num_partitions=6, num_nodes=3)
-        leaders = [cluster.partition_leader("t", p).node_id for p in range(6)]
-        assert leaders == [0, 1, 2, 0, 1, 2]
-
-    def test_shard_map_pins_placement_explicitly(self, cluster, admin):
-        admin.create_topic("t", num_partitions=3, shard_map=(2, 2, 0))
-        leaders = [cluster.partition_leader("t", p).node_id for p in range(3)]
-        assert leaders == [2, 2, 0]
-
-    def test_sharded_topic_does_not_perturb_round_robin_cursor(
-        self, cluster, admin
-    ):
-        """Explicit placement must not advance the default leader cursor.
-
-        A later unsharded topic gets the same leaders whether or not a
-        sharded topic was created before it — the precondition for
-        bit-identical reports across topologies.
-        """
-        admin.create_topic("sharded", num_partitions=4, num_nodes=4)
-        admin.create_topic("plain")
-        assert cluster.partition_leader("plain", 0).node_id == 0
-
-    def test_num_nodes_one_pins_everything_to_node_zero(self, cluster, admin):
-        admin.create_topic("t", num_partitions=3, num_nodes=1)
-        leaders = [cluster.partition_leader("t", p).node_id for p in range(3)]
-        assert leaders == [0, 0, 0]
-
-    def test_num_nodes_must_fit_cluster(self, admin):
-        with pytest.raises(ValueError, match="exceeds cluster size"):
-            admin.create_topic("t", num_partitions=2, num_nodes=5)
-
-    def test_num_nodes_must_be_positive(self, admin):
-        with pytest.raises(ValueError, match="num_nodes must be >= 1"):
-            admin.create_topic("t", num_nodes=0)
-
-    def test_num_nodes_and_shard_map_are_exclusive(self, admin):
-        with pytest.raises(ValueError, match="not both"):
-            admin.create_topic("t", num_nodes=2, shard_map=(0,))
-
-    def test_shard_map_length_must_match_partitions(self):
-        with pytest.raises(ValueError, match="shard_map names 2 partitions"):
-            TopicConfig(num_partitions=3, shard_map=(0, 1))
-
-    def test_shard_map_rejects_negative_node_ids(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            TopicConfig(num_partitions=2, shard_map=(0, -1))
-
-    def test_shard_map_rejects_unknown_node_ids(self, cluster):
-        with pytest.raises(ValueError, match="unknown node ids"):
-            cluster.create_topic(
-                "t", TopicConfig(num_partitions=2, shard_map=(0, 9))
-            )
-
-
 class TestBrokerServingMap:
-    def test_each_node_hosts_its_shard(self, cluster, admin):
-        admin.create_topic("t", num_partitions=4, num_nodes=4)
-        for node_id in range(4):
-            assert cluster.brokers[node_id].hosted_partitions() == [
-                ("t", node_id)
-            ]
-
     def test_partition_log_routes_to_same_object(self, cluster, admin):
-        topic = admin.create_topic("t", num_partitions=4, num_nodes=2)
+        topic = admin.create_topic("t", num_partitions=4)
+        leaders = [cluster.partition_leader("t", p).node_id for p in range(4)]
+        assert leaders == [0, 1, 2, 3]
         for p in range(4):
             assert cluster.partition_log("t", p) is topic.partitions[p]
-
-    def test_non_leader_rejects_lookup(self, cluster, admin):
-        admin.create_topic("t", num_partitions=2, num_nodes=2)
-        with pytest.raises(NotLeaderForPartitionError):
-            cluster.brokers[1].partition_log("t", 0)
-
-    def test_delete_topic_drops_hosting_everywhere(self, cluster, admin):
-        admin.create_topic("t", num_partitions=4, num_nodes=4)
-        admin.delete_topic("t")
-        for broker in cluster.brokers.values():
-            assert broker.hosted_partitions() == []
-
-    def test_repr_counts_partitions(self, cluster, admin):
-        admin.create_topic("t", num_partitions=4, num_nodes=1)
-        assert "partitions=4" in repr(cluster.brokers[0])
-        assert isinstance(cluster.brokers[0], Broker)
 
 
 class TestFailoverMovesHosting:
     def test_replicated_partition_hosting_follows_leadership(
         self, cluster, admin
     ):
-        topic = admin.create_topic(
-            "t", num_partitions=2, num_nodes=2, replication_factor=2
-        )
-        assert cluster.brokers[0].hosts("t", 0)
-        cluster.fail_node(0)
-        # Leadership moved to the next alive node; so did the hosting of
-        # the very same log object (replica promotion, not data copy).
-        successor = cluster.partition_leader("t", 0)
-        assert successor.node_id == 1
-        assert not cluster.brokers[0].hosts("t", 0)
-        assert cluster.brokers[1].partition_log("t", 0) is topic.partitions[0]
-
-    def test_unreplicated_partition_stays_on_dead_node(self, cluster, admin):
-        admin.create_topic("t", num_partitions=2, num_nodes=2)
-        cluster.fail_node(0)
-        # rf=1: no failover — the dead node still hosts, requests fail at
-        # the liveness guard instead of the routing layer.
-        assert cluster.brokers[0].hosts("t", 0)
+        topic = admin.create_topic("t", num_partitions=2, replication_factor=2)
         assert cluster.partition_leader("t", 0).node_id == 0
+        cluster.fail_node(0)
+        # Leadership moved to the next alive node; the log it serves is the
+        # very same object (replica promotion, not data copy).
+        assert cluster.partition_leader("t", 0).node_id == 1
+        assert cluster.partition_log("t", 0) is topic.partitions[0]
 
 
 class TestShardedProduceConsume:
-    def test_produce_and_fetch_through_shards(self, cluster, admin):
-        admin.create_topic("t", num_partitions=3, num_nodes=3)
-        producer = Producer(cluster)
-        for p in range(3):
-            producer.send_values("t", [f"r{p}-{i}" for i in range(5)], partition=p)
-        consumer = Consumer(cluster)
-        consumer.assign([TopicPartition("t", p) for p in range(3)])
-        records = consumer.poll(max_records=100)
-        values = sorted(r.value for r in records)
-        assert values == sorted(f"r{p}-{i}" for p in range(3) for i in range(5))
-
     def test_idempotent_produce_is_per_node(self, cluster, admin):
-        """Sequence bookkeeping lives in the log, wherever it is hosted."""
-        admin.create_topic("t", num_partitions=2, num_nodes=2)
+        """Sequence bookkeeping lives in the log, whichever node leads it."""
+        admin.create_topic("t", num_partitions=2)
         producer = Producer(cluster, idempotent=True)
         producer.send_values("t", ["a", "b"], partition=0)
         producer.send_values("t", ["c"], partition=1)
+        assert cluster.partition_leader("t", 0).node_id == 0
+        assert cluster.partition_leader("t", 1).node_id == 1
         log0 = cluster.partition_log("t", 0)
         log1 = cluster.partition_log("t", 1)
-        # Replays are recognised per partition log on its hosting node.
+        # Replays are recognised per partition log, on whichever node leads it.
         assert log0.is_replay(producer.producer_id, 0)
         assert log1.is_replay(producer.producer_id, 0)
         assert not log1.is_replay(producer.producer_id, 1)
-
-
-class TestDefaultNumNodes:
-    def test_default_is_three(self, monkeypatch):
-        monkeypatch.delenv(NODES_ENV, raising=False)
-        assert default_num_nodes() == 3
-
-    def test_env_knob_overrides(self, monkeypatch):
-        monkeypatch.setenv(NODES_ENV, "5")
-        assert default_num_nodes() == 5
-
-    def test_invalid_values_fall_back(self, monkeypatch):
-        for raw in ("zero", "", "0", "-2"):
-            monkeypatch.setenv(NODES_ENV, raw)
-            assert default_num_nodes() == 3

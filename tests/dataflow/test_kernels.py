@@ -929,7 +929,7 @@ class TestWindowedAggregateKernel:
 
     def test_after_count_trigger_declares_no_spec(self):
         """AfterCount fires mid-stream; the kernel tier must refuse it and
-        leave the function on the reference/batch tiers."""
+        leave the function on ``process_batch``."""
         from repro.beam.window import AfterCount
 
         fn = self.make(trigger=AfterCount(5))

@@ -1,13 +1,12 @@
-"""The compiled-kernel tier is observationally identical to both others.
+"""The compiled-kernel tier is observationally identical to the reference.
 
-``StreamPump.use_kernels = True`` (the production default) routes
-spec-declaring operators through ``repro.dataflow.kernels``.  Like the
-batch path before it, this must be a pure host-side optimisation: for
-every system × query × API combination the simulated world — run
-durations, broker-timestamp measurements, output topic contents, cost
-totals, operator metrics — has to be **bit-identical** to the batch path
-and to the per-record reference loop.  This suite runs the full
-benchmark matrix all three ways under one fixed seed (with the
+``StreamPump.vectorized = True`` (the production default) routes
+spec-declaring operators through ``repro.dataflow.kernels``.  This must
+be a pure host-side optimisation: for every system × query × API
+combination the simulated world — run durations, broker-timestamp
+measurements, output topic contents, cost totals, operator metrics — has
+to be **bit-identical** to the per-record reference loop.  This suite
+runs the full benchmark matrix both ways under one fixed seed (with the
 workload-slab threshold lowered so the slab fast path is genuinely
 exercised), repeats the comparison under broker chaos, and
 property-tests that the sample kernel consumes the *exact same RNG
@@ -37,12 +36,8 @@ QUERIES = ("identity", "sample", "projection", "grep")
 KINDS = ("native", "beam")
 PARALLELISMS = (1, 2)
 
-#: The three execution tiers as (vectorized, use_kernels).
-TIERS = {
-    "kernel": (True, True),
-    "batch": (True, False),
-    "reference": (False, False),
-}
+#: The two execution tiers as their ``StreamPump.vectorized`` setting.
+TIERS = {"kernel": True, "reference": False}
 
 
 def _campaign() -> tuple[list, dict, float]:
@@ -93,9 +88,8 @@ def campaigns():
     mp = pytest.MonkeyPatch()
     try:
         mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
-        for tier, (vectorized, use_kernels) in TIERS.items():
+        for tier, vectorized in TIERS.items():
             mp.setattr(StreamPump, "vectorized", vectorized)
-            mp.setattr(StreamPump, "use_kernels", use_kernels)
             results[tier] = _campaign()
     finally:
         mp.undo()
@@ -109,27 +103,19 @@ class TestFullMatrixEquivalence:
         assert len(kernel_runs) == len(SYSTEMS) * len(QUERIES) * len(KINDS) * len(
             PARALLELISMS
         ) * 2
-        assert kernel_runs == campaigns["batch"][0]
         assert kernel_runs == campaigns["reference"][0]
 
     def test_output_topics_bit_identical(self, campaigns):
         """Every setup's output records match value for value, in order."""
         kernel_out = campaigns["kernel"][1]
-        for other in ("batch", "reference"):
-            other_out = campaigns[other][1]
-            assert kernel_out.keys() == other_out.keys()
-            for setup, values in kernel_out.items():
-                assert values == other_out[setup], (
-                    f"outputs diverge for {setup} (kernel vs {other})"
-                )
+        reference_out = campaigns["reference"][1]
+        assert kernel_out.keys() == reference_out.keys()
+        for setup, values in kernel_out.items():
+            assert values == reference_out[setup], f"outputs diverge for {setup}"
 
     def test_simulated_clock_bit_identical(self, campaigns):
         """Total campaign simulated time is exactly equal across tiers."""
-        assert (
-            campaigns["kernel"][2]
-            == campaigns["batch"][2]
-            == campaigns["reference"][2]
-        )
+        assert campaigns["kernel"][2] == campaigns["reference"][2]
 
 
 class TestChaosEquivalence:
@@ -162,9 +148,8 @@ class TestChaosEquivalence:
         mp = pytest.MonkeyPatch()
         try:
             mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
-            for tier, (vectorized, use_kernels) in TIERS.items():
+            for tier, vectorized in TIERS.items():
                 mp.setattr(StreamPump, "vectorized", vectorized)
-                mp.setattr(StreamPump, "use_kernels", use_kernels)
                 harness = StreamBenchHarness(config, chaos=plan)
                 reports[tier] = harness.run_matrix(parallel=False)
         finally:
@@ -173,7 +158,6 @@ class TestChaosEquivalence:
 
     def test_chaos_reports_equal_per_field(self, chaos_reports):
         assert chaos_reports["kernel"].runs == chaos_reports["reference"].runs
-        assert chaos_reports["kernel"] == chaos_reports["batch"]
         assert chaos_reports["kernel"] == chaos_reports["reference"]
 
     def test_chaos_actually_bit(self, chaos_reports):
@@ -198,7 +182,6 @@ def _pump_sample(
     records: list, seed: int, fraction: float, tier: str
 ) -> tuple[list, object, object]:
     """Run a sample pipeline at ``tier``; return (outputs, rng state, result)."""
-    vectorized, use_kernels = TIERS[tier]
     function = _sample_function(seed, fraction)
     function.open()
     pump = StreamPump(
@@ -214,8 +197,7 @@ def _pump_sample(
         rng=random.Random(3),
         chunk_size=17,  # deliberately awkward chunk boundaries
     )
-    pump.vectorized = vectorized
-    pump.use_kernels = use_kernels
+    pump.vectorized = TIERS[tier]
     outputs: list = []
     pump.emit = outputs.extend
     result = pump.run(records)
@@ -234,18 +216,17 @@ def _pump_sample(
 def test_sample_draws_identical_rng_stream(seed, fraction, count):
     """The mask kernel consumes the exact per-record Bernoulli stream.
 
-    For any seed, fraction and input size, all three tiers must select
-    the same records AND leave the Python RNG in the same state — i.e.
-    the transplanted MT19937 advanced draw-for-draw identically.
+    For any seed, fraction and input size, both tiers must select the
+    same records AND leave the Python RNG in the same state — i.e. the
+    transplanted MT19937 advanced draw-for-draw identically.
     """
     records = [f"rec-{i}" for i in range(count)]
     out_ref, state_ref, result_ref = _pump_sample(records, seed, fraction, "reference")
-    for tier in ("batch", "kernel"):
-        outputs, state, result = _pump_sample(records, seed, fraction, tier)
-        assert outputs == out_ref
-        assert state == state_ref
-        assert result.records_out == result_ref.records_out
-        assert result.duration == result_ref.duration
+    outputs, state, result = _pump_sample(records, seed, fraction, "kernel")
+    assert outputs == out_ref
+    assert state == state_ref
+    assert result.records_out == result_ref.records_out
+    assert result.duration == result_ref.duration
 
 
 def test_sample_rng_state_continues_across_runs():
@@ -253,7 +234,6 @@ def test_sample_rng_state_continues_across_runs():
     records = [f"rec-{i}" for i in range(100)]
 
     def two_runs(tier: str):
-        vectorized, use_kernels = TIERS[tier]
         function = _sample_function(99, 0.4)
         function.open()
         picked = []
@@ -271,8 +251,7 @@ def test_sample_rng_state_continues_across_runs():
                 variance=RunVariance(),
                 rng=random.Random(3),
             )
-            pump.vectorized = vectorized
-            pump.use_kernels = use_kernels
+            pump.vectorized = TIERS[tier]
             pump.emit = picked.extend
             pump.run(records)
         function.close()
@@ -308,15 +287,13 @@ def _grep_stages(function=None):
 
 
 def _pump_stages(stages, records, tier="kernel"):
-    vectorized, use_kernels = TIERS[tier]
     pump = StreamPump(
         simulator=Simulator(seed=3),
         stages=stages,
         variance=RunVariance(),
         rng=random.Random(3),
     )
-    pump.vectorized = vectorized
-    pump.use_kernels = use_kernels
+    pump.vectorized = TIERS[tier]
     outputs: list = []
     pump.emit = outputs.extend
     result = pump.run(records)

@@ -1,11 +1,11 @@
-"""The stateful kernel tier is observationally identical to both others.
+"""The stateful kernel tier is observationally identical to the reference.
 
 Keyed counterpart of ``test_kernel_equivalence.py``: the stateful
 StreamBench extension queries (wordcount, distinct-count, statistics,
 windowed) run through the full benchmark matrix — natively on all three
 engines and via Beam on Flink and Apex (the Spark runner refuses stateful
-DoFns, the capability gap that shaped the paper's benchmark) — under all
-three pump tiers, and every simulated observable must be
+DoFns, the capability gap that shaped the paper's benchmark) — under
+both pump tiers, and every simulated observable must be
 **bit-identical**: run durations, measurements, output topics,
 snapshots.  On the kernel tier the native cells read the broker's slab
 column, so the wordcount, statistics and windowed slab paths parse the
@@ -49,12 +49,8 @@ SYSTEMS = ("flink", "spark", "apex")
 KEYED_QUERIES = ("wordcount", "distinct-count", "statistics", "windowed")
 PARALLELISMS = (1, 2)
 
-#: The three execution tiers as (vectorized, use_kernels).
-TIERS = {
-    "kernel": (True, True),
-    "batch": (True, False),
-    "reference": (False, False),
-}
+#: The two execution tiers as their ``StreamPump.vectorized`` setting.
+TIERS = {"kernel": True, "reference": False}
 
 
 def _kinds_for(system: str) -> tuple[str, ...]:
@@ -100,9 +96,8 @@ def campaigns():
     mp = pytest.MonkeyPatch()
     try:
         mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
-        for tier, (vectorized, use_kernels) in TIERS.items():
+        for tier, vectorized in TIERS.items():
             mp.setattr(StreamPump, "vectorized", vectorized)
-            mp.setattr(StreamPump, "use_kernels", use_kernels)
             results[tier] = _campaign()
     finally:
         mp.undo()
@@ -118,26 +113,18 @@ class TestKeyedMatrixEquivalence:
             for system in SYSTEMS
         )
         assert len(kernel_runs) == cells * 2
-        assert kernel_runs == campaigns["batch"][0]
         assert kernel_runs == campaigns["reference"][0]
 
     def test_output_topics_bit_identical(self, campaigns):
         """Every setup's output records match value for value, in order."""
         kernel_out = campaigns["kernel"][1]
-        for other in ("batch", "reference"):
-            other_out = campaigns[other][1]
-            assert kernel_out.keys() == other_out.keys()
-            for setup, values in kernel_out.items():
-                assert values == other_out[setup], (
-                    f"outputs diverge for {setup} (kernel vs {other})"
-                )
+        reference_out = campaigns["reference"][1]
+        assert kernel_out.keys() == reference_out.keys()
+        for setup, values in kernel_out.items():
+            assert values == reference_out[setup], f"outputs diverge for {setup}"
 
     def test_simulated_clock_bit_identical(self, campaigns):
-        assert (
-            campaigns["kernel"][2]
-            == campaigns["batch"][2]
-            == campaigns["reference"][2]
-        )
+        assert campaigns["kernel"][2] == campaigns["reference"][2]
 
 
 class TestKeyedChaosEquivalence:
@@ -169,9 +156,8 @@ class TestKeyedChaosEquivalence:
         mp = pytest.MonkeyPatch()
         try:
             mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
-            for tier, (vectorized, use_kernels) in TIERS.items():
+            for tier, vectorized in TIERS.items():
                 mp.setattr(StreamPump, "vectorized", vectorized)
-                mp.setattr(StreamPump, "use_kernels", use_kernels)
                 harness = StreamBenchHarness(config, chaos=plan)
                 reports[tier] = harness.run_matrix(parallel=False)
         finally:
@@ -180,7 +166,6 @@ class TestKeyedChaosEquivalence:
 
     def test_chaos_reports_equal_per_field(self, chaos_reports):
         assert chaos_reports["kernel"].runs == chaos_reports["reference"].runs
-        assert chaos_reports["kernel"] == chaos_reports["batch"]
         assert chaos_reports["kernel"] == chaos_reports["reference"]
 
     def test_chaos_actually_bit(self, chaos_reports):
@@ -209,7 +194,6 @@ def _pump_nexmark(records: list, query: str, tier: str):
     state to survive chunk boundaries; window_seconds=3.0 makes Q5 cross
     many windows inside one chunk.
     """
-    vectorized, use_kernels = TIERS[tier]
     function = NEXMARK_PIPELINES[query]()
     composed = compose([nexmark_decode(), function])
     composed.open()
@@ -226,8 +210,7 @@ def _pump_nexmark(records: list, query: str, tier: str):
         rng=random.Random(3),
         chunk_size=977,
     )
-    pump.vectorized = vectorized
-    pump.use_kernels = use_kernels
+    pump.vectorized = TIERS[tier]
     outputs: list = []
     pump.emit = outputs.extend
     result = pump.run(records)
@@ -254,10 +237,9 @@ class TestNexmarkPipelineEquivalence:
     @pytest.mark.parametrize("query", sorted(NEXMARK_PIPELINES))
     def test_tiers_bit_identical(self, nexmark_events, query):
         reference = _pump_nexmark(nexmark_events, query, "reference")
-        for tier in ("batch", "kernel"):
-            assert _pump_nexmark(nexmark_events, query, tier) == reference, (
-                f"{query}: {tier} tier diverges from the reference loop"
-            )
+        assert _pump_nexmark(nexmark_events, query, "kernel") == reference, (
+            f"{query}: kernel tier diverges from the reference loop"
+        )
 
     @pytest.mark.parametrize("query", ("q3", "q4", "q5"))
     def test_wire_fusion_engages(self, query):

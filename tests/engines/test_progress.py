@@ -60,7 +60,7 @@ class TestLagTracker:
 
 class TestStallWatchdog:
     def test_no_progress_past_deadline_raises(self):
-        tracker = LagTracker(stall_timeout=1.0, tier="batch")
+        tracker = LagTracker(stall_timeout=1.0, tier="kernel")
         tracker.observe(0.0, 5, backlog=3)
         tracker.observe(0.5, 5, backlog=3)  # within deadline: fine
         with pytest.raises(PumpStalledError) as excinfo:
@@ -68,7 +68,7 @@ class TestStallWatchdog:
         err = excinfo.value
         assert err.last_offset == 5
         assert err.queue_depth == 3
-        assert err.tier == "batch"
+        assert err.tier == "kernel"
         assert err.stalled_for == pytest.approx(1.6)
         assert err.stall_timeout == 1.0
 
@@ -182,7 +182,9 @@ class TestPumpIntegration:
     def test_pump_reports_tier(self):
         sim = Simulator(seed=1)
         pump = make_pump(sim)
-        assert pump.tier in ("kernel", "batch", "tuple")
+        assert pump.tier == "kernel"
+        pump.vectorized = False
+        assert pump.tier == "tuple"
 
     def test_pump_feeds_tracker(self):
         sim = Simulator(seed=1)
@@ -224,4 +226,4 @@ class TestPumpIntegration:
         )
         pump.run(list(range(10)))
         assert tracker.last_offset == 10
-        assert tracker.tier in ("kernel", "batch", "tuple")
+        assert tracker.tier == "kernel"
