@@ -376,7 +376,10 @@ def run_end_to_end(num_records: int = 1_000_001) -> dict[str, Any]:
 
     Disk workload caches are disabled and memos cleared for the duration,
     so ``workload_generation`` measures a genuinely cold start rather than
-    a warm cache hit.
+    a warm cache hit.  ``slab_decoded`` says whether anything turned the
+    workload slab into record strings (the columnar plane should not),
+    and ``peak_rss_mb`` is this process's resident high-water mark after
+    the campaign.
     """
     from repro.workloads.cache import CACHE_ENV, clear_memo
 
@@ -405,6 +408,7 @@ def run_end_to_end(num_records: int = 1_000_001) -> dict[str, Any]:
             harness.simulator.random.stream("perf/data"),
         )
         phases["execute_and_measure"] = time.perf_counter() - mark
+        slab_decoded = harness.workload.columnar().to_slab().records is not None
     finally:
         if previous_cache is None:
             os.environ.pop(CACHE_ENV, None)
@@ -422,6 +426,8 @@ def run_end_to_end(num_records: int = 1_000_001) -> dict[str, Any]:
         "pipeline_seconds": round(pipeline_seconds, 3),
         "pipeline_records_per_sec": round(num_records / pipeline_seconds),
         "simulated_execution_time": round(measurement.execution_time, 3),
+        "slab_decoded": slab_decoded,
+        "peak_rss_mb": round(_peak_rss_kb() / 1024, 1),
     }
 
 

@@ -47,7 +47,11 @@ across hardware, unlike absolute records/sec.  Checks:
 * the simulated scalability curves (capacity knee vs parallelism) must
   rise monotonically and sub-linearly with P, with the Beam knee at or
   below native at every level — these are deterministic simulated-time
-  assertions that run identically on every host.
+  assertions that run identically on every host;
+* a native-Flink identity campaign (``run_end_to_end`` at
+  ``REPRO_PERF_RECORDS``) must emit every record without decoding the
+  workload slab into strings: the columnar plane keeps windows from the
+  poll to the output log, on any host.
 
 The measured numbers are merged into ``BENCH_pump.json`` at the repo
 root; CI uploads it as an artifact for trend-watching.
@@ -71,6 +75,7 @@ from pump_bench import (
     HEADLINE_SCENARIO,
     available_cpus,
     run_capacity_bench,
+    run_end_to_end,
     run_generation_bench,
     run_matrix_scale,
     run_microbenchmark,
@@ -401,6 +406,15 @@ def test_scalability_beam_penalty_per_system(scalability: dict) -> None:
             f"apex P={native_point['parallelism']}: Beam/native knee ratio "
             f"{ratio:.2f} outside the near-parity band"
         )
+
+
+def test_end_to_end_decodes_nothing(payload: dict) -> None:
+    """The Figure-5 path stays columnar from poll to output log: the
+    campaign emits every record and never decodes the workload slab."""
+    result = run_end_to_end(RECORDS)
+    payload["end_to_end"] = result
+    assert result["records_out"] == RECORDS
+    assert result["slab_decoded"] is False
 
 
 def test_kernel_path_is_the_default() -> None:

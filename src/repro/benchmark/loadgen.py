@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.broker import BrokerCluster, Producer, RetryPolicy
-from repro.dataflow.kernels import SlabColumn
 from repro.engines.common.progress import LagTracker, PumpStalledError
 
 #: The generator's admission granularity (records per produce request).
@@ -286,7 +285,6 @@ class LoadGenerator:
             retry_policy=self.retry_policy,
             idempotent=self.idempotent,
         )
-        is_column = type(records) is SlabColumn
         total = len(records)
         offered = 0
         accepted = 0
@@ -294,11 +292,7 @@ class LoadGenerator:
         blocked = 0.0
 
         def admit(start: int, stop: int) -> None:
-            if is_column:
-                batch = records.view(records.start + start, records.start + stop)
-            else:
-                batch = records[start:stop]
-            producer.send_values(self.topic, batch)
+            producer.send_values(self.topic, records[start:stop])
 
         for count, offset in self.process.schedule(total, self.batch_size, self._rng):
             arrival = started + offset

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.broker import AdminClient, BrokerCluster, Producer, RetryPolicy
-from repro.dataflow.kernels import SlabColumn
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,14 +167,9 @@ class DataSender:
         reads it straight into the log's column storage without copying,
         so the workload is never duplicated in memory during ingestion.
         """
-        is_column = type(records) is SlabColumn
         total = len(records)
         for start in range(0, total, self.batch_size):
-            stop = min(start + self.batch_size, total)
-            if is_column:
-                batch = records.view(records.start + start, records.start + stop)
-            else:
-                batch = records[start:stop]
+            batch = records[start : start + self.batch_size]
             # Rate pacing: the batch occupies batch/rate seconds of the
             # timeline before it lands in the log.
             self.cluster.simulator.charge(len(batch) / self.ingestion_rate)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.broker.broker import BrokerCluster
 from repro.broker.errors import ConsumerClosedError, UnknownTopicError
@@ -270,29 +271,33 @@ class Consumer:
     ):
         """Bulk poll without materializing :class:`ConsumerRecord` objects.
 
-        Returns a list of bare values — or, ``with_timestamps``, a
+        Returns the bare values — or, ``with_timestamps``, a
         ``(values, timestamps)`` pair where ``timestamps`` is a compact
-        ``array('d')`` slab aligned with ``values``.  ``max_records=None``
-        drains every assigned partition in one request.  Charges, retry
-        draws and position advancement are identical to :meth:`poll` for
-        the same fetched count: one request overhead per call plus the
-        per-record fetch cost.  This is the pump's ingest fast path — the
-        per-record object layer exists only for callers that need offsets
-        and keys.
+        ``array('d')`` slab aligned with ``values``.  The values are what
+        the partition's log read returned — a ``list``, or a
+        :class:`~repro.dataflow.kernels.SlabColumn` over an adopted value
+        column — when one partition supplied them all; records from
+        several partitions are joined into a fresh list.
+        ``max_records=None`` drains every assigned partition in one
+        request.  Charges, retry draws and position advancement are
+        identical to :meth:`poll` for the same fetched count: one request
+        overhead per call plus the per-record fetch cost.  This is the
+        pump's ingest fast path — the per-record object layer exists only
+        for callers that need offsets and keys.
         """
         self._ensure_open()
         if max_records is not None and max_records < 1:
             raise ValueError(f"max_records must be >= 1, got {max_records}")
         # Zero-copy is safe only for an uncapped single-partition drain
-        # from offset 0: the returned list is the log's live column, and
-        # nothing below may extend or reorder it.
+        # from offset 0: the returned values are the log's live column, and
+        # nothing below may extend or reorder them.
         zero_copy = (
             max_records is None
             and not with_timestamps
             and len(self._assignment) == 1
             and self._positions.get(self._assignment[0]) == 0
         )
-        values: list = []
+        parts = []
         timestamps = array("d") if with_timestamps else None
         budget = max_records
 
@@ -310,15 +315,16 @@ class Consumer:
                 self._positions[tp] += len(chunk)
                 if budget is not None:
                     budget -= len(chunk)
-                if values:
-                    values.extend(chunk)
-                else:
-                    values = chunk  # adopt the first partition's batch
+                parts.append(chunk)
                 if timestamps is not None:
                     if len(timestamps):
                         timestamps.extend(stamps)
                     else:
                         timestamps = stamps
+        # One partition's batch is handed out as read; several are joined
+        # into a fresh list (never into the first one, which may be the
+        # log's live column).
+        values = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
         costs = self.cluster.costs
         self.cluster.simulator.charge(
             costs.request_overhead + costs.fetch_per_record * len(values)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from array import array
 from typing import Any, Iterator, Sequence
 
+import numpy as _np
+
 from repro.broker.errors import OffsetOutOfRangeError, QueueFullError
 from repro.broker.records import ConsumerRecord, RecordSlice, TimestampType
 from repro.dataflow.kernels import SlabColumn
@@ -30,30 +32,36 @@ class PartitionLog:
     the column with a single C-level repeat of that double instead of
     unboxing one Python float per record.
 
-    **Slab adoption** (the columnar data plane's zero-copy ingest): when a
-    batch arrives as a keyless :class:`~repro.dataflow.kernels.SlabColumn`
-    window, the value column *becomes* a log-private window over the same
-    shared slab — contiguous follow-up batches just widen it, so ingesting
-    a million-record workload appends no per-record objects at all.  Every
-    other semantic is unchanged: timestamps are still stamped per batch
-    with the broker clock, idempotent-produce sequencing is untouched (the
-    sequence check runs before append, so a replayed batch never widens
-    the window), and any operation the window cannot serve — a keyed or
-    plain-list append, a non-contiguous window — first *degrades* the
-    column back to an ordinary list (materialising the records once) and
-    proceeds exactly as before.  While adopted, the key column stays empty
-    (adopted batches carry no keys); readers treat missing keys as
-    ``None``.
+    **Slab adoption** (the columnar data plane's zero-copy ingest and
+    emit): when a batch arrives as a keyless
+    :class:`~repro.dataflow.kernels.SlabColumn` — a window from the
+    sender, or a window or row selection a query emitted — the value
+    column *becomes* a log-private copy of it over the same shared slab.
+    A window contiguous with an adopted window widens it; a selection
+    over the slab of an adopted selection appends its rows (amortised
+    O(rows): the row buffer grows by doubling).  So ingesting a
+    million-record workload, or emitting its identity, sample, grep or
+    projection output, appends no per-record objects at all, and the log
+    never retains the caller's object.  Every other semantic is
+    unchanged: timestamps are still stamped per batch with the broker
+    clock, idempotent-produce sequencing is untouched (the sequence check
+    runs before append, so a replayed batch never widens the column), and
+    any operation the column cannot serve — a keyed or plain-list append,
+    a non-contiguous or foreign-slab window, a window after a selection —
+    first *degrades* the column back to an ordinary list (materialising
+    the records once) and proceeds exactly as before.  While adopted, the
+    key column stays empty (adopted batches carry no keys); readers treat
+    missing keys as ``None``.  Reads hand out columns over the same slab.
 
     **Bounded queues** (flow control): ``max_queue`` caps the number of
     *in-flight* records — appended but not yet acknowledged as consumed
     via :meth:`mark_consumed`.  An append that would exceed the bound
     raises the retryable :class:`QueueFullError` before touching any
     state; producers back off on simulated time and re-offer.  Bounded
-    logs additionally *trim* consumed records (both list storage and
-    adopted slab windows), so broker-resident memory stays O(bound) no
-    matter the offered load; ``start_offset`` then advances past the
-    trimmed prefix and reads below it raise
+    logs additionally *trim* consumed records (list storage and adopted
+    windows and selections alike), so broker-resident memory stays
+    O(bound) no matter the offered load; ``start_offset`` then advances
+    past the trimmed prefix and reads below it raise
     :class:`OffsetOutOfRangeError`, as in Kafka after retention kicks in.
     Unbounded logs (the default) never trim — the measurement path reads
     the full history, exactly as before.
@@ -149,7 +157,7 @@ class PartitionLog:
         values = self._values
         if type(values) is list:
             del values[:count]
-        else:  # adopted slab window: narrow it from the front, zero-copy
+        else:  # adopted column: narrow it from the front, zero-copy
             values.start += count
         del self._keys[: min(count, len(self._keys))]
         del self._timestamps[:count]
@@ -184,8 +192,10 @@ class PartitionLog:
 
         Only valid for ``LogAppendTime`` topics (batch appends share one
         broker arrival instant, as a Kafka produce request does).  The
-        sequences are copied into the log's column storage, never retained.
-        A rejected batch (key count mismatch, full queue) changes no column.
+        sequences are copied into the log's column storage, never retained
+        (a keyless :class:`~repro.dataflow.kernels.SlabColumn` is adopted
+        as a private copy of the column, not of its records).  A rejected
+        batch (key count mismatch, full queue) changes no column.
         """
         if self.timestamp_type is not TimestampType.LOG_APPEND_TIME:
             raise ValueError("append_batch requires LogAppendTime")
@@ -209,36 +219,69 @@ class PartitionLog:
         self._timestamps.extend(stamps)
         return first
 
-    def _adopt_column(self, view: SlabColumn) -> None:
-        """Take a slab window as (part of) the value column, zero-copy.
+    def _adopt_column(self, column: SlabColumn) -> None:
+        """Take a slab column as (part of) the value column, zero-copy.
 
-        A window contiguous with the current adopted column widens it in
-        place; a window arriving on an empty log becomes the column (a
-        log-private copy of the window object, so the producer's batch
-        views are never aliased).  Anything else materialises — except a
-        foreign-slab window hitting a log whose adopted column was trimmed
-        empty: that *re-adopts* (and releases the previous chunk's slab),
-        which is what keeps a chunk-streamed ingest of per-chunk slabs
+        A window contiguous with the current adopted window widens it in
+        place, and a selection over the current adopted selection's slab
+        appends its rows; a column arriving on an empty log becomes the
+        value column as a log-private copy, so the caller's object is
+        never aliased.  Anything else materialises — except a column
+        hitting a log whose adopted column was trimmed empty: that
+        *re-adopts* (and releases the previous chunk's slab), which is
+        what keeps a chunk-streamed ingest of per-chunk slabs
         resident-bounded at O(chunk) instead of materialising every chunk.
         """
         current = self._values
         if type(current) is SlabColumn:
-            if current.slab is view.slab and view.start == current.stop:
-                current.extend_to(view.stop)
-                return
+            if current.slab is column.slab:
+                if current.rows is None and column.rows is None:
+                    if column.start == current.stop:
+                        current.stop = column.stop
+                        return
+                elif current.rows is not None and column.rows is not None:
+                    self._append_rows(column)
+                    return
             if len(current) == 0:
                 # Trimmed empty: re-adopt without degrading — degrading
                 # would decode the *old* slab's full record list just to
                 # copy zero rows out of it.
-                self._values = SlabColumn(view.slab, view.start, view.stop)
+                self._values = self._private_copy(column)
                 return
             self._degrade()
             current = self._values
         if not current:
-            self._values = SlabColumn(view.slab, view.start, view.stop)
+            self._values = self._private_copy(column)
             return
-        current.extend(view)
-        self._keys.extend([None] * len(view))
+        current.extend(column)
+        self._keys.extend([None] * len(column))
+
+    @staticmethod
+    def _private_copy(column: SlabColumn) -> SlabColumn:
+        """A column of the log's own over the same slab and rows."""
+        if column.rows is None:
+            return SlabColumn(column.slab, column.start, column.stop)
+        return SlabColumn(column.slab, rows=column.rows[column.start : column.stop].copy())
+
+    def _append_rows(self, column: SlabColumn) -> None:
+        """Append a selection's rows to the adopted selection, in place.
+
+        The row buffer has spare capacity past ``stop`` and doubles when
+        it runs out, dropping the trimmed prefix as it moves.  Columns
+        handed out by reads share the old buffer but never read past
+        their own ``stop``, so writing beyond it changes none of them.
+        """
+        current = self._values
+        rows = column.rows[column.start : column.stop]
+        stop = current.stop + len(rows)
+        if stop > len(current.rows):
+            kept = current.rows[current.start : current.stop]
+            grown = _np.empty(max(2 * len(kept), len(kept) + len(rows)), _np.int64)
+            grown[: len(kept)] = kept
+            current.rows, current.start, current.stop = grown, 0, len(kept)
+            stop = len(kept) + len(rows)
+        current.rows[current.stop : stop] = rows
+        current.stop = stop
 
     def _degrade(self) -> None:
         """Convert an adopted column back to plain list storage."""
@@ -310,13 +353,16 @@ class PartitionLog:
 
     def read_values(
         self, offset: int, max_records: int | None = None, copy: bool = True
-    ) -> list[Any]:
+    ) -> Sequence[Any]:
         """Like :meth:`read` but returns bare values (fast path).
 
+        A slice of the value column: a ``list``, or, while the column is
+        an adopted :class:`~repro.dataflow.kernels.SlabColumn`, a column
+        over the same slab (no record is copied or decoded).
         ``copy=False`` is a zero-copy full read: for ``offset == 0`` with
         no record cap it returns the live value column itself instead of
-        a slice.  Callers requesting it must treat the list as immutable
-        (it *is* the log).  Handing out one stable list object also lets
+        a slice.  Callers requesting it must treat it as immutable (it
+        *is* the log).  Handing out one stable list object also lets
         downstream kernel slabs cache per list identity across runs.
         """
         if offset < self._base or offset > self.end_offset:

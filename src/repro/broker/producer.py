@@ -143,14 +143,16 @@ class Producer:
         into its own column storage on append; the caller's sequence is
         only read, never retained — so full-scale ingestion holds one copy
         of the workload, not two).  A columnar-plane
-        :class:`~repro.dataflow.kernels.SlabColumn` passes straight
-        through to :meth:`PartitionLog.append_batch`, which *adopts* the
-        window zero-copy instead of extending its value list; charging,
-        retries and idempotent sequencing are byte-for-byte the list
-        path's (a deduplicated replay never reaches the append, so it can
-        never widen an adopted column).  Only valid for ``LogAppendTime``
-        topics — a ``CreateTime`` topic raises :class:`TimestampTypeError`
-        (use :meth:`send`, which preserves producer timestamps, instead).
+        :class:`~repro.dataflow.kernels.SlabColumn` — the sender's window
+        of the workload, or the window or row selection a query emitted —
+        passes straight through to :meth:`PartitionLog.append_batch`,
+        which *adopts* it zero-copy instead of extending its value list;
+        charging, retries and idempotent sequencing are byte-for-byte the
+        list path's (a deduplicated replay never reaches the append, so it
+        can never widen an adopted column).  Only valid for
+        ``LogAppendTime`` topics — a ``CreateTime`` topic raises
+        :class:`TimestampTypeError` (use :meth:`send`, which preserves
+        producer timestamps, instead).
         """
         if self._closed:
             raise ProducerClosedError("producer is closed")

@@ -42,7 +42,7 @@ from typing import Any, Sequence
 
 from repro.dataflow import kernels as _kernels
 from repro.dataflow.functions import ComposedFunction
-from repro.dataflow.kernels import Kernel
+from repro.dataflow.kernels import Kernel, as_output
 
 
 class BatchSegment(Kernel):
@@ -79,20 +79,20 @@ class SegmentKernel(Kernel):
         self.segments = list(segments)
         self.supports_slab = self.segments[0].supports_slab
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         for segment in self.segments:
             values = segment(values)
             if not values:
                 break
-        return values if isinstance(values, list) else list(values)
+        return as_output(values)
 
-    def call_slab(self, slab, base: int, values: Sequence[Any]) -> list:
+    def call_slab(self, slab, base: int, values: Sequence[Any]) -> Sequence[Any]:
         values = self.segments[0].call_slab(slab, base, values)
         for segment in self.segments[1:]:
             if not values:
                 break
             values = segment(values)
-        return values if isinstance(values, list) else list(values)
+        return as_output(values)
 
     def flush(self) -> None:
         for segment in self.segments:

@@ -30,17 +30,21 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
 - ``column`` (projection): ``v.partition(sep)[0]`` per line — exact by
   construction for column 0 (``partition`` and ``split`` agree on the
   prefix before the first separator, including separator-free lines).
-- **workload slabs**: a run over a large immutable records list scans a
-  shared :class:`WorkloadSlab` — the list joined and encoded once, with a
-  line-start offset column — instead of re-joining every chunk.  Grep
-  becomes one vectorized scan per run emitting the *original* record
-  objects; projection becomes one fixed-width NumPy gather per run when
-  every line has the separator at the same verified offset.  Slabs cache
-  per list identity (the broker's column lists and the workload cache
-  both hand out one long-lived list), so the join/encode cost amortizes
-  across runs and matrix cells.  Kernel-side slab state lives only
-  between :meth:`Kernel.flush` calls — nothing computed from a slab
-  outlives the run that computed it.
+- **workload slabs**: the columnar plane's records live in a shared
+  :class:`WorkloadSlab` — one newline-joined ASCII buffer with a
+  line-start offset column — and travel as :class:`SlabColumn` windows
+  and row selections: the broker's reads, the pump's chunks and the
+  kernels' outputs are all columns over the slab, and the output log
+  adopts them.  Every chunk that is a window takes its kernel's slab
+  path, which reads only the window's own bytes: grep scans them and
+  returns its hits as a selection, sample returns its kept rows as a
+  selection drawn from the same mask, and projection returns a window of
+  a fixed-width column slab built by one NumPy gather per input slab,
+  when every line has the separator at the same verified offset.  No
+  record string is built on these paths.  A large records list is
+  wrapped once as a window over :func:`slab_for`'s slab (the list joined
+  and encoded once, cached per list identity), whose ``records`` is the
+  list itself, so selections still serve the original objects.
 - ``bernoulli`` (sample): a pre-drawn Bernoulli mask.  The seeded
   ``random.Random`` state is transplanted into a NumPy ``RandomState``
   (both are MT19937 with the same double recipe), the whole chunk's mask
@@ -73,7 +77,7 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   StreamBench queries as bulk column extraction plus one hoisted
   accumulation loop (statistics additionally uses NumPy's sequential
   accumulates, exact because every quantity is an integer-valued double).
-- **AOL slab paths**: on a pristine slab window, wordcount, statistics
+- **AOL slab paths**: on a slab window, wordcount, statistics
   and the AOL windowed count read the fields they need from the slab
   bytes.  One shared field locator (one tab scan and one
   ``searchsorted`` per chunk) gives every line's first tab offsets; a
@@ -182,6 +186,12 @@ def _build_slab(records: list) -> WorkloadSlab | None:
     return WorkloadSlab(records, text, data, arr, starts)
 
 
+def _line_end(slab: WorkloadSlab, row: int) -> int:
+    """The byte offset just past ``row``'s last byte (its newline excluded)."""
+    starts = slab.starts
+    return int(starts[row + 1]) - 1 if row + 1 < len(starts) else slab.size
+
+
 def slab_from_columns(data, starts) -> WorkloadSlab:
     """A slab over pre-built byte columns (the columnar plane's layout).
 
@@ -199,44 +209,46 @@ def slab_from_columns(data, starts) -> WorkloadSlab:
     return WorkloadSlab(None, None, data, arr, starts)
 
 
-def _window_slice(records: Sequence[Any], start: int, stop: int, index: slice) -> list:
-    """``list(records[start:stop])[index]``, without copying the window first.
+class SlabColumn(Sequence):
+    """Rows of one :class:`WorkloadSlab` as a read-only sequence of records.
 
-    ``range`` slicing resolves the slice to absolute rows.  A reversed
-    slice that runs through row 0 stops at -1, which a list slice would
-    read as the last row, so that stop becomes ``None``.
-    """
-    rows = range(start, stop)[index]
-    if not rows:
-        return []
-    end = rows.stop if rows.stop >= 0 else None
-    return records[rows.start : end : rows.step]
+    The columnar plane's stand-in for a ``list`` of record strings, in one
+    of two shapes over the shared slab:
 
+    - a **window** (``rows is None``): the contiguous rows
+      ``[start, stop)``;
+    - a **selection**: the rows ``rows[start:stop]`` of an ascending
+      ``int64`` row array — what grep and sample keep of a window.
 
-class SlabColumn:
-    """A record window over a column-built slab, materialising lazily.
+    A step-1 slice of either is the same shape over the same slab, so
+    the sender's batches, the broker's reads and the pump's chunks stay
+    columns, and a kernel's output column travels through the emit to
+    the output log, which adopts it (:class:`~repro.broker.log.PartitionLog`).
+    Slab-aware kernels read a window's bytes directly: rows
+    ``[start, stop)`` of ``slab``.
 
-    This is the columnar plane's stand-in for a ``list`` of record
-    strings: the workload hands one to the sender, the sender windows it
-    into batches (:meth:`view`), the broker adopts contiguous windows as
-    a partition's value column (:meth:`extend_to`), and the pump's slab
-    tier recognises it via :func:`slab_for` without any re-packing.
-    ``start``/``stop`` are absolute row bounds on the shared slab.
-
-    Decoding happens at most once per slab: any bulk access (iteration,
-    slicing) materialises the full decoded list into ``slab.records`` —
-    shared by every window as the one decoded workload list — while
-    single-record indexing decodes just that line until the shared list
-    exists.  Windows must be treated as immutable, the same repo-wide
-    contract cached record lists already carry.
+    It compares equal, by value, to a list or another column with equal
+    records, in either operand order; ``+`` with a list or a column gives
+    a list; it is unhashable, like a list.  Iteration, non-unit-step
+    slices and comparison decode the whole slab at most once, into
+    ``slab.records`` — the one decoded list every column over the slab
+    shares — while single-record indexing decodes just that line until
+    the shared list exists.  A column must be treated as immutable, the
+    contract cached record lists carry too; only the log grows its own
+    private copy.
     """
 
-    __slots__ = ("slab", "start", "stop")
+    __slots__ = ("slab", "start", "stop", "rows")
 
-    def __init__(self, slab: WorkloadSlab, start: int = 0, stop: int | None = None) -> None:
+    def __init__(
+        self, slab: WorkloadSlab, start: int = 0, stop: int | None = None, rows=None
+    ) -> None:
         self.slab = slab
         self.start = start
-        self.stop = len(slab.starts) if stop is None else stop
+        if stop is None:
+            stop = len(slab.starts) if rows is None else len(rows)
+        self.stop = stop
+        self.rows = rows
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -247,75 +259,74 @@ class SlabColumn:
             slab.records = slab.text.split("\n") if len(slab.starts) else []
         return slab.records
 
-    def _materialize(self) -> list:
-        lines = self._lines()
-        if self.start == 0 and self.stop == len(lines):
-            return lines
-        return lines[self.start : self.stop]
+    def _row_list(self) -> list:
+        """The absolute slab rows of a selection, as Python ints."""
+        return self.rows[self.start : self.stop].tolist()
 
     def __iter__(self):
-        return iter(self._materialize())
+        lines = self._lines()
+        if self.rows is not None:
+            return map(lines.__getitem__, self._row_list())
+        if self.start == 0 and self.stop == len(lines):
+            return iter(lines)
+        return iter(lines[self.start : self.stop])
+
+    def __reversed__(self):
+        lines = self._lines()
+        if self.rows is not None:
+            return map(lines.__getitem__, reversed(self._row_list()))
+        return reversed(lines[self.start : self.stop])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return _window_slice(self._lines(), self.start, self.stop, index)
+            span = range(self.start, self.stop)[index]
+            if span.step == 1:
+                stop = max(span.start, span.stop)
+                return SlabColumn(self.slab, span.start, stop, self.rows)
+            if not span:
+                return []
+            lines = self._lines()
+            if self.rows is not None:
+                return [lines[row] for row in self._row_list()[index]]
+            # A reversed slice through row 0 stops at -1, which a list
+            # slice would read as the last row.
+            return lines[span.start : span.stop if span.stop >= 0 else None : span.step]
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError("slab column index out of range")
-        return self._record(self.start + index)
+        row = self.start + index
+        return self._record(row if self.rows is None else int(self.rows[row]))
 
     def _record(self, row: int) -> str:
         slab = self.slab
         if slab.records is not None:
             return slab.records[row]
-        starts = slab.starts
-        begin = int(starts[row])
-        end = int(starts[row + 1]) - 1 if row + 1 < len(starts) else slab.size
-        return str(slab.data[begin:end], "ascii")
+        return str(slab.data[int(slab.starts[row]) : _line_end(slab, row)], "ascii")
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, SlabColumn)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __add__(self, other):
+        if not isinstance(other, (list, SlabColumn)):
+            return NotImplemented
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return other + list(self)
 
     def view(self, start: int, stop: int) -> "SlabColumn":
-        """A sub-window at absolute rows ``[start, stop)`` of the slab."""
+        """A window at absolute rows ``[start, stop)`` of the slab."""
         return SlabColumn(self.slab, start, stop)
 
-    def extend_to(self, stop: int) -> None:
-        """Grow the window in place (broker adoption of a contiguous batch)."""
-        self.stop = stop
 
-
-class ChunkView:
-    """A zero-copy window over a slab's records list (one pump chunk).
-
-    Stands in for ``records[start:stop]`` on the slab path, so the pump
-    does not copy every record reference into per-chunk lists just to
-    tell slab-aware kernels a length and an offset.  Implements the
-    small sequence surface kernels touch: ``len``, truthiness,
-    iteration, and indexing (hit extraction).  Iteration and slicing
-    materialize a plain list slice — the rare fallback paths pay the
-    copy the common path avoids.
-    """
-
-    __slots__ = ("_records", "_start", "_stop")
-
-    def __init__(self, records: Sequence[Any], start: int, stop: int) -> None:
-        self._records = records
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __iter__(self):
-        return iter(self._records[self._start : self._stop])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _window_slice(self._records, self._start, self._stop, index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("chunk view index out of range")
-        return self._records[self._start + index]
+def as_output(values: Sequence[Any]) -> Sequence[Any]:
+    """``values`` as a kernel output: a ``list`` or a :class:`SlabColumn`."""
+    return values if isinstance(values, (list, SlabColumn)) else list(values)
 
 
 class RecordColumn(Sequence):
@@ -354,16 +365,8 @@ def slab_for(records: Any) -> WorkloadSlab | None:
     Only plain lists of at least :data:`SLAB_MIN_RECORDS` records qualify.
     Callers must treat cached lists as immutable (the repo-wide contract
     for workload and broker column lists); in-place element replacement is
-    not detectable.
-
-    A :class:`SlabColumn` carries its slab with it: a slab-origin window
-    (the broker's adopted value column) is recognised directly — no cache
-    lookup, no build — when it spans the slab from row 0, which is the
-    shape the pump's pristine-chunk tracking requires (chunk row ``base``
-    equals slab row).
+    not detectable.  The slab's ``records`` is the list itself.
     """
-    if type(records) is SlabColumn:
-        return records.slab if records.start == 0 else None
     if type(records) is not list or len(records) < SLAB_MIN_RECORDS:
         return None
     key = id(records)
@@ -518,28 +521,33 @@ class KernelSpec:
 
 
 class Kernel:
-    """A compiled chunk-at-a-time operator: ``list -> list``."""
+    """A compiled chunk-at-a-time operator: a sequence in, a sequence out.
+
+    The output is a ``list`` or a :class:`SlabColumn` over the input's
+    slab (or, for projection, over the kernel's column slab).
+    """
 
     #: Whether :meth:`call_slab` beats :meth:`__call__` for this kernel.
-    #: The pump uses the slab path only for chunks that are untransformed
-    #: slices of the slab's records list.
+    #: The pump takes the slab path for every chunk that is a
+    #: :class:`SlabColumn` window, and wraps a large list input as one.
     supports_slab: bool = False
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         raise NotImplementedError
 
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
-    ) -> list:
-        """Process ``values`` == ``slab.records[base:base + len(values)]``."""
+    ) -> Sequence[Any]:
+        """Process ``values``, which are rows ``[base, base + len(values))``
+        of ``slab``."""
         return self(values)
 
     def flush(self) -> None:
-        """Return adopted state (RNG, slab run caches) to its owner.
+        """Return adopted state (RNG) to its owner.
 
         Idempotent.  The pump flushes at end of run (and after every
-        chunk on the recovery path), so per-run slab scans never outlive
-        the run and external observers always see true RNG state.
+        chunk on the recovery path), so external observers always see
+        true RNG state.
         """
 
     def describe(self) -> str:
@@ -549,15 +557,14 @@ class Kernel:
 class IdentityKernel(Kernel):
     """Zero-copy passthrough (the pump's chunks are private slices).
 
-    :class:`ChunkView` chunks also pass through unchanged, so a leading
-    identity stage does not break a downstream kernel's slab path (the
-    pump tracks slab eligibility by object identity); so do
-    :class:`RecordColumn` chunks, which a downstream ``record_kv`` kernel
-    reads without building their records.
+    :class:`SlabColumn` chunks also pass through unchanged, so a window
+    keeps a downstream kernel's slab path and reaches the output log as
+    a column; so do :class:`RecordColumn` chunks, which a downstream
+    ``record_kv`` kernel reads without building their records.
     """
 
-    def __call__(self, values: Sequence[Any]) -> list:
-        if isinstance(values, (list, ChunkView, RecordColumn)):
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
+        if isinstance(values, (list, SlabColumn, RecordColumn)):
             return values
         return list(values)
 
@@ -591,9 +598,10 @@ class GrepKernel(Kernel):
     The first two needle bytes are compared as aligned little-endian
     ``uint16`` lanes at both phases (covering every byte offset); the
     remaining needle bytes are checked by sparse gathers at the candidate
-    positions only.  With a slab, the whole records list is scanned once
-    per run and matches are served per chunk as the *original* record
-    objects.
+    positions only.  On a slab window only the window's own bytes are
+    scanned, and the hits come back as a :class:`SlabColumn` selection of
+    the slab: no string is built, and a list-built slab still serves the
+    *original* record objects.
     """
 
     def __init__(self, needle: str) -> None:
@@ -605,11 +613,10 @@ class GrepKernel(Kernel):
             self._tail = _np.frombuffer(encoded[2:], _np.uint8)
             self._u2 = _np.dtype("<u2")
         self.supports_slab = self._bulk
-        self._slab: WorkloadSlab | None = None
-        self._indices = None  # sorted matching line indices of the slab
 
-    def _scan(self, data: bytes, size: int):
-        """Sorted byte positions of every needle occurrence in ``data``."""
+    def _scan(self, data, size: int):
+        """Sorted byte positions of every needle occurrence in ``data``
+        (a ``bytes``-like buffer or a ``uint8`` array)."""
         word = self._word
         candidates = []
         for phase in range(2):
@@ -672,26 +679,19 @@ class GrepKernel(Kernel):
 
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
-    ) -> list:
-        if self._slab is not slab:
-            # One scan per run; flush() drops it before anything outside
-            # the run can observe the slab again.
-            self._slab = slab
-            positions = self._scan(slab.data, slab.size)
-            if positions is None:
-                self._indices = _np.empty(0, _np.int64)
-            else:
-                self._indices = _np.unique(
-                    slab.starts.searchsorted(positions, "right") - 1
-                )
-        indices = self._indices
-        lo = int(indices.searchsorted(base))
-        hi = int(indices.searchsorted(base + len(values)))
-        return [values[i - base] for i in indices[lo:hi].tolist()]
-
-    def flush(self) -> None:
-        self._slab = None
-        self._indices = None
+    ) -> SlabColumn:
+        starts = slab.starts[base : base + len(values)]
+        rows = _np.empty(0, _np.int64)
+        if len(starts):
+            begin = int(starts[0])
+            end = _line_end(slab, base + len(starts) - 1)
+            positions = self._scan(slab.arr[begin:end], end - begin)
+            if positions is not None:
+                # A hit lies inside one line; several hits in one line
+                # keep it once.
+                rows = _np.unique(starts.searchsorted(positions + begin, "right") - 1)
+                rows += base
+        return SlabColumn(slab, rows=rows)
 
     def describe(self) -> str:
         return f"grep[u2-scan {self.needle!r}]" if self._bulk else (
@@ -708,7 +708,11 @@ class SampleKernel(Kernel):
     between :meth:`flush` calls; the pump flushes at end of run (and after
     every chunk on the recovery path) so that any outside observer of the
     Python ``rng`` — checkpoints, subsequent runs — sees the true state.
+    On a slab window the kept rows come back as a :class:`SlabColumn`
+    selection, drawn from the same mask, without building a string.
     """
+
+    supports_slab = True
 
     def __init__(self, fraction: float, rng: random.Random) -> None:
         self.fraction = fraction
@@ -727,10 +731,22 @@ class SampleKernel(Kernel):
         mask = self._mask(len(values))
         if mask is None:  # unknown state version: stay per-record
             return self(values)
-        return list(compress(values, mask))
+        return list(compress(values, mask.tolist()))
 
-    def _mask(self, count: int) -> list | None:
-        """The next ``count`` Bernoulli draws as a list of bools.
+    def call_slab(
+        self, slab: WorkloadSlab, base: int, values: Sequence[Any]
+    ) -> Sequence[Any]:
+        if not values:
+            return []
+        mask = self._mask(len(values))
+        if mask is None:
+            return self(values)
+        rows = _np.flatnonzero(mask)
+        rows += base
+        return SlabColumn(slab, rows=rows)
+
+    def _mask(self, count: int):
+        """The next ``count`` Bernoulli draws as a boolean array.
 
         Adopts the Python RNG state into NumPy on first use; an unknown
         state version returns ``None`` and demotes the kernel to the
@@ -749,7 +765,7 @@ class SampleKernel(Kernel):
             )
             self._state = state
             self._gauss = py_state[2]
-        return (state.random_sample(count) < self.fraction).tolist()
+        return state.random_sample(count) < self.fraction
 
     def flush(self) -> None:
         state = self._state
@@ -773,10 +789,14 @@ class ColumnKernel(Kernel):
     separator, including separator-free lines).  With a slab, the column
     width is learned from the first line and *proved* uniform for every
     line vectorized (separator at the learned offset, none earlier, line
-    long enough); the whole column then materializes as one fixed-width
-    NumPy gather + ``tolist`` per run.  Any failed proof falls back to the
-    per-chunk path, and non-str values fall through to the reference
-    ``v.split(sep)[index]`` semantics.
+    long enough); the whole column then becomes one fixed-width NumPy
+    gather, kept as a slab of its own, and each window's output is the
+    matching window of that column slab.  The column is built once per
+    input slab and kept until the kernel sees another slab, so
+    consecutive windows come out contiguous (the output log widens one
+    adopted window) and per-chunk flushes never project twice.  Any
+    failed proof falls back to the per-chunk path, and non-str values
+    fall through to the reference ``v.split(sep)[index]`` semantics.
     """
 
     def __init__(self, index: int, sep: str) -> None:
@@ -785,7 +805,7 @@ class ColumnKernel(Kernel):
         self._fast = index == 0 and isinstance(sep, str) and len(sep) == 1
         self.supports_slab = self._fast and ord(sep) < 128
         self._slab: WorkloadSlab | None = None
-        self._column: list | None = None
+        self._column: SlabColumn | None = None
 
     def __call__(self, values: Sequence[Any]) -> list:
         sep = self.sep
@@ -798,17 +818,18 @@ class ColumnKernel(Kernel):
 
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
-    ) -> list:
+    ) -> Sequence[Any]:
         if self._slab is not slab:
             self._slab = slab
             self._column = self._project_slab(slab)
         column = self._column
-        if column is None:  # non-uniform width: per-chunk path for this run
+        if column is None:  # non-uniform width: per-chunk path for this slab
             return self(values)
         return column[base : base + len(values)]
 
-    def _project_slab(self, slab: WorkloadSlab) -> list | None:
-        """The full column, or ``None`` when uniform width cannot be proved."""
+    def _project_slab(self, slab: WorkloadSlab) -> SlabColumn | None:
+        """The full column as a window over its own slab, or ``None`` when
+        uniform width cannot be proved."""
         starts = slab.starts
         n = len(starts)
         size = slab.size
@@ -835,23 +856,16 @@ class ColumnKernel(Kernel):
         gathered = slab.arr[s_idx[:, None] + _np.arange(width + 1, dtype=idx_dtype)]
         if not bool((gathered[:, width] == sep_byte).all()):
             return None
-        if width == 0:
-            return [""] * n
         if bool((gathered[:, :width] == sep_byte).any()):
             return None
-        # Materialize the column strings in one C pass: overwrite the
-        # separator column with newlines, decode, split.  A prefix can
-        # never contain a newline (the slab has exactly one per boundary),
-        # so the split is exact; the final piece after the last newline is
-        # the empty trailer, popped off.
+        # Overwrite the separator column with newlines: the gathered rows
+        # are then the column slab's bytes, one line per input line, and
+        # the final newline is the only byte left out.  A prefix can never
+        # contain a newline (the slab has exactly one per boundary).
         gathered[:, width] = _NL
-        column = gathered.tobytes().decode("ascii").split("\n")
-        column.pop()
-        return column
-
-    def flush(self) -> None:
-        self._slab = None
-        self._column = None
+        data = memoryview(gathered.reshape(-1))[:-1]
+        starts = _np.arange(0, n * (width + 1), width + 1, dtype=_np.int64)
+        return SlabColumn(slab_from_columns(data, starts))
 
     def describe(self) -> str:
         return f"column[{self.index} sep={self.sep!r}]"
@@ -878,12 +892,12 @@ class ChainKernel(Kernel):
     def __init__(self, ops: list) -> None:
         self.ops = ops
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         for op in self.ops:
             values = op(values)
             if not values:
-                return values if isinstance(values, list) else list(values)
-        return values if isinstance(values, list) else list(values)
+                break
+        return as_output(values)
 
     def flush(self) -> None:
         for op in self.ops:
@@ -952,9 +966,8 @@ def _line_tabs(slab: WorkloadSlab, base: int, n: int, count: int):
     in each of the ``count`` arrays of ``tabs`` an offset ``>= ends``
     means the line has fewer tabs.
     """
-    starts = slab.starts
-    begins = starts[base : base + n]
-    stop = int(starts[base + n]) - 1 if base + n < len(starts) else slab.size
+    begins = slab.starts[base : base + n]
+    stop = _line_end(slab, base + n - 1)
     ends = _np.empty(n, _np.int64)
     ends[:-1] = begins[1:] - 1
     ends[-1] = stop
@@ -1000,8 +1013,8 @@ class WordCountKernel(StatefulKernel):
     extracts the query column of the whole chunk, splits all columns as
     one newline-joined text — newline is whitespace, so per-line word
     order is preserved — and updates ``owner.counts`` in one hoisted loop
-    emitting the identical ``(word, count)`` stream.  On a pristine slab
-    window the columns never exist as strings: the field locator gives
+    emitting the identical ``(word, count)`` stream.  On a slab window
+    the columns never exist as strings: the field locator gives
     every query span and one gather decodes them all.
 
     A malformed record stops the extraction; the columns extracted before
@@ -1071,7 +1084,7 @@ class StatisticsKernel(StatefulKernel):
     The chunk's query lengths are parsed first and folded second.  A
     malformed record stops the parse; the lengths parsed before it are
     folded and its error re-raised, which leaves the owner exactly where
-    the reference loop leaves it.  On a pristine slab window the lengths
+    the reference loop leaves it.  On a slab window the lengths
     are the field locator's query spans, and no string is built.
     """
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.broker import BrokerCluster
 from repro.dataflow.functions import (
@@ -94,7 +94,7 @@ class KafkaSinglePortOutputOperator(Operator):
         self.topic = topic
         self.input = InputPort(self, "inputPort")
 
-    def write(self, values: list[Any]) -> None:
+    def write(self, values: Sequence[Any]) -> None:
         """Send one chunk to the topic."""
         self.writer.write_chunk(values)
 
@@ -115,7 +115,7 @@ class CollectOutputOperator(Operator):
         """Everything collected so far."""
         return self.writer.values
 
-    def write(self, values: list[Any]) -> None:
+    def write(self, values: Sequence[Any]) -> None:
         """Append one chunk."""
         self.writer.write_chunk(values)
 

@@ -9,7 +9,7 @@ identical across engines, as they are in reality.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.broker import BrokerCluster, Consumer, Producer, TopicPartition
 
@@ -31,7 +31,7 @@ class BoundedKafkaReader:
             f"broker/retry/reader-{cluster.register_client()}"
         )
 
-    def read_values(self) -> list[Any]:
+    def read_values(self) -> Sequence[Any]:
         """Fetch all record values currently in the topic (fast path).
 
         Delegates to :meth:`Consumer.poll_values` — one unbounded bulk
@@ -64,8 +64,12 @@ class KafkaWriter:
         self.producer = Producer(cluster, acks=acks, batch_size=100_000)
         self.records_written = 0
 
-    def write_chunk(self, values: list[Any]) -> None:
-        """Send one chunk of values and flush it to the log."""
+    def write_chunk(self, values: Sequence[Any]) -> None:
+        """Send one chunk of values and flush it to the log.
+
+        A :class:`~repro.dataflow.kernels.SlabColumn` chunk reaches the
+        log as a column, which adopts it without decoding a record.
+        """
         self.producer.send_values(self.topic, values)
         self.records_written += len(values)
 
@@ -80,7 +84,7 @@ class CollectingWriter:
     def __init__(self) -> None:
         self.values: list[Any] = []
 
-    def write_chunk(self, values: list[Any]) -> None:
+    def write_chunk(self, values: Sequence[Any]) -> None:
         """Append one chunk of values."""
         self.values.extend(values)
 

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.dataflow.kernels import SlabColumn, as_output, slab_for
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance
 from repro.engines.common.progress import LagTracker
@@ -86,7 +87,7 @@ class StreamPump:
         stages: Sequence[PhysicalStage],
         variance: RunVariance,
         rng: random.Random,
-        emit: Callable[[list[Any]], None] | None = None,
+        emit: Callable[[Sequence[Any]], None] | None = None,
         chunk_size: int | None = None,
         micro_batch_records: int | None = None,
         per_batch_overhead: float = 0.0,
@@ -156,9 +157,7 @@ class StreamPump:
         injected = total == 0
         processed = 0
 
-        slab = self._workload_slab(records)
-        if slab is not None:
-            from repro.dataflow.kernels import ChunkView
+        records = self._slab_input(records)
         try:
             for batch in self._batches(records):
                 if self.micro_batch_records is not None and batch:
@@ -166,22 +165,13 @@ class StreamPump:
                     base_duration += overhead
                     self.simulator.charge(overhead * factor)
                 for start in range(0, len(batch), chunk_size):
-                    if slab is None:
-                        chunk = batch[start : start + chunk_size]
-                    else:
-                        # Slab path: hand kernels a zero-copy window — the
-                        # slab already owns the record references.
-                        chunk = ChunkView(
-                            batch, start, min(start + chunk_size, len(batch))
-                        )
+                    # A slice of a SlabColumn is a window: no copy, and
+                    # slab-aware kernels read its bytes.
+                    chunk = batch[start : start + chunk_size]
                     # _run_stages directly (not _process_chunk): within one
                     # run, kernel state flushes once at the end, not per
                     # chunk — nothing observes the adopted RNG mid-run.
-                    # ``processed`` is the chunk's offset into ``records``,
-                    # which slab-aware kernels need to serve per-run scans.
-                    chunk_cost, outputs = self._run_stages(
-                        chunk, metrics, 0, slab, processed
-                    )
+                    chunk_cost, outputs = self._run_stages(chunk, metrics, 0)
                     base_duration += chunk_cost
                     self.simulator.charge(chunk_cost * factor)
                     processed += len(chunk)
@@ -290,7 +280,7 @@ class StreamPump:
 
     def _process_chunk(
         self, chunk: Sequence[Any], metrics: JobMetrics
-    ) -> tuple[float, list[Any]]:
+    ) -> tuple[float, Sequence[Any]]:
         """Run one chunk through every stage; return (cost, sink records).
 
         Unlike :meth:`run`'s inner loop this flushes adopted kernel state
@@ -310,62 +300,58 @@ class StreamPump:
             if kernel is not None:
                 kernel.flush()
 
-    def _workload_slab(self, records: Sequence[Any]):
-        """The shared slab for this run's records, if any kernel wants one.
+    def _slab_input(self, records: Sequence[Any]) -> Sequence[Any]:
+        """``records``, as a window over a slab when that pays.
 
-        Only consulted on the kernel tier.  The slab build amortizes
-        across runs (and matrix cells) because broker column lists and
-        the workload cache hand the pump the same list object each time.
-        On the columnar data plane no build happens at all: the broker's
-        zero-copy read hands the pump an adopted
-        :class:`~repro.dataflow.kernels.SlabColumn`, which *carries* its
-        slab — the generated byte columns flow into the kernels without a
-        single record object or re-pack in between.
+        A large records list becomes one
+        :class:`~repro.dataflow.kernels.SlabColumn` over
+        :func:`~repro.dataflow.kernels.slab_for`'s slab when a kernel of
+        this pump has a slab path; the slab's records are the list
+        itself.  The build amortizes across runs (and matrix cells)
+        because the workload cache hands the pump the same list object
+        each time.  Anything else — a column from the broker, a small or
+        ineligible list, the reference tier — passes through.
         """
-        if not self.vectorized:
-            return None
+        if not self.vectorized or type(records) is not list:
+            return records
         for stage in self.stages:
             if stage.kind is StageKind.OPERATOR:
                 kernel = stage.compiled_kernel()
                 if kernel is not None and kernel.supports_slab:
-                    from repro.dataflow.kernels import slab_for
-
-                    return slab_for(records)
-        return None
+                    slab = slab_for(records)
+                    return records if slab is None else SlabColumn(slab)
+        return records
 
     def _run_stages(
-        self,
-        values: Sequence[Any],
-        metrics: JobMetrics,
-        start: int,
-        slab=None,
-        base: int = 0,
-    ) -> tuple[float, list[Any]]:
+        self, values: Sequence[Any], metrics: JobMetrics, start: int
+    ) -> tuple[float, Sequence[Any]]:
+        """Run ``values`` through the stages from ``start``.
+
+        Returns the cost and the sink-bound records: a ``list`` or a
+        :class:`~repro.dataflow.kernels.SlabColumn`.  A slab-aware kernel
+        handed a window takes its slab path over the window's rows.
+        """
         vectorized = self.vectorized
         cost = 0.0
-        # ``values`` is an untransformed slice of the slab's records list
-        # until the first stage that returns a different list; slab-aware
-        # kernels may use the precomputed slab only while that holds.
-        pristine = slab is not None
         for stage in self.stages[start:]:
             n_in = len(values)
             if stage.kind is StageKind.OPERATOR:
                 assert stage.function is not None
                 kernel = stage.compiled_kernel() if vectorized else None
                 if kernel is not None:
-                    if pristine and kernel.supports_slab:
-                        outputs = kernel.call_slab(slab, base, values)
+                    if (
+                        kernel.supports_slab
+                        and type(values) is SlabColumn
+                        and values.rows is None
+                    ):
+                        values = kernel.call_slab(values.slab, values.start, values)
                     else:
-                        outputs = kernel(values)
-                    pristine = pristine and outputs is values
-                    values = outputs
+                        values = kernel(values)
                 elif vectorized:
-                    pristine = False
                     values = stage.function.process_batch(values)
                 else:
                     # Reference per-record loop: kept for the equivalence
                     # suite and the perf baseline, not used in production.
-                    pristine = False
                     next_values: list[Any] = []
                     extend = next_values.extend
                     process = stage.function.process
@@ -383,4 +369,4 @@ class StreamPump:
             metrics.operator(stage.name).record(n_in, n_out, stage_cost)
             if not values:
                 break
-        return cost, values if isinstance(values, list) else list(values)
+        return cost, as_output(values)

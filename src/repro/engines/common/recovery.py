@@ -157,7 +157,7 @@ class RecoveringPump:
         simulator: Simulator,
         stages: Sequence[PhysicalStage],
         rng: random.Random,
-        emit: Callable[[list[Any]], None] | None = None,
+        emit: Callable[[Sequence[Any]], None] | None = None,
         checkpoint_interval_records: int = 10_000,
         exactly_once: bool = True,
         failure: FailureInjector | None = None,
@@ -218,7 +218,7 @@ class RecoveringPump:
             if pending_failures and position <= pending_failures[0] < end:
                 # process up to the failure point, then lose the epoch
                 fail_at = pending_failures.pop(0)
-                doomed = list(records[position:fail_at])
+                doomed = records[position:fail_at]
                 cost, outputs = self._process(doomed, metrics)
                 base_duration += cost
                 self.simulator.charge(cost * factor)
@@ -244,7 +244,7 @@ class RecoveringPump:
                     )
                 continue
 
-            chunk = list(records[position:end])
+            chunk = records[position:end]
             cost, outputs = self._process(chunk, metrics)
             base_duration += cost
             self.simulator.charge(cost * factor)
@@ -307,7 +307,9 @@ class RecoveringPump:
         )
 
     # ------------------------------------------------------------------
-    def _process(self, chunk: list[Any], metrics: JobMetrics) -> tuple[float, list[Any]]:
+    def _process(
+        self, chunk: Sequence[Any], metrics: JobMetrics
+    ) -> tuple[float, Sequence[Any]]:
         pump = StreamPump(
             simulator=self.simulator,
             stages=self.stages,
@@ -319,6 +321,6 @@ class RecoveringPump:
         # _process_chunk only computes; charging happens here.
         return pump._process_chunk(chunk, metrics)
 
-    def _emit(self, outputs: list[Any]) -> None:
+    def _emit(self, outputs: Sequence[Any]) -> None:
         if self.emit is not None:
             self.emit(outputs)

@@ -50,7 +50,7 @@ class SinkFunction:
     #: Label shown in execution plans (Figure 12: "Sink: Unnamed").
     plan_label = "Unnamed"
 
-    def write(self, values: list[Any]) -> None:
+    def write(self, values: Sequence[Any]) -> None:
         """Consume one chunk of records."""
         raise NotImplementedError
 
@@ -65,7 +65,7 @@ class KafkaSink(SinkFunction):
         self.writer = KafkaWriter(cluster, topic)
         self.topic = topic
 
-    def write(self, values: list[Any]) -> None:
+    def write(self, values: Sequence[Any]) -> None:
         """Send one chunk to the output topic."""
         self.writer.write_chunk(values)
 
@@ -87,6 +87,6 @@ class CollectSink(SinkFunction):
         """Everything written so far."""
         return self.writer.values
 
-    def write(self, values: list[Any]) -> None:
+    def write(self, values: Sequence[Any]) -> None:
         """Append one chunk."""
         self.writer.write_chunk(values)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.broker import BrokerCluster
 from repro.dataflow.functions import StreamFunction, compose
@@ -348,7 +348,7 @@ class StreamingContext:
         return stages, plan
 
     def _make_sink(self, stages: list[PhysicalStage]) -> tuple[
-        Callable[[list[Any]], None], Callable[[], None] | None, Callable[[], None]
+        Callable[[Sequence[Any]], None], Callable[[], None] | None, Callable[[], None]
     ]:
         spec = self._sink_spec
         if isinstance(spec, _KafkaSinkSpec):
@@ -359,7 +359,7 @@ class StreamingContext:
         if isinstance(spec, _ForeachRddSinkSpec):
             buffer: list[Any] = []
 
-            def emit(values: list[Any]) -> None:
+            def emit(values: Sequence[Any]) -> None:
                 buffer.extend(values)
 
             def on_batch_end() -> None:

@@ -597,5 +597,4 @@ class ColumnarWorkload:
     @property
     def records(self) -> list[str]:
         """The materialised record list (lazy; shared with the slab)."""
-        column = self.column()
-        return column._materialize()
+        return self.column()._lines()

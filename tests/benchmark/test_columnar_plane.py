@@ -14,6 +14,7 @@ and the DoFn adapter's no-copy return path.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.beam.transforms.core import DoFn
@@ -193,6 +194,40 @@ class TestLogAdoption:
     def test_empty_column_batch_is_noop(self, column, log):
         log.append_batch(column.view(0, 0))
         assert len(log) == 0
+
+    def test_adopts_selection_as_private_copy(self, column, log):
+        selection = SlabColumn(column.slab, rows=np.array([3, 5, 8, 40], np.int64))
+        log.append_batch(selection)
+        assert type(log._values) is SlabColumn
+        assert log._values is not selection
+        assert not np.shares_memory(log._values.rows, selection.rows)
+        assert log.read_values(0) == [column[3], column[5], column[8], column[40]]
+
+    def test_selections_over_one_slab_append_rows(self, column, log):
+        rows = list(range(0, 3_000, 7))
+        for lo in range(0, len(rows), 50):
+            log.append_batch(
+                SlabColumn(column.slab, rows=np.array(rows[lo : lo + 50], np.int64))
+            )
+        assert type(log._values) is SlabColumn
+        assert log.read_values(0) == [column[row] for row in rows]
+        assert [r.offset for r in log.read(400, 3)] == [400, 401, 402]
+
+    def test_window_after_selection_degrades(self, column, log):
+        log.append_batch(SlabColumn(column.slab, rows=np.array([1, 2], np.int64)))
+        log.append_batch(column.view(10, 12))
+        assert type(log._values) is list
+        assert log.read_values(0) == column[1:3] + column[10:12]
+
+    def test_bounded_log_trims_selection(self, column):
+        log = PartitionLog("t", 0, SimClock(), max_queue=100)
+        log.append_batch(SlabColumn(column.slab, rows=np.arange(0, 120, 2)))
+        log.mark_consumed(50)
+        assert type(log._values) is SlabColumn
+        assert log.start_offset == 50 and len(log) == 10
+        log.append_batch(SlabColumn(column.slab, rows=np.arange(200, 260, 2)))
+        expected = [column[row] for row in [*range(100, 120, 2), *range(200, 260, 2)]]
+        assert log.read_values(50) == expected
 
 
 class TestSenderColumnBatching:

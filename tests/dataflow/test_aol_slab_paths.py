@@ -2,7 +2,7 @@
 
 Each property builds a slab with ``slab_from_columns`` from random lines,
 cuts it at random chunk boundaries and feeds every chunk to the kernel's
-``call_slab`` the way the pump does: as a ``ChunkView`` window over the
+``call_slab`` the way the pump does: as a window (a slice) of the
 slab's ``SlabColumn``.  The lines are AOL-shaped, with ``QueryTime``
 digits 00–99, empty queries and leading or double spaces, and are mixed
 with malformed lines: no tab or one tab, a time field of 0–18 bytes, a
@@ -24,7 +24,6 @@ from repro.beam.window import FixedWindows, SlidingWindows
 from repro.benchmark.queries import get_query
 from repro.dataflow.compiler import lower_stage
 from repro.dataflow.kernels import (
-    ChunkView,
     SlabColumn,
     WindowedAggregateKernel,
     slab_from_columns,
@@ -105,7 +104,7 @@ def _run_slab(function, lines, bounds):
     out: list = []
     try:
         for lo, hi in zip(bounds, bounds[1:]):
-            out.extend(kernel.call_slab(slab, lo, ChunkView(column, lo, hi)))
+            out.extend(kernel.call_slab(slab, lo, column[lo:hi]))
     except Exception as err:  # noqa: BLE001 - compared with the reference's
         return out, (type(err), str(err))
     return out, None
@@ -188,7 +187,7 @@ def test_windowed_slab_path_parses_clean_aol_chunks():
     column = SlabColumn(slab)
     for lo in range(0, len(lines), 700):
         hi = min(lo + 700, len(lines))
-        kernel.call_slab(slab, lo, ChunkView(column, lo, hi))
+        kernel.call_slab(slab, lo, column[lo:hi])
     reference = get_query("windowed").make_function(random.Random(0))
     _run_reference(reference, lines)
     assert list(function.panes.items()) == list(reference.panes.items())

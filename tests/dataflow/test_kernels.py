@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.dataflow.kernels as kernels
 from repro.dataflow.compiler import lower_stage
@@ -22,7 +24,6 @@ from repro.dataflow.functions import (
 )
 from repro.dataflow.kernels import (
     ChainKernel,
-    ChunkView,
     ColumnKernel,
     FusedKernel,
     GrepKernel,
@@ -211,8 +212,12 @@ class TestColumnSlabProjection:
         assert kernel.call_slab(slab, 0, values[0:64]) == expected[0:64]
         assert kernel.call_slab(slab, 64, values[64:128]) == expected[64:128]
         assert kernel.call_slab(slab, 128, values[128:200]) == expected[128:200]
+        column = kernel._column
         kernel.flush()
-        assert kernel._slab is None and kernel._column is None
+        # One projection per slab: a flush keeps it, so per-chunk
+        # flushes over windows of one slab never project twice.
+        assert kernel.call_slab(slab, 64, values[64:128]) == expected[64:128]
+        assert kernel._column is column
 
     def test_call_slab_nonuniform_falls_back_per_chunk(self):
         values = [f"{'x' * (5 + i % 3)}\trest{i}" for i in range(120)]
@@ -282,29 +287,12 @@ class TestIdentityKernel:
         values = [1, 2, 3]
         assert IdentityKernel()(values) is values
 
-    def test_chunk_view_passes_through(self):
-        view = ChunkView([1, 2, 3, 4], 1, 3)
-        assert IdentityKernel()(view) is view
+    def test_slab_column_passes_through(self):
+        window = _slab_column(1, 3)
+        assert IdentityKernel()(window) is window
 
     def test_other_sequences_materialize(self):
         assert IdentityKernel()((1, 2)) == [1, 2]
-
-
-class TestChunkView:
-    def test_sequence_surface(self):
-        view = ChunkView(list(range(10)), 2, 7)
-        assert len(view) == 5
-        assert list(view) == [2, 3, 4, 5, 6]
-        assert view[0] == 2
-        assert view[4] == 6
-        assert view[-1] == 6
-        assert view[1:3] == [3, 4]
-        with pytest.raises(IndexError):
-            view[5]
-
-    def test_truthiness(self):
-        assert not ChunkView([1], 0, 0)
-        assert ChunkView([1], 0, 1)
 
 
 #: Slice bounds and steps around a 10-row window, out-of-range and
@@ -319,33 +307,121 @@ def _slab_column(start, stop):
     return kernels.SlabColumn(slab, start, stop)
 
 
+def _selection(rows):
+    slab = kernels._build_slab([f"row{i}" for i in range(20)])
+    return kernels.SlabColumn(slab, rows=np.array(rows, np.int64))
+
+
 @pytest.mark.parametrize(
     "make",
     (
         lambda: _slab_column(0, 10),
         lambda: _slab_column(4, 14),
-        lambda: ChunkView(list(range(20)), 0, 10),
-        lambda: ChunkView(list(range(20)), 4, 14),
-        lambda: ChunkView(_slab_column(0, 20), 0, 10),
-        lambda: ChunkView(_slab_column(0, 20), 4, 14),
+        lambda: _selection(range(0, 20, 2)),
+        lambda: _selection(range(4, 14)),
+        lambda: _slab_column(0, 20)[0:10],
+        lambda: _slab_column(0, 20)[4:14],
     ),
     ids=(
         "slab-column-at-0",
         "slab-column-at-4",
-        "chunk-view-at-0",
-        "chunk-view-at-4",
-        "chunk-view-over-slab-column-at-0",
-        "chunk-view-over-slab-column-at-4",
+        "selection-of-even-rows",
+        "selection-at-4",
+        "slice-of-slab-column-at-0",
+        "slice-of-slab-column-at-4",
     ),
 )
 def test_window_slices_match_list_slices(make):
-    """Every slice of a window equals the same slice of its rows as a
-    list, reversed slices through row 0 of the underlying list included."""
+    """Every slice of a window or a selection equals the same slice of
+    its rows as a list, reversed slices through row 0 of the slab
+    included."""
     window = make()
     rows = list(window)
     assert len(rows) == 10
     for index in SLICES:
         assert window[index] == rows[index], index
+
+
+#: Short lines from a tiny alphabet, so duplicates (for ``index`` and
+#: ``count``) and equal columns over different rows are common.
+_lines = st.lists(st.text(alphabet="ab\t ", max_size=3), min_size=1, max_size=24)
+
+
+def _column_slab(lines):
+    """``lines`` as a column-built slab, so every decode path is live."""
+    starts = np.zeros(len(lines), np.int64)
+    starts[1:] = np.cumsum([len(line) + 1 for line in lines[:-1]])
+    return kernels.slab_from_columns("\n".join(lines).encode("ascii"), starts)
+
+
+@st.composite
+def slab_columns(draw):
+    """A window (at row 0, mid-slab or empty) or a masked selection over a
+    fresh column-built slab, with its records as a list built from the
+    lines (not from the column)."""
+    lines = draw(_lines)
+    slab = _column_slab(lines)
+    n = len(lines)
+    shape = draw(st.sampled_from(("window-at-0", "window", "empty", "selection")))
+    if shape == "selection":
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rows = np.flatnonzero(mask).astype(np.int64)
+        return kernels.SlabColumn(slab, rows=rows), [lines[r] for r in rows]
+    start = 0 if shape == "window-at-0" else draw(st.integers(0, n))
+    stop = start if shape == "empty" else draw(st.integers(start, n))
+    return kernels.SlabColumn(slab, start, stop), lines[start:stop]
+
+
+_bounds = st.one_of(st.none(), st.integers(-30, 30))
+_steps = st.sampled_from((None, 1, 2, 3, -1, -2, -3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_slab_column_behaves_like_its_list(data):
+    """Every ``Sequence`` operation of a window or selection gives what
+    the same operation gives on its records as a list."""
+    column, rows = data.draw(slab_columns())
+    # Indexing and step-1 slices first: they decode nothing, so these
+    # checks run on the undecoded single-line path.
+    for index in range(-len(rows) - 2, len(rows) + 2):
+        if -len(rows) <= index < len(rows):
+            assert column[index] == rows[index]
+        else:
+            with pytest.raises(IndexError):
+                column[index]
+    assert column.slab.records is None
+    assert len(column) == len(rows)
+    assert bool(column) is bool(rows)
+    assert list(column) == rows
+    assert list(reversed(column)) == rows[::-1]
+    for _ in range(8):
+        index = slice(data.draw(_bounds), data.draw(_bounds), data.draw(_steps))
+        assert list(column[index]) == rows[index], index
+    for probe in ("", "a", "b", "a\tb", "zz"):
+        assert (probe in column) is (probe in rows)
+        assert column.count(probe) == rows.count(probe)
+        if probe in rows:
+            assert column.index(probe) == rows.index(probe)
+        else:
+            with pytest.raises(ValueError):
+                column.index(probe)
+    other, other_rows = data.draw(slab_columns())
+    for candidate in (rows, rows + ["x"], rows[:-1], tuple(rows), other, other_rows):
+        expected = rows == (other_rows if candidate is other else candidate)
+        assert (column == candidate) is expected
+        assert (candidate == column) is expected
+        assert (column != candidate) is (not expected)
+        assert (candidate != column) is (not expected)
+    assert column + ["x"] == rows + ["x"]
+    assert ["x"] + column == ["x"] + rows
+    assert column + other == rows + other_rows
+    with pytest.raises(TypeError):
+        column + ("x",)
+    with pytest.raises(TypeError):
+        ("x",) + column
+    with pytest.raises(TypeError):
+        hash(column)
 
 
 class TestFusionAndChains:
@@ -506,14 +582,16 @@ class TestGrepSlabPath:
         assert out == expected
         assert all(any(o is r for r in records) for o in out)
 
-    def test_flush_clears_scan_state(self):
+    def test_window_scan_keeps_no_state(self):
+        """Only the window's rows are scanned and reported, and nothing
+        of the slab stays on the kernel."""
         records = ["a test", "b"] * 40
         slab = kernels._build_slab(records)
         kernel = GrepKernel("test")
-        kernel.call_slab(slab, 0, records)
-        assert kernel._indices is not None
-        kernel.flush()
-        assert kernel._slab is None and kernel._indices is None
+        hits = kernel.call_slab(slab, 10, records[10:50])
+        assert hits.rows[hits.start : hits.stop].tolist() == list(range(10, 50, 2))
+        assert hits == records[10:50:2]
+        assert not any(isinstance(v, WorkloadSlab) for v in vars(kernel).values())
 
     def test_no_hits(self):
         records = [f"row {i}" for i in range(80)]

@@ -442,5 +442,6 @@ class TestSlabPumpPath:
         _, outputs = pump._process_chunk(records[:100], metrics)
         kernel = pump.stages[1].cached_kernel()
         assert kernel is not None
-        assert kernel._slab is None  # flushed
+        # No slab state survives the chunk.
+        assert not any(isinstance(v, kernels.WorkloadSlab) for v in vars(kernel).values())
         assert outputs == [v for v in records[:100] if GREP_NEEDLE in v]
