@@ -24,7 +24,11 @@ campaign seed alone (the :class:`~repro.benchmark.parallel.MatrixRunner`
 pattern), the pump charges raw cost-model costs (no variance draws), and
 the arrival schedule is precomputed once per probe — so the capacity
 report is bit-identical between serial and parallel execution and across
-both execution tiers.
+both execution tiers.  Nothing reads a probe's data RNG before the probe
+ends, so its drain steps each chunk through the kernels without flushing
+them and returns adopted kernel state (the sample query's MT19937
+stream) once, when the probe ends or stalls: the state crosses into
+NumPy once per probe and shard, not once per drained chunk.
 
 **Scalability curves** (:meth:`CapacityRunner.run_scalability`) sweep the
 knee over parallelism levels per system × SDK kind × query: a probe at
@@ -77,6 +81,9 @@ _COST_MODELS = {
 
 #: Topic the capacity probes offer load into (bounded partition).
 CAPACITY_TOPIC = "capacity-input"
+
+#: The latency percentiles every probe reports (p50, p95, p99).
+LATENCY_PERCENTILES = (50, 95, 99)
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,7 +428,9 @@ def run_probe(
     instance, RNG streams and lag tracker — charging the straggler
     shard's cost per chunk.  At P = 1 the probe takes exactly the serial
     path (same RNG stream names, same pump), so existing capacity
-    results are unchanged.
+    results are unchanged.  Either way, kernel state is flushed once, in
+    a ``finally``, so a :class:`PumpStalledError` also leaves every data
+    RNG in its true state.
     """
     settings = config.capacity
     if parallelism is None:
@@ -491,7 +500,7 @@ def run_probe(
         if not values:
             return 0
         if sharded is None:
-            cost, _outputs = pump._process_chunk(values, metrics)
+            cost, _outputs = pump._run_stages(values, metrics, 0)
         else:
             cost, _outputs = sharded.process_chunk(values)
         simulator.charge(cost)
@@ -518,22 +527,35 @@ def run_probe(
             tier=pump.tier,
         ),
     )
-    report = generator.run(records, drain=drain)
-    # Completion phase: drain whatever the offer window left queued.
-    while log.queue_depth() > 0:
-        if not drain():
-            raise PumpStalledError(
-                queue_depth=log.queue_depth(),
-                last_offset=consumed,
-                tier=pump.tier,
-                stalled_for=0.0,
-                stall_timeout=settings.stall_timeout,
-            )
+    try:
+        report = generator.run(records, drain=drain)
+        # Completion phase: drain whatever the offer window left queued.
+        while log.queue_depth() > 0:
+            if not drain():
+                raise PumpStalledError(
+                    queue_depth=log.queue_depth(),
+                    last_offset=consumed,
+                    tier=pump.tier,
+                    stalled_for=0.0,
+                    stall_timeout=settings.stall_timeout,
+                )
+    finally:
+        # Nothing reads the data RNG mid-probe, so kernels step every
+        # chunk without flushing and return adopted state once, here —
+        # on a stall too.
+        if sharded is None:
+            pump._flush_kernels()
+        else:
+            sharded.flush()
     elapsed = simulator.now() - started
     offer_window = total / rate
     # Python floats, so every percentile field stays a ``float``.
-    event_lat = np.concatenate(event_parts).tolist()
-    proc_lat = np.concatenate(proc_parts).tolist()
+    event_p50, event_p95, event_p99 = stats.percentiles(
+        np.concatenate(event_parts).tolist(), LATENCY_PERCENTILES
+    )
+    proc_p50, proc_p95, proc_p99 = stats.percentiles(
+        np.concatenate(proc_parts).tolist(), LATENCY_PERCENTILES
+    )
     sustainable = (
         report.records_shed == 0
         and elapsed <= offer_window * (1.0 + settings.grace)
@@ -548,12 +570,12 @@ def run_probe(
         max_queue_depth=report.max_queue_depth,
         offer_window=offer_window,
         elapsed=elapsed,
-        event_p50=stats.percentile(event_lat, 50),
-        event_p95=stats.percentile(event_lat, 95),
-        event_p99=stats.percentile(event_lat, 99),
-        proc_p50=stats.percentile(proc_lat, 50),
-        proc_p95=stats.percentile(proc_lat, 95),
-        proc_p99=stats.percentile(proc_lat, 99),
+        event_p50=event_p50,
+        event_p95=event_p95,
+        event_p99=event_p99,
+        proc_p50=proc_p50,
+        proc_p95=proc_p95,
+        proc_p99=proc_p99,
         shard_costs=(
             tuple(sharded.shard_costs) if sharded is not None else ()
         ),

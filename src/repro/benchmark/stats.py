@@ -57,13 +57,19 @@ def percentile(values: Sequence[float], q: float) -> float:
     same sample multiset is supplied — the property the capacity report's
     serial-vs-parallel equality check relies on.
     """
+    return percentiles(values, (q,))[0]
+
+
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:
+    """:func:`percentile` at each of ``qs``, sorting ``values`` once."""
     if not values:
         raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"q must be in [0, 100], got {q}")
     ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    count = len(ordered)
+    return [ordered[max(1, math.ceil(q / 100.0 * count)) - 1] for q in qs]
 
 
 def slowdown_factor(

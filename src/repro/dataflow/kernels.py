@@ -545,9 +545,10 @@ class Kernel:
     def flush(self) -> None:
         """Return adopted state (RNG) to its owner.
 
-        Idempotent.  The pump flushes at end of run (and after every
-        chunk on the recovery path), so external observers always see
-        true RNG state.
+        Idempotent.  The pump flushes at the end of a run, a capacity
+        probe and its pump pool at the end of the probe, and the recovery
+        path after every chunk, so external observers always see true
+        RNG state.
         """
 
     def describe(self) -> str:
@@ -705,9 +706,10 @@ class SampleKernel(Kernel):
     ``random.Random`` and ``numpy.random.RandomState`` share the MT19937
     core and the same 53-bit double recipe, so moving the 624-word state
     across produces the *identical* stream.  The state lives in NumPy
-    between :meth:`flush` calls; the pump flushes at end of run (and after
-    every chunk on the recovery path) so that any outside observer of the
-    Python ``rng`` — checkpoints, subsequent runs — sees the true state.
+    between :meth:`flush` calls; the pump flushes at the end of a run or
+    capacity probe (and after every chunk on the recovery path) so that
+    any outside observer of the Python ``rng`` — checkpoints, subsequent
+    runs — sees the true state.
     On a slab window the kept rows come back as a :class:`SlabColumn`
     selection, drawn from the same mask, without building a string.
     """

@@ -72,9 +72,13 @@ class StreamPump:
     equivalence suites (``tests/engines/test_batch_equivalence.py``,
     ``tests/engines/test_kernel_equivalence.py``) and the host-perf
     baseline (``benchmarks/perf/``) prove bit-identical behaviour and
-    measure the speedup.  Kernels may adopt RNG state for bulk drawing;
-    :meth:`run` returns it at the end of the run (and the recovery path
-    after every chunk) via the kernels' ``flush`` hooks.
+    measure the speedup.  Kernels may adopt RNG state for bulk drawing
+    and hand it back through their ``flush`` hooks.  Chunk-steppers
+    flush only where an observer needs the true state: :meth:`run` at
+    the end of the run, a capacity probe (and its pump pool) at the end
+    of the probe, and only the recovery path after every chunk
+    (:meth:`_process_chunk`), because its checkpoints interleave with
+    its chunks.
     """
 
     #: Run compiled kernels (class-level switch; the reference per-record
@@ -284,9 +288,11 @@ class StreamPump:
         """Run one chunk through every stage; return (cost, sink records).
 
         Unlike :meth:`run`'s inner loop this flushes adopted kernel state
-        after every call: external chunk-steppers (checkpointing recovery)
-        interleave chunk processing with state observation — snapshots,
-        replays — which must see the true Python RNG state.
+        after every call.  Only checkpointing recovery steps this way: it
+        interleaves chunk processing with state observation — snapshots,
+        replays — which must see the true Python RNG state.  Steppers
+        that observe nothing mid-stream (the capacity probe, the pump
+        pool) call :meth:`_run_stages` and flush once at the end.
         """
         try:
             return self._run_stages(chunk, metrics, 0)

@@ -198,7 +198,6 @@ class RecoveringPump:
             metrics.operator(stage.name)
 
         factor = self.variance.duration_factor(self.rng)
-        pending: list[Any] = []  # outputs since the last checkpoint (2PC buffer)
         records_out = 0
         base_duration = 0.0
         failures = 0
@@ -229,7 +228,6 @@ class RecoveringPump:
                     last_emit = self.simulator.now()
                 failures += 1
                 reprocessed += len(doomed)
-                pending.clear()
                 latest = coordinator.latest()
                 assert latest is not None
                 coordinator.restore(latest)
@@ -248,9 +246,7 @@ class RecoveringPump:
             cost, outputs = self._process(chunk, metrics)
             base_duration += cost
             self.simulator.charge(cost * factor)
-            if self.exactly_once:
-                pending.extend(outputs)
-            elif outputs:
+            if not self.exactly_once and outputs:
                 self._emit(outputs)
                 records_out += len(outputs)
                 first_emit = first_emit if first_emit is not None else self.simulator.now()
@@ -258,15 +254,15 @@ class RecoveringPump:
             position = end
             if self.tracker is not None:
                 self.tracker.observe(self.simulator.now(), position, total - position)
-            # checkpoint barrier: commit the epoch's outputs transactionally
+            # checkpoint barrier: commit the epoch's outputs transactionally.
+            # An epoch is one chunk, so its outputs are the whole commit.
             coordinator.take(self.simulator, position, records_out)
             base_duration += coordinator.snapshot_cost
-            if self.exactly_once and pending:
-                self._emit(pending)
-                records_out += len(pending)
+            if self.exactly_once and outputs:
+                self._emit(outputs)
+                records_out += len(outputs)
                 first_emit = first_emit if first_emit is not None else self.simulator.now()
                 last_emit = self.simulator.now()
-                pending.clear()
 
         # Bounded input ended: drain buffering functions (grouping).  The
         # drain belongs to the final checkpoint epoch, which commits here.

@@ -13,7 +13,10 @@ deterministically:
   charge is the straggler's), so the knee of the capacity search gains a
   genuine parallelism axis priced by each engine's
   ``parallelism_per_record`` coordination term;
-* **outputs** concatenate in shard order (span order == record order);
+* **outputs** concatenate in shard order (span order == record order):
+  a lone non-empty output passes through unchanged, and columns over
+  one slab join into one row selection without decoding it
+  (:func:`join_outputs`);
 * **lag samples** merge via :func:`~repro.engines.common.progress.
   merge_trackers` into one monotonic series, and the per-shard watchdogs
   share one :class:`~repro.engines.common.progress.ProgressGroup` so no
@@ -29,12 +32,22 @@ The parallelism is simulated: the shards run one after another, in
 shard order, on the calling thread, and only the cost merge treats them
 as concurrent workers.  Results are therefore bit-identical at any P on
 any host.
+
+Shards step their chunks without flushing their kernels, as
+:meth:`StreamPump.run <repro.engines.common.pump.StreamPump.run>` does
+within a run: adopted kernel state (the sample RNG) stays in NumPy
+until :meth:`ShardedPump.flush` or :meth:`ShardedPump.drain` returns it
+to its owner.  Callers that step chunks flush once when they are done,
+in a ``finally``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as np
+
+from repro.dataflow.kernels import SlabColumn
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.progress import LagTracker, ProgressGroup, merge_trackers
 from repro.engines.common.pump import StreamPump
@@ -46,6 +59,35 @@ def shard_spans(total: int, parallelism: int) -> list[tuple[int, int]]:
         (s * total // parallelism, (s + 1) * total // parallelism)
         for s in range(parallelism)
     ]
+
+
+def join_outputs(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
+    """The non-empty shard outputs ``parts``, concatenated in order.
+
+    One part comes back unchanged.  Columns over one slab join into one
+    row selection by concatenating their rows, which stay ascending
+    because the spans are in record order, so nothing is decoded; any
+    other mix is extended into a list.
+    """
+    if not parts:
+        return []
+    if len(parts) == 1:
+        return parts[0]
+    first = parts[0]
+    if all(type(part) is SlabColumn and part.slab is first.slab for part in parts):
+        rows = np.concatenate(
+            [
+                np.arange(part.start, part.stop, dtype=np.int64)
+                if part.rows is None
+                else part.rows[part.start : part.stop]
+                for part in parts
+            ]
+        )
+        return SlabColumn(first.slab, rows=rows)
+    joined: list[Any] = []
+    for part in parts:
+        joined.extend(part)
+    return joined
 
 
 class ShardedPump:
@@ -74,30 +116,35 @@ class ShardedPump:
         self._consumed = [0] * self.parallelism
         self.shard_costs = [0.0] * self.parallelism
 
-    def process_chunk(self, values: Sequence[Any]) -> tuple[float, list[Any]]:
+    def process_chunk(self, values: Sequence[Any]) -> tuple[float, Sequence[Any]]:
         """Run one polled chunk through the pump pool.
 
         Returns ``(cost, outputs)`` where ``cost`` is the straggler
-        shard's simulated cost and ``outputs`` the concatenated sink
-        records in record order.  The caller charges the simulator —
-        exactly the :meth:`StreamPump._process_chunk` contract, so a
-        1-shard pool is bit-identical to the plain serial drain.
+        shard's simulated cost and ``outputs`` the shards' sink records
+        joined in record order (:func:`join_outputs`).  The caller
+        charges the simulator.  Each shard steps its span with
+        :meth:`StreamPump._run_stages`, which leaves adopted kernel state
+        in place; the caller returns it with :meth:`flush` (or
+        :meth:`drain`) when it is done stepping.  A 1-shard pool stepped
+        and then flushed is bit-identical to the plain pump's per-chunk
+        :meth:`StreamPump._process_chunk` loop.
         """
         cost = 0.0
-        outputs: list[Any] = []
+        parts: list[Sequence[Any]] = []
         spans = shard_spans(len(values), self.parallelism)
         for shard, (start, stop) in enumerate(spans):
             if stop <= start:
                 continue
             self._consumed[shard] += stop - start
-            shard_cost, shard_outputs = self.pumps[shard]._process_chunk(
-                values[start:stop], self.metrics[shard]
+            shard_cost, shard_outputs = self.pumps[shard]._run_stages(
+                values[start:stop], self.metrics[shard], 0
             )
             self.shard_costs[shard] += shard_cost
             if shard_cost > cost:
                 cost = shard_cost
-            outputs.extend(shard_outputs)
-        return cost, outputs
+            if shard_outputs:
+                parts.append(shard_outputs)
+        return cost, join_outputs(parts)
 
     def observe(self, now: float, backlog: int = 0) -> None:
         """Record one post-chunk lag sample per shard (pinned order).
@@ -110,12 +157,21 @@ class ShardedPump:
         for shard, tracker in enumerate(self.trackers):
             tracker.observe(now, self._consumed[shard], backlog)
 
+    def flush(self) -> None:
+        """Return every shard's adopted kernel state (RNG) to its owner.
+
+        Idempotent; :meth:`drain` flushes too.
+        """
+        for pump in self.pumps:
+            pump._flush_kernels()
+
     def drain(self) -> tuple[float, list[Any]]:
         """Flush buffered state through every shard's pipeline tail.
 
         Per-shard drains are independent (hash-partitioned state never
         crosses shards); the cost is the straggler's, outputs concatenate
-        in shard order — the pinned merge order.
+        in shard order — the pinned merge order.  Each shard's drain
+        also returns its adopted kernel state, as :meth:`flush` does.
         """
         cost = 0.0
         outputs: list[Any] = []

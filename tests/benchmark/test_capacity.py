@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.benchmark import capacity
 from repro.benchmark.capacity import (
     CapacityRunner,
     ProbeResult,
@@ -17,7 +18,11 @@ from repro.benchmark.capacity import (
 )
 from repro.benchmark.config import BenchmarkConfig, CapacitySettings
 from repro.benchmark.loadgen import make_arrivals
+from repro.broker import Consumer
+from repro.dataflow import kernels
+from repro.engines.common.progress import PumpStalledError
 from repro.engines.common.pump import StreamPump
+from repro.workloads.aol import AolWorkload
 
 
 SMALL = CapacitySettings(records=2_000, queue_bound=500, search_iterations=3)
@@ -82,6 +87,101 @@ class TestProbe:
         finally:
             StreamPump.vectorized = saved
         assert results["tuple"] == results["kernel"]
+
+
+def record_data_rngs(monkeypatch) -> list:
+    """Every ``(data RNG, its state on arrival)`` a probe hands its stage
+    builders, in shard order; clear the list between probes."""
+    seen: list = []
+    for kind, build in list(capacity._STAGE_BUILDERS.items()):
+
+        def recording(system, spec, parallelism, data_rng, build=build):
+            seen.append((data_rng, data_rng.getstate()))
+            return build(system, spec, parallelism, data_rng)
+
+        monkeypatch.setitem(capacity._STAGE_BUILDERS, kind, recording)
+    return seen
+
+
+def wedge_after(monkeypatch, polls: int) -> None:
+    """Probes poll ``polls`` chunks, then their consumer reads nothing more."""
+
+    class WedgedConsumer(Consumer):
+        served = 0
+
+        def poll_values(self, *args, **kwargs):
+            if self.served >= polls:
+                return [], None
+            self.served += 1
+            return super().poll_values(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "Consumer", WedgedConsumer)
+
+
+class TestProbeFlush:
+    """A probe steps its drain chunks without flushing the kernels and
+    returns adopted kernel state (the sample RNG) once, when it ends."""
+
+    @pytest.mark.parametrize("parallelism", (1, 2))
+    def test_sample_probe_adopts_the_rng_once_per_shard(self, parallelism, monkeypatch):
+        adopted: list = []
+        masks: list = []
+        mask = kernels.SampleKernel._mask
+
+        def counting_mask(self, count):
+            adopting = self._state is None
+            result = mask(self, count)
+            masks.append(count)
+            if adopting and self._state is not None:
+                adopted.append(self)
+            return result
+
+        monkeypatch.setattr(kernels.SampleKernel, "_mask", counting_mask)
+        run_probe(config(), "flink", "sample", 100_000.0, parallelism=parallelism)
+        # Eight or more drain chunks per shard, one adoption per shard.
+        assert len(masks) >= 8 * parallelism
+        assert len(adopted) == parallelism
+        assert len({id(kernel) for kernel in adopted}) == parallelism
+
+    @pytest.mark.parametrize("parallelism", (1, 2))
+    @pytest.mark.parametrize("kind", ("native", "beam"))
+    def test_data_rngs_end_in_the_reference_state(self, kind, parallelism, monkeypatch):
+        seen = record_data_rngs(monkeypatch)
+        results = {}
+        for vectorized in (False, True):
+            monkeypatch.setattr(StreamPump, "vectorized", vectorized)
+            seen.clear()
+            probe = run_probe(
+                config(), "apex", "sample", 100_000.0, kind=kind, parallelism=parallelism
+            )
+            assert len(seen) == parallelism
+            assert all(rng.getstate() != start for rng, start in seen)
+            results[vectorized] = probe, [rng.getstate() for rng, _ in seen]
+        assert results[True] == results[False]
+
+    @pytest.mark.parametrize("parallelism", (1, 2))
+    def test_stalled_probe_leaves_the_reference_state(self, parallelism, monkeypatch):
+        seen = record_data_rngs(monkeypatch)
+        wedge_after(monkeypatch, polls=5)
+        states = {}
+        for vectorized in (False, True):
+            monkeypatch.setattr(StreamPump, "vectorized", vectorized)
+            seen.clear()
+            with pytest.raises(PumpStalledError):
+                run_probe(config(), "flink", "sample", 100_000.0, parallelism=parallelism)
+            assert all(rng.getstate() != start for rng, start in seen)
+            states[vectorized] = [rng.getstate() for rng, _ in seen]
+        assert len(states[True]) == parallelism
+        assert states[True] == states[False]
+
+    @pytest.mark.parametrize("query, seed", (("grep", 8202), ("sample", 8203)))
+    def test_parallel_probe_decodes_nothing(self, query, seed):
+        """The pool joins its shards' row selections without decoding the
+        probe's workload slab (each seed is used by no other test)."""
+        cfg = BenchmarkConfig(seed=seed)
+        workload = AolWorkload(cfg.capacity.records, seed=seed).columnar()
+        run_probe(cfg, "flink", query, 50_000.0, parallelism=2)
+        assert workload.to_slab().records is None
 
 
 def per_record_arrivals(batches, started):

@@ -66,6 +66,31 @@ class TestSlowdownFactor:
             stats.slowdown_factor({1: 1.0}, {1: 0.0})
 
 
+class TestPercentiles:
+    def test_nearest_rank(self):
+        values = [5.0, 1.0, 4.0, 2.0, 3.0]
+        assert stats.percentiles(values, (0, 20, 50, 99, 100)) == [1.0, 1.0, 3.0, 5.0, 5.0]
+        assert stats.percentile(values, 50) == 3.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            stats.percentiles([], (50,))
+        with pytest.raises(ValueError):
+            stats.percentiles([1.0], (50, 101))
+        with pytest.raises(ValueError):
+            stats.percentile([1.0], -1)
+
+    @given(
+        st.lists(finite_floats, min_size=1, max_size=50),
+        st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=6),
+    )
+    def test_one_sort_matches_nearest_rank_per_q(self, values, qs):
+        picked = stats.percentiles(values, qs)
+        ranks = [max(1, math.ceil(q / 100.0 * len(values))) for q in qs]
+        assert picked == [sorted(values)[rank - 1] for rank in ranks]
+        assert all(type(value) is float for value in picked)
+
+
 class TestProperties:
     @given(st.lists(finite_floats, min_size=1, max_size=50))
     def test_relative_std_is_scale_invariant(self, values):

@@ -1,15 +1,18 @@
 """Slab windows stay columnar from the broker poll to the output log.
 
-Two paths must never turn the workload slab into record strings:
+Three paths must never turn the workload slab into record strings:
 
 * a Figure-5 cell (``StreamBenchHarness.run_setup``) of any system and
   stateless query — the input log's reads, the pump's chunks and the
   query's output are windows or row selections of the slab (projection:
   windows of its column slab), and the output log adopts them;
 * a per-chunk-flush drain (``poll_values`` capped, ``_process_chunk``,
-  acknowledge — the capacity probe's and the drain benchmarks' loop),
+  acknowledge — the recovery path's and the drain benchmarks' loop),
   where each kernel's work must stay proportional to its window: the
-  whole-slab grep scan and projection run at most once per slab.
+  whole-slab grep scan and projection run at most once per slab;
+* a checkpointed grep run (``StreamBenchHarness.run_fault_tolerant``),
+  exactly-once or at-least-once, with or without an injected failure:
+  each committed chunk's selection goes to the output log as it is.
 
 Every output must still equal the reference tier's by value.  The
 reference runs last, because iterating a column decodes its slab.
@@ -29,6 +32,7 @@ from repro.dataflow.kernels import SlabColumn
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
+from repro.engines.common.recovery import FailureInjector
 from repro.engines.common.stages import PhysicalStage, StageKind
 from repro.simtime import Simulator
 from repro.workloads.columnar import ColumnarWorkload
@@ -145,3 +149,48 @@ def test_per_chunk_drain_is_linear_and_decode_free(query, monkeypatch):
         assert [getattr(function, f) for f in fields] == [
             getattr(reference, f) for f in fields
         ]
+
+
+def test_fault_tolerant_run_decodes_nothing():
+    """The exactly-once sink commits each chunk's selection without
+    buffering it in a list."""
+    harness = StreamBenchHarness(BenchmarkConfig(records=20_000, seed=8101))
+    harness.run_fault_tolerant("flink", "grep")
+    assert harness.workload.columnar().to_slab().records is None
+
+
+#: One workload seed per system, used by no other test.
+FAULT_SEEDS = {"flink": 8111, "spark": 8112, "apex": 8113}
+
+
+@pytest.mark.parametrize("system", sorted(FAULT_SEEDS))
+def test_fault_tolerant_outputs_match_the_reference_tier(system, monkeypatch):
+    """Exactly-once and at-least-once, with and without a failure: the
+    slab stays undecoded, and ``records_out``, the output log's values and
+    its LogAppendTimes equal the reference tier's."""
+    config = BenchmarkConfig(records=20_000, runs=1, seed=FAULT_SEEDS[system])
+    modes = [
+        (exactly_once, failure)
+        for exactly_once in (True, False)
+        for failure in (None, FailureInjector(at_fraction=0.55))
+    ]
+
+    def run_all(harness):
+        results = []
+        for exactly_once, failure in modes:
+            record = harness.run_fault_tolerant(
+                system, "grep", failure=failure, exactly_once=exactly_once
+            )
+            log = output_log(harness)
+            results.append(
+                (record.records_out, record.failures, log.read_values(0), log.read_timestamps(0))
+            )
+        return results
+
+    harness = StreamBenchHarness(config)
+    results = run_all(harness)
+    assert harness.workload.columnar().to_slab().records is None
+    assert [failures for _, failures, _, _ in results] == [0, 1, 0, 1]
+    assert results[3][0] > results[2][0]  # at-least-once replays duplicate
+    monkeypatch.setattr(StreamPump, "vectorized", False)
+    assert results == run_all(StreamBenchHarness(config))

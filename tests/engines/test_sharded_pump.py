@@ -4,8 +4,10 @@ The pool is the capacity search's parallelism axis.  It cuts each polled
 chunk into P contiguous spans (``shard_spans``), runs span ``s`` through
 shard pump ``s``, charges the slowest shard's cost and returns the
 outputs in record order.  These tests pin that merge against plain
-:class:`~repro.engines.common.pump.StreamPump` calls fed by hand, and pin
-that the shards run on the calling thread.
+:class:`~repro.engines.common.pump.StreamPump` calls fed by hand, pin
+that the shards run on the calling thread, and pin that stepping without
+per-chunk kernel flushes, then flushing once, matches the per-chunk
+``_process_chunk`` loop.
 """
 
 from __future__ import annotations
@@ -13,17 +15,21 @@ from __future__ import annotations
 import random
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.benchmark.queries import get_query
 from repro.dataflow.functions import FilterFunction, MapFunction
+from repro.dataflow.kernels import SlabColumn
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
-from repro.engines.common.sharded import ShardedPump, shard_spans
+from repro.engines.common.sharded import ShardedPump, join_outputs, shard_spans
 from repro.engines.common.stages import PhysicalStage, StageKind
 from repro.simtime import Simulator
 from repro.workloads.aol import generate_records
+from repro.workloads.columnar import ColumnarWorkload
 
 
 def _pump(function) -> StreamPump:
@@ -46,9 +52,15 @@ def _pump(function) -> StreamPump:
 
 
 def _query_pump(query: str) -> StreamPump:
-    function = get_query(query).make_function(random.Random(11))
+    return _seeded_pump(query, 11)[0]
+
+
+def _seeded_pump(query: str, seed: int) -> tuple[StreamPump, random.Random]:
+    """A query pump and the data RNG its function draws from."""
+    rng = random.Random(seed)
+    function = get_query(query).make_function(rng)
     function.open()
-    return _pump(function)
+    return _pump(function), rng
 
 
 def _keep(value: int) -> bool:
@@ -164,3 +176,92 @@ def test_stage_functions_run_on_the_calling_thread():
     _, outputs = pool.process_chunk(list(range(2_000)))
     assert outputs == list(range(2_000))
     assert seen == {threading.get_ident()}
+
+
+#: A small AOL workload for the stepping properties (column and list forms).
+WORKLOAD = ColumnarWorkload.generate(1_200, seed=7105)
+
+
+def _totals_of(pumps_metrics) -> list[dict[str, tuple[int, int, float]]]:
+    return [_totals(metrics) for metrics in pumps_metrics]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    query=st.sampled_from(("sample", "grep", "statistics")),
+    parallelism=st.sampled_from((1, 2, 3)),
+    container=st.sampled_from(("column", "list")),
+    sizes=st.lists(st.integers(0, 200), min_size=1, max_size=10),
+)
+def test_stepping_then_one_flush_matches_per_chunk_flushes(
+    query, parallelism, container, sizes
+):
+    """Random chunkings through the pool, flushed once at the end, equal
+    per-shard ``_process_chunk`` loops: costs, outputs by value, metrics
+    and every shard's data RNG."""
+    values = WORKLOAD.column() if container == "column" else WORKLOAD.records
+    pool_pumps, pool_rngs = zip(*(_seeded_pump(query, s) for s in range(parallelism)))
+    shards, shard_rngs = zip(*(_seeded_pump(query, s) for s in range(parallelism)))
+    pool = ShardedPump(pool_pumps)
+    shard_metrics = [JobMetrics(f"shard{s}") for s in range(parallelism)]
+    start = 0
+    for size in sizes:
+        chunk = values[start : start + size]
+        start += size
+        cost, outputs, expected = 0.0, [], []
+        for shard, (lo, hi) in enumerate(shard_spans(len(chunk), parallelism)):
+            if hi > lo:
+                shard_cost, shard_outputs = shards[shard]._process_chunk(
+                    chunk[lo:hi], shard_metrics[shard]
+                )
+                cost = max(cost, shard_cost)
+                expected.extend(shard_outputs)
+        pool_cost, outputs = pool.process_chunk(chunk)
+        assert pool_cost == cost
+        assert outputs == expected
+    pool.flush()
+    assert [rng.getstate() for rng in pool_rngs] == [rng.getstate() for rng in shard_rngs]
+    assert _totals_of(pool.metrics) == _totals_of(shard_metrics)
+    assert [p.stages[1].function.snapshot() for p in pool.pumps] == [
+        p.stages[1].function.snapshot() for p in shards
+    ]
+
+
+@pytest.mark.parametrize("parallelism", (1, 2, 3))
+@pytest.mark.parametrize("query", ("grep", "sample"))
+def test_pool_joins_column_outputs_without_decoding(query, parallelism):
+    """The shards' row selections of one slab join into one selection, so
+    the slab stays undecoded until the outputs are compared, by value,
+    with per-shard plain pumps'."""
+    workload = ColumnarWorkload.generate(3_000, seed=7106)
+    column = workload.column()
+    chunks = [column[lo : lo + 750] for lo in range(0, 3_000, 750)]
+    pool = ShardedPump([_query_pump(query) for _ in range(parallelism)])
+    joined = [pool.process_chunk(chunk)[1] for chunk in chunks]
+    pool.flush()
+    assert workload.to_slab().records is None
+    assert all(type(out) is SlabColumn and out.rows is not None for out in joined)
+    shards = [_query_pump(query) for _ in range(parallelism)]
+    metrics = JobMetrics("plain")
+    for chunk, outputs in zip(chunks, joined):
+        expected = []
+        for shard, (lo, hi) in enumerate(shard_spans(len(chunk), parallelism)):
+            expected.extend(shards[shard]._process_chunk(chunk[lo:hi], metrics)[1])
+        assert outputs == expected
+
+
+def test_join_outputs_shapes():
+    slab = ColumnarWorkload.generate(20, seed=7107).to_slab()
+    window = SlabColumn(slab, 2, 5)
+    selection = SlabColumn(slab, rows=np.array([1, 6, 8, 9], dtype=np.int64), start=1, stop=3)
+    assert join_outputs([]) == []
+    assert join_outputs([window]) is window
+    joined = join_outputs([window, selection, SlabColumn(slab, 12, 14)])
+    assert type(joined) is SlabColumn
+    assert joined.rows.tolist() == [2, 3, 4, 6, 8, 12, 13]
+    assert slab.records is None
+    other = ColumnarWorkload.generate(20, seed=7108).to_slab()
+    mixed = join_outputs([window, SlabColumn(other, 0, 2), ["x"]])
+    assert type(mixed) is list
+    assert mixed == list(window) + list(SlabColumn(other, 0, 2)) + ["x"]
+    assert join_outputs([["a"], ["b", "c"]]) == ["a", "b", "c"]
