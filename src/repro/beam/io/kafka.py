@@ -219,6 +219,7 @@ class _EnsureKvDoFn(DoFn):
     """``write()``'s input adapter: values become (None, value) pairs."""
 
     cost_weight = 0.2
+    kernel_spec = KernelSpec.ensure_kv()
 
     def process(self, element: Any) -> tuple[tuple[Any, Any], ...]:
         if isinstance(element, tuple) and len(element) == 2:

@@ -17,7 +17,7 @@ the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.beam.io.kafka import KafkaRead, KafkaRecordColumn, KafkaWrite
 from repro.beam.runners.base import (
@@ -27,8 +27,8 @@ from repro.beam.runners.base import (
     linearize_beam_graph,
 )
 from repro.beam.runners.util import (
-    extract_kv_value,
     is_shuffle_node,
+    kv_values,
     translate_chain_node,
 )
 from repro.beam.transforms.core import Create
@@ -94,8 +94,8 @@ class _BeamKafkaOutput(KafkaSinglePortOutputOperator):
 
     plan_label = RAW_PARDO
 
-    def write(self, values: list[Any]) -> None:
-        self.writer.write_chunk([extract_kv_value(v) for v in values])
+    def write(self, values: Sequence[Any]) -> None:
+        self.writer.write_chunk(kv_values(values))
 
 
 class ApexRunner(PipelineRunner):

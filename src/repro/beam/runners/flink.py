@@ -16,7 +16,7 @@ structural consequences the paper demonstrates in Figure 13:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.beam.io.kafka import KafkaRead, KafkaRecordColumn, KafkaWrite
 from repro.beam.runners.base import (
@@ -26,8 +26,8 @@ from repro.beam.runners.base import (
     linearize_beam_graph,
 )
 from repro.beam.runners.util import (
-    extract_kv_value,
     is_shuffle_node,
+    kv_values,
     translate_chain_node,
 )
 from repro.beam.transforms.core import Create
@@ -69,8 +69,8 @@ class _BeamKafkaSink(KafkaSink):
 
     plan_label = RAW_PARDO
 
-    def write(self, values: list[Any]) -> None:
-        self.writer.write_chunk([extract_kv_value(v) for v in values])
+    def write(self, values: Sequence[Any]) -> None:
+        self.writer.write_chunk(kv_values(values))
 
 
 class _BeamKafkaSource(SourceFunction):

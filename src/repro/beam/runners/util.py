@@ -6,7 +6,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.beam.transforms.core import DoFn
 from repro.dataflow.functions import StreamFunction
-from repro.dataflow.kernels import KernelSpec
+from repro.dataflow.kernels import KernelSpec, KvColumn
 
 
 class DoFnAdapter(StreamFunction):
@@ -152,3 +152,15 @@ def extract_kv_value(element: Any) -> Any:
     if isinstance(element, tuple) and len(element) == 2:
         return element[1]
     return element
+
+
+def kv_values(elements: Sequence[Any]) -> Sequence[Any]:
+    """The values written to Kafka for one chunk of KV elements.
+
+    A :class:`~repro.dataflow.kernels.KvColumn` gives its value column,
+    a slab window or row selection that the output log adopts; any other
+    chunk is unwrapped element by element.
+    """
+    if type(elements) is KvColumn:
+        return elements.values
+    return [extract_kv_value(element) for element in elements]

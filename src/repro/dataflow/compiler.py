@@ -42,7 +42,7 @@ from typing import Any, Sequence
 
 from repro.dataflow import kernels as _kernels
 from repro.dataflow.functions import ComposedFunction
-from repro.dataflow.kernels import Kernel, as_output
+from repro.dataflow.kernels import Kernel, as_output, run_kernel
 
 
 class BatchSegment(Kernel):
@@ -70,9 +70,12 @@ class SegmentKernel(Kernel):
     """Sequential segments of one composed stage (kernels + batch runs).
 
     Mirrors :class:`~repro.dataflow.kernels.ChainKernel`: segments run in
-    order, short-circuiting when a segment empties the chunk (the same
-    early exit ``ComposedFunction.process_batch`` takes).  The slab path
-    is delegated to the first segment when it supports one.
+    order through :func:`~repro.dataflow.kernels.run_kernel`, so a window
+    takes the slab path of any segment that has one, short-circuiting
+    when a segment empties the chunk (the same early exit
+    ``ComposedFunction.process_batch`` takes).  It has a slab path when
+    its first segment has one, so the pump wraps a large list input for
+    it as for that segment.
     """
 
     def __init__(self, segments: Sequence[Kernel]) -> None:
@@ -81,17 +84,9 @@ class SegmentKernel(Kernel):
 
     def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         for segment in self.segments:
-            values = segment(values)
+            values = run_kernel(segment, values)
             if not values:
                 break
-        return as_output(values)
-
-    def call_slab(self, slab, base: int, values: Sequence[Any]) -> Sequence[Any]:
-        values = self.segments[0].call_slab(slab, base, values)
-        for segment in self.segments[1:]:
-            if not values:
-                break
-            values = segment(values)
         return as_output(values)
 
     def flush(self) -> None:

@@ -39,7 +39,7 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   path, which reads only the window's own bytes: grep scans them and
   returns its hits as a selection, sample returns its kept rows as a
   selection drawn from the same mask, and projection returns a window of
-  a fixed-width column slab built by one NumPy gather per input slab,
+  a fixed-width column slab built by one NumPy row take per input slab,
   when every line has the separator at the same verified offset.  No
   record string is built on these paths.  A large records list is
   wrapped once as a window over :func:`slab_for`'s slab (the list joined
@@ -54,15 +54,24 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   between flushes, so two live kernels must not share one ``rng`` object
   (no query in this repo does).
 - ``identity``: zero-copy passthrough (chunks are private slices).
-- ``record_kv`` (KafkaIO's ``withoutMetadata``): a :class:`RecordColumn`
-  chunk is zipped from its key and value columns into ``(key, value)``
-  pairs without building one record object; any other chunk calls each
-  record's ``kv()``.
-- ``item`` / ``kv_value``: closure-free generated comprehensions.
+- **KafkaIO's KV stages**: ``record_kv`` (``withoutMetadata``) builds no
+  record object for a :class:`RecordColumn` chunk.  Keyless value
+  slices that are adjacent windows of one slab become a
+  :class:`KvColumn` of ``(None, value)`` pairs over their joined window;
+  other slices are zipped from their key and value columns, and any
+  other chunk calls each record's ``kv()``.  ``ensure_kv`` (``write()``'s
+  EnsureKV) wraps a slab column as a pair column, and ``item(1)`` or
+  ``kv_value`` on its own hands a pair column's value column on, so a
+  Beam pipeline's windows reach its query's slab path and the output
+  log without a pair or a string being built.
+- ``item`` / ``kv_value`` otherwise: closure-free generated
+  comprehensions.
 - chains (``ComposedFunction``): consecutive comprehension-shaped parts
   are fused into one generated comprehension (filters short-circuit
   before maps, preserving draw order and side-effect counts); bulk-shaped
-  parts run as their dedicated kernels in sequence.
+  parts run as their dedicated kernels in sequence, each through
+  :func:`run_kernel` — the same window dispatch the pump applies to each
+  stage.
 
 Keyed & stateful kernels (the Table-2/Nexmark path; see
 ``repro.dataflow.compiler`` for how stages are lowered):
@@ -118,6 +127,7 @@ from itertools import compress, repeat
 from typing import Any, Callable
 
 import numpy as _np
+from numpy.lib.stride_tricks import sliding_window_view as _sliding_window_view
 
 _NL = 10  # ord("\n")
 _MIN_BULK = 32  # below this, comprehension fallbacks win
@@ -324,9 +334,62 @@ class SlabColumn(Sequence):
         return SlabColumn(self.slab, start, stop)
 
 
+class KvColumn(Sequence):
+    """``(None, value)`` pairs over a :class:`SlabColumn` of values.
+
+    The columnar plane's stand-in for the list of keyless KV pairs that
+    KafkaIO's stages pass along: ``withoutMetadata`` (``record_kv``) over
+    a keyless slab window and ``write()``'s EnsureKV (``ensure_kv``) over
+    a column return one, and ``Values`` (``item(1)``), Spark's
+    ``kv_value`` and the Beam sinks take :attr:`values` back, so no pair
+    is built and the output log still adopts the window or selection.
+
+    Like :class:`SlabColumn` it compares equal, by value, to a list or
+    another column with equal elements, in either operand order; ``+``
+    with a list or a column gives a list; a step-1 slice is a pair column
+    over the same slice of values; it is unhashable.  Iteration and
+    comparison build the pairs, decoding the value column.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: SlabColumn) -> None:
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return zip(repeat(None), self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            values = self.values[index]
+            if type(values) is SlabColumn:  # a step-1 slice
+                return KvColumn(values)
+            return [(None, value) for value in values]
+        return (None, self.values[index])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, SlabColumn, KvColumn)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __add__(self, other):
+        if not isinstance(other, (list, SlabColumn, KvColumn)):
+            return NotImplemented
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, (list, SlabColumn)):
+            return NotImplemented
+        return list(other) + list(self)
+
+
 def as_output(values: Sequence[Any]) -> Sequence[Any]:
-    """``values`` as a kernel output: a ``list`` or a :class:`SlabColumn`."""
-    return values if isinstance(values, (list, SlabColumn)) else list(values)
+    """``values`` as a kernel output: a ``list``, a :class:`SlabColumn` or
+    a :class:`KvColumn`."""
+    return values if isinstance(values, (list, SlabColumn, KvColumn)) else list(values)
 
 
 class RecordColumn(Sequence):
@@ -392,11 +455,11 @@ class KernelSpec:
     are exactly the named shape; the equivalence suite enforces this for
     every spec shipped in the repo.  Stateless kinds: ``contains``,
     ``bernoulli``, ``column``, ``identity``, ``item``, ``kv_value``,
-    ``record_kv``, ``nexmark_decode``.  Stateful kinds (which carry the
-    declaring function as ``owner``): ``wordcount``, ``distinct_count``,
-    ``statistics``, ``keyed_reduce``, ``update_state``, ``group_by_key``,
-    ``nexmark_q3``, ``nexmark_q4``, ``nexmark_q5``,
-    ``windowed_aggregate``.
+    ``record_kv``, ``ensure_kv``, ``nexmark_decode``.  Stateful kinds
+    (which carry the declaring function as ``owner``): ``wordcount``,
+    ``distinct_count``, ``statistics``, ``keyed_reduce``,
+    ``update_state``, ``group_by_key``, ``nexmark_q3``, ``nexmark_q4``,
+    ``nexmark_q5``, ``windowed_aggregate``.
     """
 
     kind: str
@@ -444,6 +507,12 @@ class KernelSpec:
     def record_kv(cls) -> "KernelSpec":
         """``map(lambda record: record.kv())`` — KafkaIO's ``withoutMetadata``."""
         return cls("record_kv")
+
+    @classmethod
+    def ensure_kv(cls) -> "KernelSpec":
+        """``map``: ``v`` for 2-tuples, else ``(None, v)`` — KafkaIO
+        ``write()``'s EnsureKV."""
+        return cls("ensure_kv")
 
     @classmethod
     def nexmark_decode(cls) -> "KernelSpec":
@@ -523,13 +592,15 @@ class KernelSpec:
 class Kernel:
     """A compiled chunk-at-a-time operator: a sequence in, a sequence out.
 
-    The output is a ``list`` or a :class:`SlabColumn` over the input's
-    slab (or, for projection, over the kernel's column slab).
+    The output is a ``list``, a :class:`SlabColumn` over the input's
+    slab (or, for projection, over the kernel's column slab) or a
+    :class:`KvColumn` over such a column.
     """
 
     #: Whether :meth:`call_slab` beats :meth:`__call__` for this kernel.
-    #: The pump takes the slab path for every chunk that is a
-    #: :class:`SlabColumn` window, and wraps a large list input as one.
+    #: :func:`run_kernel` takes the slab path for every chunk that is a
+    #: :class:`SlabColumn` window, and the pump wraps a large list input
+    #: as one.
     supports_slab: bool = False
 
     def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
@@ -555,17 +626,30 @@ class Kernel:
         return type(self).__name__
 
 
+def run_kernel(kernel: Kernel, values: Sequence[Any]) -> Sequence[Any]:
+    """``kernel`` over ``values``, through its slab path for a window.
+
+    The kernel tier's one dispatch rule: the pump applies it to every
+    stage and chain and segment kernels to every op, so a window reaches
+    each slab-aware op however the stages are fused.
+    """
+    if kernel.supports_slab and type(values) is SlabColumn and values.rows is None:
+        return kernel.call_slab(values.slab, values.start, values)
+    return kernel(values)
+
+
 class IdentityKernel(Kernel):
     """Zero-copy passthrough (the pump's chunks are private slices).
 
-    :class:`SlabColumn` chunks also pass through unchanged, so a window
-    keeps a downstream kernel's slab path and reaches the output log as
-    a column; so do :class:`RecordColumn` chunks, which a downstream
-    ``record_kv`` kernel reads without building their records.
+    :class:`SlabColumn` and :class:`KvColumn` chunks also pass through
+    unchanged, so a window keeps a downstream kernel's slab path and
+    reaches the output log as a column; so do :class:`RecordColumn`
+    chunks, which a downstream ``record_kv`` kernel reads without
+    building their records.
     """
 
     def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
-        if isinstance(values, (list, SlabColumn, RecordColumn)):
+        if isinstance(values, (list, SlabColumn, KvColumn, RecordColumn)):
             return values
         return list(values)
 
@@ -573,24 +657,91 @@ class IdentityKernel(Kernel):
         return "identity[zero-copy]"
 
 
+def _joined_window(slices: list) -> SlabColumn | None:
+    """Keyless value slices that are adjacent windows of one slab, as one
+    window; ``None`` for any other slices."""
+    if not slices or type(slices[0][1]) is not SlabColumn:
+        return None
+    first = slices[0][1]
+    stop = first.start
+    for keys, column in slices:
+        if (
+            keys is not None
+            or type(column) is not SlabColumn
+            or column.rows is not None
+            or column.slab is not first.slab
+            or column.start != stop
+        ):
+            return None
+        stop = column.stop
+    return SlabColumn(first.slab, first.start, stop)
+
+
 class RecordKvKernel(Kernel):
     """``record_kv``: each record's ``(key, value)`` pair.
 
-    A :class:`RecordColumn` chunk is zipped from its key and value
-    columns, building no record object; any other chunk calls each
-    record's ``kv()``, which is the reference semantics.
+    A :class:`RecordColumn` chunk builds no record object: when its
+    keyless value slices are adjacent windows of one slab it becomes a
+    :class:`KvColumn` over their joined window, and otherwise its key and
+    value columns are zipped.  Any other chunk calls each record's
+    ``kv()``, which is the reference semantics.
     """
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         if not isinstance(values, RecordColumn):
             return [record.kv() for record in values]
+        slices = values.kv_slices()
+        window = _joined_window(slices)
+        if window is not None:
+            return KvColumn(window)
         pairs: list = []
-        for keys, column in values.kv_slices():
+        for keys, column in slices:
             pairs.extend(zip(repeat(None) if keys is None else keys, column))
         return pairs
 
     def describe(self) -> str:
         return "record_kv[column zip]"
+
+
+class EnsureKvKernel(Kernel):
+    """``ensure_kv``: each 2-tuple as it is, any other value as
+    ``(None, value)``.
+
+    A :class:`SlabColumn`'s rows are strings, never pairs, so it becomes
+    a :class:`KvColumn` over itself, and a :class:`KvColumn` is pairs
+    already; any other chunk is mapped element by element.
+    """
+
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
+        if type(values) is SlabColumn:
+            return KvColumn(values)
+        if type(values) is KvColumn:
+            return values
+        return [
+            v if isinstance(v, tuple) and len(v) == 2 else (None, v) for v in values
+        ]
+
+    def describe(self) -> str:
+        return "ensure_kv[pair column]"
+
+
+class PairValueKernel(Kernel):
+    """``item(1)`` or ``kv_value`` on its own: each pair's value.
+
+    Every element of a :class:`KvColumn` is a pair, so both shapes give
+    its value column; any other chunk runs the fused comprehension.
+    """
+
+    def __init__(self, fused: "FusedKernel") -> None:
+        self.fused = fused
+
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
+        if type(values) is KvColumn:
+            return values.values
+        return self.fused(values)
+
+    def describe(self) -> str:
+        return f"pair-value[{self.fused.describe()}]"
 
 
 class GrepKernel(Kernel):
@@ -792,7 +943,7 @@ class ColumnKernel(Kernel):
     width is learned from the first line and *proved* uniform for every
     line vectorized (separator at the learned offset, none earlier, line
     long enough); the whole column then becomes one fixed-width NumPy
-    gather, kept as a slab of its own, and each window's output is the
+    row take, kept as a slab of its own, and each window's output is the
     matching window of that column slab.  The column is built once per
     input slab and kept until the kernel sees another slab, so
     consecutive windows come out contiguous (the output log widens one
@@ -852,10 +1003,10 @@ class ColumnKernel(Kernel):
         # there, and nowhere earlier.
         if not bool((lengths > width).all()):
             return None
-        # Narrow indices halve gather traffic when offsets fit in int32.
-        idx_dtype = _np.int32 if size < 2**31 - (width + 1) else _np.int64
-        s_idx = starts.astype(idx_dtype) if idx_dtype is not _np.int64 else starts
-        gathered = slab.arr[s_idx[:, None] + _np.arange(width + 1, dtype=idx_dtype)]
+        # One row take of each line's first ``width + 1`` bytes from a
+        # strided view: no ``n x (width + 1)`` index array.  Every start
+        # is a valid row, because every line is longer than ``width``.
+        gathered = _sliding_window_view(slab.arr, width + 1)[starts]
         if not bool((gathered[:, width] == sep_byte).all()):
             return None
         if bool((gathered[:, :width] == sep_byte).any()):
@@ -889,14 +1040,18 @@ class FusedKernel(Kernel):
 
 
 class ChainKernel(Kernel):
-    """Sequential composition of kernels (a compiled ``ComposedFunction``)."""
+    """Sequential composition of kernels (a compiled ``ComposedFunction``).
+
+    Each op runs through :func:`run_kernel`, so a window that reaches a
+    slab-aware op anywhere in the chain takes its slab path.
+    """
 
     def __init__(self, ops: list) -> None:
         self.ops = ops
 
     def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         for op in self.ops:
-            values = op(values)
+            values = run_kernel(op, values)
             if not values:
                 break
         return as_output(values)
@@ -1680,6 +1835,7 @@ _BULK_KINDS = {
     "column": lambda spec: ColumnKernel(spec.index, spec.sep),
     "nexmark_decode": lambda spec: NexmarkDecodeKernel(),
     "record_kv": lambda spec: RecordKvKernel(),
+    "ensure_kv": lambda spec: EnsureKvKernel(),
 }
 
 
@@ -1702,6 +1858,13 @@ def _build_chain(specs: list) -> Kernel:
         if builder is not None:
             flush_pending()
             ops.append(builder(spec))
+            continue
+        if not pending and (
+            spec.kind == "kv_value" or (spec.kind == "item" and spec.index == 1)
+        ):
+            # Both map a (None, value) pair to its value; on its own, the
+            # kernel can hand a pair column's value column on.
+            ops.append(PairValueKernel(_fuse([_fragment(spec)])))
             continue
         role, template, frag_args = _fragment(spec)
         if role == "filter" and pending_mapped:

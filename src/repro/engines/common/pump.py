@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.dataflow.kernels import SlabColumn, as_output, slab_for
+from repro.dataflow.kernels import SlabColumn, as_output, run_kernel, slab_for
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance
 from repro.engines.common.progress import LagTracker
@@ -333,9 +333,12 @@ class StreamPump:
     ) -> tuple[float, Sequence[Any]]:
         """Run ``values`` through the stages from ``start``.
 
-        Returns the cost and the sink-bound records: a ``list`` or a
-        :class:`~repro.dataflow.kernels.SlabColumn`.  A slab-aware kernel
-        handed a window takes its slab path over the window's rows.
+        Returns the cost and the sink-bound records: a ``list``, a
+        :class:`~repro.dataflow.kernels.SlabColumn` or a
+        :class:`~repro.dataflow.kernels.KvColumn`.  Each kernel runs
+        through :func:`~repro.dataflow.kernels.run_kernel`, so a
+        slab-aware kernel handed a window takes its slab path over the
+        window's rows.
         """
         vectorized = self.vectorized
         cost = 0.0
@@ -345,14 +348,7 @@ class StreamPump:
                 assert stage.function is not None
                 kernel = stage.compiled_kernel() if vectorized else None
                 if kernel is not None:
-                    if (
-                        kernel.supports_slab
-                        and type(values) is SlabColumn
-                        and values.rows is None
-                    ):
-                        values = kernel.call_slab(values.slab, values.start, values)
-                    else:
-                        values = kernel(values)
+                    values = run_kernel(kernel, values)
                 elif vectorized:
                     values = stage.function.process_batch(values)
                 else:

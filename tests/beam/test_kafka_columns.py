@@ -15,13 +15,21 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.beam as beam
 from repro.beam.io import kafka
-from repro.beam.io.kafka import KafkaRead, KafkaRecord, KafkaRecordColumn
+from repro.beam.io.kafka import (
+    KafkaRead,
+    KafkaRecord,
+    KafkaRecordColumn,
+    _DropMetadataDoFn,
+    _EnsureKvDoFn,
+)
 from repro.beam.runners import ApexRunner, DirectRunner, FlinkRunner, SparkRunner
+from repro.beam.runners.util import extract_kv_value
 from repro.broker import (
     BrokerCluster,
     Consumer,
@@ -33,10 +41,14 @@ from repro.broker import (
     TopicPartition,
 )
 from repro.dataflow.kernels import (
+    ChainKernel,
+    EnsureKvKernel,
     IdentityKernel,
     KernelSpec,
+    KvColumn,
     RecordKvKernel,
     SlabColumn,
+    _build_chain,
     slab_from_columns,
 )
 from repro.dataflow.compiler import lower_stage
@@ -325,6 +337,132 @@ class TestColumnKernels:
         dofn = pipeline.applied[-1].transform.dofn
         assert dofn.kernel_spec == KernelSpec.record_kv()
         assert isinstance(lower_stage(dofn), RecordKvKernel)
+
+
+# ---------------------------------------------------------------------------
+# KafkaIO's KV stages over columns
+
+
+def kv_record_column(layout: str, window: SlabColumn) -> KafkaRecordColumn:
+    """Records over ``window``'s 30 rows in one of four slice layouts."""
+
+    def piece(offset, lo, hi, keys=None):
+        return RecordSlice(
+            TOPIC, 0, offset, TimestampType.LOG_APPEND_TIME, window[lo:hi],
+            keys, array("d", [float(i) for i in range(lo, hi)]),
+        )
+
+    return KafkaRecordColumn(
+        {
+            "one-slice": [piece(0, 0, 30)],
+            "adjacent-slices": [piece(0, 0, 10), piece(10, 10, 30)],
+            "non-adjacent-slices": [piece(0, 0, 10), piece(10, 20, 30)],
+            "keyed-slices": [piece(0, 0, 30, keys=[f"k{i}" for i in range(30)])],
+        }[layout]
+    )
+
+
+def kv_stage_input(name: str):
+    """A fresh input container and the slab that no kernel may decode."""
+    window = slab_column([f"line {i}\tcol" for i in range(30)])
+    containers = {
+        "list": lambda: [(None, "a"), ("k", "b"), "cd", (1, 2, 3), ("e", "f")],
+        "window": lambda: window,
+        "selection": lambda: SlabColumn(window.slab, rows=np.arange(1, 30, 3)),
+        "pair-column": lambda: KvColumn(window),
+        "record-list": lambda: list(kv_record_column("keyed-slices", window)),
+    }
+    make = containers.get(name, lambda: kv_record_column(name, window))
+    return make(), window.slab
+
+
+#: Each KV stage's spec and its per-record reference.
+KV_STAGES = {
+    "record_kv": (KernelSpec.record_kv(), lambda v: _DropMetadataDoFn().process(v)[0]),
+    "item(1)": (KernelSpec.item(1), lambda v: v[1]),
+    "kv_value": (KernelSpec.kv_value(), extract_kv_value),
+    "ensure_kv": (KernelSpec.ensure_kv(), lambda v: _EnsureKvDoFn().process(v)[0]),
+}
+KV_INPUTS = (
+    "list", "window", "selection", "pair-column", "record-list",
+    "one-slice", "adjacent-slices", "non-adjacent-slices", "keyed-slices",
+)
+#: Stage and input pairs that stay columns: what comes out, in terms of
+#: the input.
+COLUMN_PATHS = {
+    ("record_kv", "one-slice"): "pairs",
+    ("record_kv", "adjacent-slices"): "pairs",
+    ("item(1)", "pair-column"): "values",
+    ("kv_value", "pair-column"): "values",
+    ("ensure_kv", "window"): "pairs",
+    ("ensure_kv", "selection"): "pairs",
+    ("ensure_kv", "pair-column"): "same",
+}
+
+
+class TestKvStagesOverColumns:
+    @pytest.mark.parametrize("name", KV_INPUTS)
+    @pytest.mark.parametrize("stage", list(KV_STAGES))
+    def test_matches_the_per_record_reference(self, stage, name):
+        """Each KV stage's kernel equals its per-record function by value
+        on every container, raising what it raises; where the input is a
+        column of a slab, the output is a column over it and nothing is
+        decoded."""
+        spec, reference = KV_STAGES[stage]
+        values, slab = kv_stage_input(name)
+        kernel = _build_chain([spec])
+        try:
+            out = kernel(values)
+        except Exception as error:
+            with pytest.raises(type(error)):
+                [reference(v) for v in values]
+            return
+        path = COLUMN_PATHS.get((stage, name))
+        if path == "values":
+            assert out is values.values
+        elif path == "same":
+            assert out is values
+        elif path == "pairs":
+            assert type(out) is KvColumn and out.values.slab is slab
+            if stage == "ensure_kv":
+                assert out.values is values
+            else:
+                assert out.values.rows is None
+                assert (out.values.start, out.values.stop) == (0, 30)
+        else:
+            assert type(out) is list
+        if path is not None:
+            assert slab.records is None
+        assert out == [reference(v) for v in values]
+
+    def test_window_of_a_record_column_runs_the_beam_chain_on_its_bytes(self):
+        """``record_kv → item(1) → contains → ensure_kv → kv_value`` over a
+        window of a record column returns a row selection of the slab and
+        decodes nothing."""
+        window = slab_column([f"q{i}" + ("\ttest" if i % 7 == 3 else "") for i in range(400)])
+        records = KafkaRecordColumn(
+            [
+                RecordSlice(
+                    TOPIC, p, 0, TimestampType.LOG_APPEND_TIME,
+                    window[lo:hi], None, array("d", [0.0] * (hi - lo)),
+                )
+                for p, (lo, hi) in enumerate([(0, 150), (150, 400)])
+            ]
+        )[40:330]
+        specs = [
+            KernelSpec.record_kv(), KernelSpec.item(1), KernelSpec.contains("test"),
+            KernelSpec.ensure_kv(), KernelSpec.kv_value(),
+        ]
+        kernel = _build_chain(specs)
+        assert isinstance(kernel, ChainKernel)
+        out = kernel(records)
+        assert type(out) is SlabColumn and out.rows is not None
+        assert out.slab is window.slab and window.slab.records is None
+        assert out == [r.value for r in records if "test" in r.value]
+        assert len(out) == 41
+
+    def test_write_lowers_to_the_ensure_kv_kernel(self):
+        assert isinstance(lower_stage(_EnsureKvDoFn()), EnsureKvKernel)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,68 @@ def test_slab_column_behaves_like_its_list(data):
         hash(column)
 
 
+@st.composite
+def pair_columns(draw):
+    """A pair column over a window or selection, with its pairs as a list
+    built from the lines."""
+    column, rows = draw(slab_columns())
+    return kernels.KvColumn(column), [(None, row) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pair_column_behaves_like_its_list(data):
+    """Every ``Sequence`` operation of a pair column gives what the same
+    operation gives on its ``(None, value)`` pairs as a list."""
+    column, pairs = data.draw(pair_columns())
+    # Indexing and step-1 slices first: they decode nothing.
+    for index in range(-len(pairs) - 2, len(pairs) + 2):
+        if -len(pairs) <= index < len(pairs):
+            assert column[index] == pairs[index]
+        else:
+            with pytest.raises(IndexError):
+                column[index]
+    assert type(column[:]) is kernels.KvColumn
+    assert column.values.slab.records is None
+    assert len(column) == len(pairs)
+    assert bool(column) is bool(pairs)
+    assert list(column) == pairs
+    assert list(reversed(column)) == pairs[::-1]
+    for _ in range(8):
+        index = slice(data.draw(_bounds), data.draw(_bounds), data.draw(_steps))
+        piece = column[index]
+        assert list(piece) == pairs[index], index
+        if index.step in (None, 1):
+            assert type(piece) is kernels.KvColumn, index
+    for probe in ((None, ""), (None, "a"), (None, "a\tb"), ("a", "a"), "a"):
+        assert (probe in column) is (probe in pairs)
+        assert column.count(probe) == pairs.count(probe)
+        if probe in pairs:
+            assert column.index(probe) == pairs.index(probe)
+        else:
+            with pytest.raises(ValueError):
+                column.index(probe)
+    other, other_pairs = data.draw(pair_columns())
+    extra = [(None, "x")]
+    for candidate in (
+        pairs, pairs + extra, pairs[:-1], tuple(pairs), other, other_pairs
+    ):
+        expected = pairs == (other_pairs if candidate is other else candidate)
+        assert (column == candidate) is expected
+        assert (candidate == column) is expected
+        assert (column != candidate) is (not expected)
+        assert (candidate != column) is (not expected)
+    assert column + extra == pairs + extra
+    assert extra + column == extra + pairs
+    assert column + other == pairs + other_pairs
+    with pytest.raises(TypeError):
+        column + tuple(extra)
+    with pytest.raises(TypeError):
+        tuple(extra) + column
+    with pytest.raises(TypeError):
+        hash(column)
+
+
 class TestFusionAndChains:
     def test_composed_all_spec_compiles(self):
         rng = random.Random(5)

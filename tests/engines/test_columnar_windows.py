@@ -3,9 +3,11 @@
 Three paths must never turn the workload slab into record strings:
 
 * a Figure-5 cell (``StreamBenchHarness.run_setup``) of any system and
-  stateless query — the input log's reads, the pump's chunks and the
-  query's output are windows or row selections of the slab (projection:
-  windows of its column slab), and the output log adopts them;
+  stateless query, native or Beam — the input log's reads, the pump's
+  chunks and the query's output are windows or row selections of the
+  slab (projection: windows of its column slab), and the output log
+  adopts them; on the Beam path KafkaIO's KV stages carry them as pair
+  columns;
 * a per-chunk-flush drain (``poll_values`` capped, ``_process_chunk``,
   acknowledge — the recovery path's and the drain benchmarks' loop),
   where each kernel's work must stay proportional to its window: the
@@ -47,12 +49,12 @@ def output_log(harness: StreamBenchHarness):
     return harness.broker.topic(harness.config.output_topic).partitions[0]
 
 
-@pytest.mark.parametrize("system", sorted(SYSTEM_SEEDS))
-def test_figure5_cells_decode_nothing(system, monkeypatch):
-    """Every native cell at P=1 and P=2 (Spark micro-batched) leaves the
-    input slab undecoded and its output log holding a column, with the
-    reference tier's output."""
-    config = BenchmarkConfig(records=20_000, runs=1, seed=SYSTEM_SEEDS[system])
+def check_cells_decode_nothing(system, kind, seed, monkeypatch):
+    """Run every stateless cell of ``kind`` at P=1 and P=2 (Spark
+    micro-batched): the input slab stays undecoded, the output log holds
+    a column, and its values and LogAppendTimes are the reference
+    tier's."""
+    config = BenchmarkConfig(records=20_000, runs=1, seed=seed)
     harness = StreamBenchHarness(config)
     harness.ingest()
     slab = harness.workload.columnar().to_slab()
@@ -60,18 +62,37 @@ def test_figure5_cells_decode_nothing(system, monkeypatch):
     outputs = {}
     for query in FIGURE5_QUERIES:
         for parallelism in (1, 2):
-            harness.run_setup(system, query, "native", parallelism)
+            harness.run_setup(system, query, kind, parallelism)
             log = output_log(harness)
             assert slab.records is None, (query, parallelism)
             assert type(log._values) is SlabColumn, (query, parallelism)
-            outputs[query, parallelism] = log.read_values(0)
+            outputs[query, parallelism] = (log.read_values(0), log.read_timestamps(0))
 
     monkeypatch.setattr(StreamPump, "vectorized", False)
     reference = StreamBenchHarness(config)
-    for (query, parallelism), column in outputs.items():
-        reference.run_setup(system, query, "native", parallelism)
-        assert column == output_log(reference).read_values(0), (query, parallelism)
-    assert outputs["identity", 1] == harness.workload.columnar().records
+    for (query, parallelism), (values, times) in outputs.items():
+        reference.run_setup(system, query, kind, parallelism)
+        log = output_log(reference)
+        assert values == log.read_values(0), (query, parallelism)
+        assert times == log.read_timestamps(0), (query, parallelism)
+    assert outputs["identity", 1][0] == harness.workload.columnar().records
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEM_SEEDS))
+def test_figure5_cells_decode_nothing(system, monkeypatch):
+    """Every native cell stays columnar from the poll to the output log."""
+    check_cells_decode_nothing(system, "native", SYSTEM_SEEDS[system], monkeypatch)
+
+
+#: One workload seed per system, used by no other test.
+BEAM_SEEDS = {"flink": 7131, "spark": 7132, "apex": 7133}
+
+
+@pytest.mark.parametrize("system", sorted(BEAM_SEEDS))
+def test_beam_figure5_cells_decode_nothing(system, monkeypatch):
+    """Every Beam cell builds no KV pair or record string from the
+    KafkaIO read to the sink."""
+    check_cells_decode_nothing(system, "beam", BEAM_SEEDS[system], monkeypatch)
 
 
 def _stages(function):
