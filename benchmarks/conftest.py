@@ -1,13 +1,10 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper.  The suite
-runs at a reduced scale by default (100,000 records, 5 runs per setup) so
+runs at a reduced scale by default (100,000 records, 10 runs per setup) so
 it finishes in a few minutes; export ``REPRO_FULL_SCALE=1`` to reproduce
 the paper's exact campaign (1,000,001 records, 10 runs — the numbers
 recorded in EXPERIMENTS.md), or ``REPRO_RECORDS=<n>`` for a custom scale.
-``REPRO_PARALLEL=1`` (optionally with ``REPRO_WORKERS=<n>``) fans the
-matrix out over worker processes — the report is bit-identical to serial
-execution, so every figure and table is unaffected.
 
 Rendered tables are printed and also written to ``benchmarks/_results/`` so
 they survive pytest's output capture.

@@ -9,7 +9,7 @@ overhead must be negligible relative to the system under test — here the
 "harness" is the Python host process, and the "system" is the simulated
 pipeline.
 
-Two kinds of measurement:
+The measurements:
 
 * **Pump microbenchmarks** — the same stage pipeline is pumped through
   both execution tiers: the per-record reference loop (``tuple``,
@@ -17,11 +17,12 @@ Two kinds of measurement:
   production default — see ``repro.dataflow.kernels``); outputs are
   asserted identical and the kernel's speedup over the tuple path is
   reported.  The ``identity-op`` scenario is the headline: a
-  pass-through operator measures pure host dispatch overhead, which is
-  exactly what the kernels eliminate.  The keyed scenarios (stateful
-  wordcount and the Nexmark Q3/Q4/Q5 queries over encoded events)
-  exercise the stateful kernel tier and the plan compiler's decode
-  fusion.
+  pass-through operator, which the reference loop calls once per record
+  and the kernel tier skips, handing the column on.  The keyed
+  scenarios (stateful wordcount and the Nexmark Q3/Q4/Q5 queries over
+  encoded events) exercise the stateful kernel tier and the plan
+  compiler's decode fusion.  The AOL scenarios pump the workload's slab
+  column, the Figure-5 input, so the kernels take their slab paths.
 * **Generation** — cold workload generation, slab-direct byte columns
   (``repro.workloads.columnar``) vs the per-record string generator.
   The ratio is the CI floor for the columnar plane's reason to exist.
@@ -31,24 +32,10 @@ Two kinds of measurement:
   genuinely cold.
   Workload generation is reported separately: it is not part of the
   paper's pipeline (the AOL file pre-exists on disk).
-* **Scale sweep** — chunk-streamed 1M/10M/100M ingest+grep runs in
-  bounded memory: each spawned worker generates, ingests, drains and
-  greps its shard O(chunk) bytes at a time, reporting clean per-process
-  peak-RSS figures (``scale_sweep`` in the JSON).
-* **Parallel drain** — partition-parallel *query execution* on the host
-  clock: P worker processes, each with a per-shard consumer assigned to
-  its own partition of a P-partition topic, drain the same workload
-  through the production grep kernel.  Aggregate match counts are
-  asserted against the generator's expectation at every topology, and
-  the P=4-vs-P=1 wall-clock ratio is CI's drain-speedup floor on
-  multi-core runners (``parallel_drain`` in the JSON).
-* **Order-sensitive drains** — the same partition-parallel drain topology
-  pointed at the order-sensitive kernels: the RNG-consuming sample
-  filter and the running statistics aggregate.  Every shard
-  asserts its *exact* expected output count (the reference RNG's kept
-  count for sample, one running tuple per record for statistics) on any
-  host, and the per-query P=4-vs-P=1 ratio carries the same ≥2x CI floor
-  on multi-core runners (``sharded_order_sensitive`` in the JSON).
+* **Workload cache** — cold generation vs a warm mmap load of the
+  cache's columnar entry.
+* **Capacity** — the simulated sustainable-throughput knee of one cell
+  and an overload probe at twice the knee.
 * **Scalability curves** — the *simulated* capacity knee swept over
   pipeline parallelism per system × SDK kind
   (:meth:`~repro.benchmark.capacity.CapacityRunner.run_scalability`).
@@ -56,20 +43,16 @@ Two kinds of measurement:
   monotonically and sub-linearly with P (the broker append/fetch path is
   the serial Amdahl fraction), and the Beam knee must sit at or below
   native at every level (``scalability_curves`` in the JSON).
-* **Matrix scale** — the full 48-cell Figure-5 grid executed serially and
-  through the parallel :class:`~repro.benchmark.parallel.MatrixRunner`
-  (per-field report equality asserted), plus the workload cache's cold
-  generation vs warm mmap load timings.  These record how long a
-  campaign takes to *start and fan out* on the host, complementing the
-  per-pump numbers.
 
-Results are written to ``BENCH_pump.json`` at the repository root; each
-scenario records records/sec for both paths plus ``speedup`` (kernel
-over tuple, the headline ratio).  CI's perf-smoke job gates on the
-*speedups* (machine-independent ratios) against
-``benchmarks/perf/baseline.json`` and on the absolute per-query kernel
-floors from the issue — absolute throughput is recorded for
-trend-watching but not gated, because runner hardware varies.
+Everything runs in one process.  Results are written to
+``BENCH_pump.json`` at the repository root, with a ``host`` block naming
+the machine they ran on; each microbenchmark scenario records
+records/sec for both paths plus ``speedup`` (kernel over tuple, the
+headline ratio).  CI's perf-smoke job gates on the *speedups*
+(machine-independent ratios) against ``benchmarks/perf/baseline.json``
+and on the absolute per-query kernel floors — absolute throughput is
+recorded for trend-watching but not gated, because runner hardware
+varies.
 
 Run directly for the full-scale campaign::
 
@@ -86,7 +69,7 @@ import random
 import shutil
 import tempfile
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.harness import StreamBenchHarness
@@ -110,13 +93,13 @@ from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
 from repro.engines.common.stages import PhysicalStage, StageKind
 from repro.simtime import Simulator
-from repro.workloads.aol import GREP_NEEDLE, generate_records
+from repro.workloads.aol import GREP_NEEDLE, AolWorkload, generate_records
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 BENCH_PATH = REPO_ROOT / "BENCH_pump.json"
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baseline.json"
 
-#: Headline scenario for the CI gate (pure dispatch overhead).
+#: Headline scenario for the CI gate (per-record dispatch vs a passthrough).
 HEADLINE_SCENARIO = "identity-op"
 
 #: Keyed/stateful scenarios (ISSUE 7): per-key state in the hot loop.  The
@@ -161,7 +144,7 @@ def _scenario_functions() -> dict[str, tuple[str, Callable[[], StreamFunction]]]
     compiler's decode fusion is on the timed path.
     """
     return {
-        # Pass-through operator: measures pure per-record dispatch cost.
+        # Pass-through operator: the per-record dispatch cost alone.
         "identity-op": ("aol", lambda: IdentityFunction()),
         "grep": (
             "aol",
@@ -246,7 +229,7 @@ TIERS: dict[str, bool] = {"tuple": False, "kernel": True}
 
 def _time_pump_once(
     make_function: Callable[[], StreamFunction],
-    records: list[str],
+    records: Sequence[str],
     tier: str,
 ) -> tuple[float, int]:
     """One timed pump run on ``tier``; returns (seconds, records_out)."""
@@ -279,22 +262,22 @@ def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str
     systematically flatters whichever tier runs first on a cool CPU, and
     a fixed within-repeat order flatters whichever tier follows the
     lightest predecessor; rotation exposes every tier to every position.
-    The first kernel repeat also pays the one-off workload-slab build
-    (shared by identity of the records list), so best-of-N reflects the
+    The first repeat that iterates the AOL column also pays its one-off
+    decode into the slab's shared record list, so best-of-N reflects the
     warm steady state a campaign actually runs in.
     """
-    sources: dict[str, list[str]] = {}
+    sources: dict[str, Sequence[str]] = {}
 
-    def records_for(source: str) -> list[str]:
-        # One record list per source, built lazily and shared across runs
-        # (the workload slab is memoised by list identity).
+    def records_for(source: str) -> Sequence[str]:
+        # One input per source, built lazily and shared across runs: the
+        # AOL workload's slab column, the Nexmark events as a list.
         if source not in sources:
             if source == "nexmark":
                 sources[source] = NexmarkGenerator(
                     num_records, seed=NEXMARK_SEED
                 ).encoded()
             else:
-                sources[source] = generate_records(num_records)
+                sources[source] = AolWorkload(num_records).columnar().column()
         return sources[source]
 
     scenarios: dict[str, Any] = {}
@@ -474,326 +457,6 @@ def run_workload_cache_bench(num_records: int = 200_000, repeats: int = 3) -> di
     }
 
 
-def _drain_shard(
-    num_records: int, seed: int, shard: int, n_shards: int
-) -> dict[str, Any]:
-    """One shard's ingest-then-drain world (top-level for pickling).
-
-    The worker mmaps the shared columnar cache entry (pre-seeded by the
-    parent), pushes a zero-copy window over its contiguous row range into
-    its own partition of a P-partition topic, then assigns a consumer to
-    exactly that partition and
-    pumps the records through the production grep kernel chunk by chunk
-    (poll -> process -> acknowledge, the capacity probe's drain loop).
-    Only the drain phase is on the reported clock.
-    """
-    from repro.benchmark.sender import DataSender
-    from repro.broker import AdminClient, BrokerCluster, Consumer, TopicPartition
-    from repro.dataflow.metrics import JobMetrics
-    from repro.simtime import Simulator
-    from repro.workloads.cache import load_columnar_workload
-
-    workload = load_columnar_workload(num_records, seed)
-    column = workload.column()
-    lo = shard * num_records // n_shards
-    hi = (shard + 1) * num_records // n_shards
-
-    simulator = Simulator(seed=11)
-    cluster = BrokerCluster(simulator, num_nodes=n_shards)
-    AdminClient(cluster).create_topic("parallel-drain", num_partitions=n_shards)
-    sender = DataSender(cluster, "parallel-drain", create_topic=False, partition=shard)
-    sender.send(column.view(lo, hi))
-
-    function = FilterFunction(
-        _grep,
-        name="Grep",
-        cost_weight=0.4,
-        kernel_spec=KernelSpec.contains(GREP_NEEDLE),
-    )
-    function.open()
-    pump = StreamPump(
-        simulator=simulator,
-        stages=_build_stages(function),
-        variance=RunVariance(),
-        rng=random.Random(7),
-    )
-    consumer = Consumer(cluster)
-    consumer.assign([TopicPartition("parallel-drain", shard)])
-    metrics = JobMetrics(f"parallel-drain/shard{shard}")
-    matches = 0
-    mark = time.perf_counter()
-    while True:
-        values = consumer.poll_values(max_records=8_192)
-        if not values:
-            break
-        cost, outputs = pump._process_chunk(values, metrics)
-        simulator.charge(cost)
-        consumer.acknowledge()
-        matches += len(outputs)
-    cost, outputs = pump.drain(metrics)
-    simulator.charge(cost)
-    matches += len(outputs)
-    drain_seconds = time.perf_counter() - mark
-    function.close()
-    return {
-        "shard": shard,
-        "records": hi - lo,
-        "matches": matches,
-        "drain_seconds": drain_seconds,
-    }
-
-
-def run_parallel_drain_bench(
-    num_records: int = 2_000_000, parallelisms: tuple[int, ...] = (1, 4)
-) -> dict[str, Any]:
-    """Partition-parallel drain: P shard workers vs the single-pump path.
-
-    For each topology the same workload splits into contiguous row ranges;
-    one worker process per shard ingests its range into its own partition
-    of a P-partition topic and drains it through the grep kernel with a
-    per-shard consumer (``Consumer.assign([TopicPartition(topic, p)])``).
-    Aggregate match counts are asserted against the generator's exact
-    expectation for every topology — a drain that miscounts is not a
-    measurement.  ``speedup`` is wall(P=1) / wall(P=max), the CI floor on
-    multi-core runners; on a single-CPU affinity the workers cannot run
-    concurrently at all, so it is reported as ``null`` with a note, as
-    with the matrix section.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.workloads.aol import expected_grep_matches
-    from repro.workloads.cache import ensure_columns_cached
-
-    seed = 2006
-    ensure_columns_cached(num_records, seed)
-    expected = expected_grep_matches(num_records)
-    per_parallelism: dict[str, Any] = {}
-    walls: dict[int, float] = {}
-    for n_shards in parallelisms:
-        started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=n_shards) as pool:
-            shards = list(
-                pool.map(
-                    _drain_shard,
-                    [num_records] * n_shards,
-                    [seed] * n_shards,
-                    range(n_shards),
-                    [n_shards] * n_shards,
-                )
-            )
-        wall = time.perf_counter() - started
-        walls[n_shards] = wall
-        matched = sum(s["matches"] for s in shards)
-        if matched != expected:
-            raise AssertionError(
-                f"P={n_shards} drain matched {matched}, expected {expected}"
-            )
-        per_parallelism[str(n_shards)] = {
-            "parallelism": n_shards,
-            "wall_seconds": round(wall, 3),
-            "aggregate_records_per_sec": round(num_records / wall),
-            "matches": matched,
-            "per_shard": [
-                {
-                    "shard": s["shard"],
-                    "records": s["records"],
-                    "drain_seconds": round(s["drain_seconds"], 3),
-                    "drain_records_per_sec": round(
-                        s["records"] / s["drain_seconds"]
-                    ),
-                }
-                for s in shards
-            ],
-        }
-    result: dict[str, Any] = {
-        "records": num_records,
-        "parallelisms": list(parallelisms),
-        "cpu_affinity": available_cpus(),
-        "per_parallelism": per_parallelism,
-        "speedup": round(walls[min(parallelisms)] / walls[max(parallelisms)], 2),
-    }
-    if available_cpus() == 1:
-        result["speedup"] = None
-        result["speedup_note"] = (
-            "single-CPU affinity: drain workers cannot run concurrently, "
-            "so P=1 vs P=N wall-clock is not a speedup measurement"
-        )
-    return result
-
-
-#: Queries of the order-sensitive drain family, whose drains carry CI
-#: speedup floors.  The windowed aggregate's knee-vs-parallelism
-#: behaviour is gated through the simulated scalability curves instead —
-#: its drain-phase pane materialisation would dominate a host-clock
-#: ratio.
-ORDER_SENSITIVE_DRAIN_QUERIES = ("sample", "statistics")
-
-
-def _drain_order_sensitive_shard(
-    num_records: int, seed: int, shard: int, n_shards: int, query: str
-) -> dict[str, Any]:
-    """One shard's drain world for an order-sensitive query (picklable).
-
-    Mirrors :func:`_drain_shard`, but pumps the partition through the
-    production sample or statistics kernel instead of grep, and computes
-    the shard's *exact* expected output count: statistics emits one
-    running ``(min, max, mean)`` tuple per record, and the sample
-    kernel's bulk draw is bit-identical to the per-record
-    reference draw ``rng.random() < SAMPLE_FRACTION``, so a fresh
-    ``Random`` seeded like the worker's predicts the kept count exactly.
-    The reference draws run after the timed drain, off the clock.
-    """
-    from repro.benchmark.sender import DataSender
-    from repro.broker import AdminClient, BrokerCluster, Consumer, TopicPartition
-    from repro.dataflow.metrics import JobMetrics
-    from repro.simtime import Simulator
-    from repro.workloads.cache import load_columnar_workload
-
-    workload = load_columnar_workload(num_records, seed)
-    column = workload.column()
-    lo = shard * num_records // n_shards
-    hi = (shard + 1) * num_records // n_shards
-
-    simulator = Simulator(seed=11)
-    cluster = BrokerCluster(simulator, num_nodes=n_shards)
-    AdminClient(cluster).create_topic("order-drain", num_partitions=n_shards)
-    sender = DataSender(cluster, "order-drain", create_topic=False, partition=shard)
-    sender.send(column.view(lo, hi))
-
-    rng_seed = seed + 31 * shard
-    function = get_query(query).make_function(random.Random(rng_seed))
-    function.open()
-    pump = StreamPump(
-        simulator=simulator,
-        stages=_build_stages(function),
-        variance=RunVariance(),
-        rng=random.Random(7),
-    )
-    consumer = Consumer(cluster)
-    consumer.assign([TopicPartition("order-drain", shard)])
-    metrics = JobMetrics(f"order-drain/{query}/shard{shard}")
-    outputs_seen = 0
-    mark = time.perf_counter()
-    while True:
-        values = consumer.poll_values(max_records=8_192)
-        if not values:
-            break
-        cost, outputs = pump._process_chunk(values, metrics)
-        simulator.charge(cost)
-        consumer.acknowledge()
-        outputs_seen += len(outputs)
-    cost, outputs = pump.drain(metrics)
-    simulator.charge(cost)
-    outputs_seen += len(outputs)
-    drain_seconds = time.perf_counter() - mark
-    function.close()
-    if query == "sample":
-        reference = random.Random(rng_seed)
-        expected = sum(
-            reference.random() < SAMPLE_FRACTION for _ in range(hi - lo)
-        )
-    else:
-        expected = hi - lo
-    return {
-        "shard": shard,
-        "records": hi - lo,
-        "outputs": outputs_seen,
-        "expected": expected,
-        "drain_seconds": drain_seconds,
-    }
-
-
-def run_sharded_order_sensitive_bench(
-    num_records: int = 2_000_000,
-    parallelisms: tuple[int, ...] = (1, 4),
-    queries: tuple[str, ...] = ORDER_SENSITIVE_DRAIN_QUERIES,
-) -> dict[str, Any]:
-    """Partition-parallel drains of the newly-sharded kernels.
-
-    Same topology as :func:`run_parallel_drain_bench` — P worker
-    processes, each with a per-shard consumer over its own partition —
-    but per order-sensitive query.  Accounting is exact on any host:
-    every shard's output count must equal its computed expectation (the
-    reference RNG's kept count for sample, one tuple per record for
-    statistics) or the run raises — a drain that miscounts is not a
-    measurement.  Each query reports its own ``speedup``
-    (wall(P=1) / wall(P=max), the CI floor on multi-core runners); on a
-    single-CPU affinity the speedups are ``null`` with a note, matching
-    the other partition-parallel sections.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.workloads.cache import ensure_columns_cached
-
-    seed = 2006
-    ensure_columns_cached(num_records, seed)
-    single_cpu = available_cpus() == 1
-    per_query: dict[str, Any] = {}
-    for query in queries:
-        per_parallelism: dict[str, Any] = {}
-        walls: dict[int, float] = {}
-        for n_shards in parallelisms:
-            started = time.perf_counter()
-            with ProcessPoolExecutor(max_workers=n_shards) as pool:
-                shards = list(
-                    pool.map(
-                        _drain_order_sensitive_shard,
-                        [num_records] * n_shards,
-                        [seed] * n_shards,
-                        range(n_shards),
-                        [n_shards] * n_shards,
-                        [query] * n_shards,
-                    )
-                )
-            wall = time.perf_counter() - started
-            walls[n_shards] = wall
-            for s in shards:
-                if s["outputs"] != s["expected"]:
-                    raise AssertionError(
-                        f"{query} P={n_shards} shard {s['shard']}: "
-                        f"{s['outputs']} outputs, expected {s['expected']}"
-                    )
-            per_parallelism[str(n_shards)] = {
-                "parallelism": n_shards,
-                "wall_seconds": round(wall, 3),
-                "aggregate_records_per_sec": round(num_records / wall),
-                "outputs": sum(s["outputs"] for s in shards),
-                "per_shard": [
-                    {
-                        "shard": s["shard"],
-                        "records": s["records"],
-                        "outputs": s["outputs"],
-                        "drain_seconds": round(s["drain_seconds"], 3),
-                        "drain_records_per_sec": round(
-                            s["records"] / s["drain_seconds"]
-                        ),
-                    }
-                    for s in shards
-                ],
-            }
-        entry: dict[str, Any] = {
-            "per_parallelism": per_parallelism,
-            "speedup": round(
-                walls[min(parallelisms)] / walls[max(parallelisms)], 2
-            ),
-        }
-        if single_cpu:
-            entry["speedup"] = None
-            entry["speedup_note"] = (
-                "single-CPU affinity: drain workers cannot run "
-                "concurrently, so P=1 vs P=N wall-clock is not a speedup "
-                "measurement"
-            )
-        per_query[query] = entry
-    return {
-        "records": num_records,
-        "parallelisms": list(parallelisms),
-        "queries": list(queries),
-        "cpu_affinity": available_cpus(),
-        "per_query": per_query,
-    }
-
-
 def run_scalability_bench(
     num_records: int = 2_000, parallelisms: tuple[int, ...] = (1, 2, 4, 8)
 ) -> dict[str, Any]:
@@ -856,11 +519,9 @@ def run_scalability_bench(
 def _peak_rss_kb() -> int:
     """This process's peak resident set size in kilobytes.
 
-    Prefers ``VmHWM`` from ``/proc/self/status``: on Linux,
-    ``getrusage``'s ``ru_maxrss`` survives ``exec``, so a spawned pool
-    worker would report the high-water mark *inherited from the parent*
-    (the whole benchmark's peak) instead of its own.  ``VmHWM`` is reset
-    with the fresh address space and measures only this process.
+    Prefers ``VmHWM`` from ``/proc/self/status``, which measures only this
+    process's address space (``getrusage``'s ``ru_maxrss`` survives
+    ``exec``); falls back to ``ru_maxrss`` where ``/proc`` is missing.
     """
     try:
         with open("/proc/self/status") as fh:
@@ -874,147 +535,6 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def _stream_shard(
-    shard_records: int, seed: int, shard: int, n_shards: int, chunk_records: int
-) -> dict[str, Any]:
-    """One shard of a chunk-streamed scale run (top-level for pickling).
-
-    Generates its row range as O(chunk)-sized slab windows
-    (:func:`repro.workloads.columnar.iter_column_chunks`), streams them
-    into a bounded partition (``max_queue == chunk_records``), and drains
-    each chunk zero-copy from its partition log — counting grep
-    matches with the production kernel — before acknowledging, so the
-    consumed prefix is trimmed and the next chunk's slab is re-adopted
-    into the emptied log.  Peak resident memory therefore stays at
-    O(chunk) regardless of ``shard_records``; the worker reports its own
-    peak RSS so the parent can verify that.
-    """
-    from repro.benchmark.sender import DataSender
-    from repro.broker import AdminClient, BrokerCluster
-    from repro.dataflow.kernels import GrepKernel, SlabColumn, slab_from_columns
-    from repro.simtime import Simulator
-    from repro.workloads.columnar import iter_column_chunks
-
-    rss_before_kb = _peak_rss_kb()
-    simulator = Simulator(seed=11)
-    cluster = BrokerCluster(simulator, num_nodes=n_shards)
-    topic = "scale-stream"
-    AdminClient(cluster).create_topic(
-        topic, num_partitions=n_shards, max_queue=chunk_records
-    )
-    log = cluster.partition_log(topic, shard)
-    kernel = GrepKernel(GREP_NEEDLE)
-    matches = 0
-    total_bytes = 0
-
-    def chunks():
-        nonlocal total_bytes
-        for data, starts in iter_column_chunks(
-            shard_records, seed, chunk_records=chunk_records
-        ):
-            total_bytes += len(data)
-            yield SlabColumn(slab_from_columns(data, starts))
-
-    def drain(_total: int) -> None:
-        nonlocal matches
-        column = log.read_values(log.start_offset, None, copy=False)
-        if type(column) is SlabColumn and kernel.supports_slab:
-            matches += len(kernel.call_slab(column.slab, column.start, column))
-            kernel.flush()
-        else:
-            matches += sum(1 for line in column if GREP_NEEDLE in line)
-        log.mark_consumed(log.end_offset)
-
-    sender = DataSender(cluster, topic, create_topic=False, partition=shard)
-    mark = time.perf_counter()
-    report = sender.send_stream(chunks(), on_chunk=drain)
-    wall = time.perf_counter() - mark
-    peak_kb = _peak_rss_kb()
-    return {
-        "shard": shard,
-        "records": shard_records,
-        "bytes": total_bytes,
-        "grep_matches": matches,
-        "wall_seconds": wall,
-        "report": report,
-        "rss_before_kb": rss_before_kb,
-        "peak_rss_kb": peak_kb,
-    }
-
-
-def run_scale_sweep(
-    scales: tuple[int, ...] = (1_000_000, 10_000_000, 100_000_000),
-    shards: int = 4,
-    chunk_records: int | None = None,
-) -> dict[str, Any]:
-    """Chunk-streamed ingest+grep at 1M/10M/100M in bounded memory.
-
-    Each scale fans out ``shards`` worker processes; every worker streams
-    its share of the records through generation -> bounded topic -> drain
-    -> grep without ever materialising more than O(chunk) bytes.  Workers
-    are **spawned** (fresh interpreters) and report ``VmHWM`` (their own
-    high-water mark, not the parent's inherited ``ru_maxrss``).  The
-    summed grep-match counts are asserted against the generator's exact
-    expectation at every scale — a sweep that miscounts is not a
-    measurement.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    from repro.workloads.aol import expected_grep_matches
-    from repro.workloads.columnar import _CHUNK_RECORDS, native_generator_available
-
-    if chunk_records is None:
-        chunk_records = _CHUNK_RECORDS
-    runs = []
-    for num_records in scales:
-        splits = [
-            (shard + 1) * num_records // shards - shard * num_records // shards
-            for shard in range(shards)
-        ]
-        started = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=shards, mp_context=get_context("spawn")
-        ) as pool:
-            results = list(
-                pool.map(
-                    _stream_shard,
-                    splits,
-                    [2006 + shard for shard in range(shards)],
-                    range(shards),
-                    [shards] * shards,
-                    [chunk_records] * shards,
-                )
-            )
-        wall = time.perf_counter() - started
-        matched = sum(r["grep_matches"] for r in results)
-        expected = sum(expected_grep_matches(n) for n in splits)
-        if matched != expected:
-            raise AssertionError(
-                f"scale {num_records}: grep matched {matched}, "
-                f"expected {expected}"
-            )
-        total_bytes = sum(r["bytes"] for r in results)
-        runs.append(
-            {
-                "records": num_records,
-                "wall_seconds": round(wall, 3),
-                "records_per_sec": round(num_records / wall),
-                "mb_per_sec": round(total_bytes / wall / 1e6, 1),
-                "grep_matches": matched,
-                "peak_worker_rss_mb": round(
-                    max(r["peak_rss_kb"] for r in results) / 1024, 1
-                ),
-            }
-        )
-    return {
-        "shards": shards,
-        "chunk_records": chunk_records,
-        "native_generator": native_generator_available(),
-        "scales": runs,
-    }
-
-
 def available_cpus() -> int:
     """CPUs this process may actually run on (scheduler affinity mask).
 
@@ -1026,61 +546,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def run_matrix_scale(
-    num_records: int = 20_000, runs: int = 2, workers: int | None = None
-) -> dict[str, Any]:
-    """Full Figure-5 grid, serial vs parallel, timed on the host clock.
-
-    Both paths run the same per-cell isolated worlds, so the reports are
-    asserted equal per field before any timing is reported — a speedup on
-    a divergent result would be meaningless.  ``effective_workers`` is the
-    parallelism the host can actually deliver: ``min(workers, CPUs this
-    process may run on)``, where the CPU count honours the scheduler
-    affinity mask (a container pinned to one core of a 64-core box gets
-    1, not 64).  Only when that affinity really is a single CPU — where
-    worker processes cannot run concurrently at all — is the wall-clock
-    "speedup" reported as ``null`` with a note instead of a meaningless
-    ``1.0``.
-    """
-    from repro.benchmark.parallel import MatrixRunner, default_workers
-
-    config = BenchmarkConfig(records=num_records, runs=runs)
-    workers = workers if workers is not None else max(2, default_workers())
-
-    started = time.perf_counter()
-    serial = MatrixRunner(config).run(parallel=False)
-    serial_seconds = time.perf_counter() - started
-
-    mark = time.perf_counter()
-    parallel = MatrixRunner(config).run(parallel=True, workers=workers)
-    parallel_seconds = time.perf_counter() - mark
-
-    if serial != parallel:
-        raise AssertionError("parallel matrix report diverged from serial")
-    cells = len(MatrixRunner(config).cells())
-    available = available_cpus()
-    result: dict[str, Any] = {
-        "records": num_records,
-        "runs_per_cell": runs,
-        "cells": cells,
-        "cpu_count": os.cpu_count() or 1,
-        "cpu_affinity": available,
-        "workers": workers,
-        "effective_workers": min(workers, available),
-        "serial_seconds": round(serial_seconds, 3),
-        "parallel_seconds": round(parallel_seconds, 3),
-        "speedup": round(serial_seconds / parallel_seconds, 2),
-        "reports_identical": True,
-    }
-    if available == 1:
-        result["speedup"] = None
-        result["speedup_note"] = (
-            "single-CPU affinity: worker processes cannot run concurrently, "
-            "so serial/parallel wall-clock is not a speedup measurement"
-        )
-    return result
 
 
 def run_capacity_bench(num_records: int = 4_000) -> dict[str, Any]:
@@ -1127,8 +592,27 @@ def run_capacity_bench(num_records: int = 4_000) -> dict[str, Any]:
     }
 
 
+def host_info() -> dict[str, Any]:
+    """The host a benchmark payload was measured on."""
+    import platform
+
+    import numpy
+
+    from repro.workloads.columnar import native_generator_available
+
+    return {
+        "cpu_affinity": available_cpus(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "native_generator": native_generator_available(),
+    }
+
+
 def write_bench(payload: dict[str, Any], path: pathlib.Path = BENCH_PATH) -> None:
-    """Persist one benchmark payload as the repo's ``BENCH_pump.json``."""
+    """Persist one benchmark payload, with its ``host`` block, as the
+    repo's ``BENCH_pump.json``."""
+    payload = {**payload, "host": host_info()}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -1156,19 +640,6 @@ def main() -> None:
     )
     parser.add_argument("--skip-cache", action="store_true")
     parser.add_argument(
-        "--matrix-records",
-        type=int,
-        default=20_000,
-        help="per-cell scale for the matrix serial-vs-parallel timing",
-    )
-    parser.add_argument(
-        "--matrix-workers",
-        type=int,
-        default=None,
-        help="worker processes for the parallel matrix (default: cpu_count-1, min 2)",
-    )
-    parser.add_argument("--skip-matrix", action="store_true")
-    parser.add_argument(
         "--capacity-records",
         type=int,
         default=4_000,
@@ -1176,38 +647,12 @@ def main() -> None:
     )
     parser.add_argument("--skip-capacity", action="store_true")
     parser.add_argument(
-        "--drain-records",
-        type=int,
-        default=2_000_000,
-        help="workload scale for the partition-parallel drain timing",
-    )
-    parser.add_argument("--skip-drain", action="store_true")
-    parser.add_argument(
-        "--order-records",
-        type=int,
-        default=2_000_000,
-        help="workload scale for the order-sensitive drain timings",
-    )
-    parser.add_argument("--skip-order-sensitive", action="store_true")
-    parser.add_argument(
         "--scalability-records",
         type=int,
         default=2_000,
         help="records per probe for the scalability-curve sweep",
     )
     parser.add_argument("--skip-scalability", action="store_true")
-    parser.add_argument(
-        "--scale-records",
-        default="1000000,10000000,100000000",
-        help="comma-separated scales for the chunk-streamed sweep",
-    )
-    parser.add_argument(
-        "--scale-shards",
-        type=int,
-        default=4,
-        help="worker processes (= broker nodes) for the scale sweep",
-    )
-    parser.add_argument("--skip-scale", action="store_true")
     args = parser.parse_args()
 
     payload: dict[str, Any] = {
@@ -1217,10 +662,6 @@ def main() -> None:
     }
     if not args.skip_cache:
         payload["workload_cache"] = run_workload_cache_bench(args.cache_records)
-    if not args.skip_matrix:
-        payload["matrix"] = run_matrix_scale(
-            args.matrix_records, workers=args.matrix_workers
-        )
     if not args.skip_capacity:
         payload["capacity"] = run_capacity_bench(args.capacity_records)
     if not args.skip_scalability:
@@ -1229,19 +670,8 @@ def main() -> None:
         )
     if not args.skip_end_to_end:
         payload["end_to_end"] = run_end_to_end(args.records)
-    if not args.skip_drain:
-        payload["parallel_drain"] = run_parallel_drain_bench(args.drain_records)
-    if not args.skip_order_sensitive:
-        payload["sharded_order_sensitive"] = run_sharded_order_sensitive_bench(
-            args.order_records
-        )
-    if not args.skip_scale:
-        scales = tuple(
-            int(scale) for scale in args.scale_records.split(",") if scale
-        )
-        payload["scale_sweep"] = run_scale_sweep(scales, shards=args.scale_shards)
     write_bench(payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(BENCH_PATH.read_text(), end="")
     print(f"\nwritten to {BENCH_PATH}")
 
 

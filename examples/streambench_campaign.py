@@ -23,20 +23,10 @@ def main() -> None:
         "--full", action="store_true", help="run the paper's full-scale campaign"
     )
     parser.add_argument("--records", type=int, default=100_000)
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan the grid out over worker processes (bit-identical results)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="worker count (default: cores - 1)"
-    )
     args = parser.parse_args()
 
     records = FULL_SCALE_RECORDS if args.full else args.records
-    config = BenchmarkConfig(
-        records=records, runs=10, parallel=args.parallel, workers=args.workers
-    )
+    config = BenchmarkConfig(records=records, runs=10)
     print(
         f"running {len(config.systems)} systems x {len(config.queries)} queries "
         f"x {len(config.kinds)} SDKs x {len(config.parallelisms)} parallelisms "

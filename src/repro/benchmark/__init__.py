@@ -33,7 +33,7 @@ from repro.benchmark.loadgen import (
     UniformArrivals,
     make_arrivals,
 )
-from repro.benchmark.parallel import CellSpec, MatrixRunner, default_workers
+from repro.benchmark.parallel import CellSpec, MatrixRunner
 from repro.benchmark.predictor import Prediction, QueryProfile, SlowdownPredictor
 from repro.benchmark.queries import QUERIES, QuerySpec, get_query, stateless_queries
 from repro.benchmark.result_calculator import ExecutionMeasurement, ResultCalculator
@@ -59,7 +59,6 @@ __all__ = [
     "RunRecord",
     "CellSpec",
     "MatrixRunner",
-    "default_workers",
     "QUERIES",
     "QuerySpec",
     "get_query",

@@ -22,13 +22,14 @@ module implements that method on the simulated stack:
 Determinism: every probe runs in a fresh isolated world seeded from the
 campaign seed alone (the :class:`~repro.benchmark.parallel.MatrixRunner`
 pattern), the pump charges raw cost-model costs (no variance draws), and
-the arrival schedule is precomputed once per probe — so the capacity
-report is bit-identical between serial and parallel execution and across
-both execution tiers.  Nothing reads a probe's data RNG before the probe
-ends, so its drain steps each chunk through the kernels without flushing
-them and returns adopted kernel state (the sample query's MT19937
-stream) once, when the probe ends or stalls: the state crosses into
-NumPy once per probe and shard, not once per drained chunk.
+the arrival schedule is precomputed once per probe — so a point's knee
+does not depend on the points run before it, and the capacity report is
+bit-identical across both execution tiers.  Nothing reads a probe's
+data RNG before the probe ends, so its drain steps each chunk through
+the kernels without flushing them and returns adopted kernel state (the
+sample query's MT19937 stream) once, when the probe ends or stalls: the
+state crosses into NumPy once per probe and shard, not once per drained
+chunk.
 
 **Scalability curves** (:meth:`CapacityRunner.run_scalability`) sweep the
 knee over parallelism levels per system × SDK kind × query: a probe at
@@ -48,9 +49,7 @@ host regardless of cores.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -665,26 +664,12 @@ def find_capacity(
     )
 
 
-def _capacity_cell(config: BenchmarkConfig, pair: tuple[str, str]) -> CapacityCell:
-    """One cell, top-level so worker processes can pickle it."""
-    system, query = pair
-    return find_capacity(config, system, query)
-
-
-def _scalability_cell(
-    config: BenchmarkConfig, point: tuple[str, str, str, int]
-) -> CapacityCell:
-    """One sweep point, top-level so worker processes can pickle it."""
-    system, kind, query, parallelism = point
-    return find_capacity(config, system, query, kind=kind, parallelism=parallelism)
-
-
 class CapacityRunner:
-    """Runs the capacity grid (systems × queries), serially or fanned out.
+    """Runs the capacity grid (systems × queries) and the scalability sweep.
 
     Every cell's probes run in fresh isolated worlds seeded from the
-    campaign seed alone, so serial and parallel execution produce
-    bit-identical reports — the :class:`~repro.benchmark.parallel.MatrixRunner`
+    campaign seed alone, so a cell's result does not depend on which
+    cells ran before it — the :class:`~repro.benchmark.parallel.MatrixRunner`
     guarantee, extended to the capacity mode.
     """
 
@@ -710,59 +695,26 @@ class CapacityRunner:
             for parallelism in settings.parallelisms
         )
 
-    def _warm_caches(self) -> None:
-        """Pre-build the shared workload cache before forking workers."""
-        from repro.workloads.cache import ensure_columns_cached
-
-        ensure_columns_cached(self.config.capacity.records, self.config.seed)
-
-    def _worker_count(self, workers: int | None, jobs: int) -> int:
-        from repro.benchmark.parallel import default_workers
-
-        count = workers if workers is not None else default_workers()
-        if count < 1:
-            raise ValueError(f"workers must be >= 1, got {count}")
-        return min(count, jobs)
-
-    def run(
-        self, parallel: bool = False, workers: int | None = None
-    ) -> CapacityReport:
+    def run(self) -> CapacityReport:
         """Execute every cell; merge into a report in grid order."""
-        pairs = self.cells()
         report = CapacityReport(config=self.config)
-        if not pairs:
-            return report
-        if parallel:
-            self._warm_caches()
-            count = self._worker_count(workers, len(pairs))
-            with ProcessPoolExecutor(max_workers=count) as pool:
-                cells = list(pool.map(_capacity_cell, repeat(self.config), pairs))
-        else:
-            cells = [_capacity_cell(self.config, p) for p in pairs]
-        report.cells.extend(cells)
+        report.cells.extend(
+            find_capacity(self.config, system, query)
+            for system, query in self.cells()
+        )
         return report
 
-    def run_scalability(
-        self, parallel: bool = False, workers: int | None = None
-    ) -> ScalabilityReport:
+    def run_scalability(self) -> ScalabilityReport:
         """Sweep the knee over systems × kinds × queries × parallelisms.
 
         Each sweep point is an independent capacity search in fresh
-        isolated worlds, so the sweep parallelises cell-wise exactly like
-        :meth:`run` with the same bit-identity guarantee.
+        isolated worlds, run in grid order.
         """
-        points = self.scalability_cells()
         report = ScalabilityReport(config=self.config)
-        if not points:
-            return report
-        if parallel:
-            self._warm_caches()
-            count = self._worker_count(workers, len(points))
-            with ProcessPoolExecutor(max_workers=count) as pool:
-                cells = list(
-                    pool.map(_scalability_cell, repeat(self.config), points)
-                )
-        else:
-            cells = [_scalability_cell(self.config, p) for p in points]
-        report.cells.extend(cells)
+        report.cells.extend(
+            find_capacity(
+                self.config, system, query, kind=kind, parallelism=parallelism
+            )
+            for system, kind, query, parallelism in self.scalability_cells()
+        )
         return report

@@ -69,20 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fully re-execute every run instead of synthesising repeats",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help=(
-            "fan the matrix out over worker processes (bit-identical "
-            "results, lower wall-clock)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel worker count (default: all cores but one)",
-    )
-    parser.add_argument(
         "--plans",
         action="store_true",
         help="print the Figure 12/13 execution plans and exit",
@@ -220,8 +206,6 @@ def main(argv: list[str] | None = None) -> int:
         queries=tuple(args.queries),
         seed=args.seed,
         fast_repeats=not args.no_fast_repeats,
-        parallel=args.parallel,
-        workers=args.workers,
         capacity=CapacitySettings(**capacity_overrides),
     )
     started = time.time()

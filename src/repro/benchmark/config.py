@@ -11,10 +11,6 @@ from repro.workloads.aol import FULL_SCALE_RECORDS
 FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 #: Environment variable overriding the record count.
 RECORDS_ENV = "REPRO_RECORDS"
-#: Environment variable enabling parallel matrix execution.
-PARALLEL_ENV = "REPRO_PARALLEL"
-#: Environment variable overriding the parallel worker count.
-WORKERS_ENV = "REPRO_WORKERS"
 
 SYSTEMS = ("flink", "spark", "apex")
 KINDS = ("native", "beam")
@@ -112,11 +108,6 @@ class BenchmarkConfig:
     bit-identical to full re-execution of the cost model, verified by
     tests — so iterating stays fast; set it False for fully materialised
     runs.
-
-    ``parallel`` fans the matrix out over ``workers`` processes (default
-    ``os.cpu_count() - 1``; see :mod:`repro.benchmark.parallel`) — the
-    report is bit-identical to serial execution either way, so these are
-    pure host-performance knobs.
     """
 
     records: int = FULL_SCALE_RECORDS
@@ -136,11 +127,6 @@ class BenchmarkConfig:
     output_topic: str = "streambench-output"
     #: Extra identifier mixed into RNG streams (vary to resample noise).
     noise_label: str = "default"
-    #: Fan the matrix out over worker processes (host-performance knob;
-    #: the report is bit-identical to serial execution).
-    parallel: bool = False
-    #: Worker count for parallel execution; ``None`` = cpu_count() - 1.
-    workers: int | None = None
     #: Sustainable-throughput search parameters (``run_capacity`` mode).
     capacity: CapacitySettings = field(default_factory=CapacitySettings)
 
@@ -157,19 +143,15 @@ class BenchmarkConfig:
                 raise ValueError(f"unknown kind {kind!r}; known: {KINDS}")
         if any(p < 1 for p in self.parallelisms):
             raise ValueError("parallelisms must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def scaled_config(**overrides: object) -> BenchmarkConfig:
     """A config honouring the REPRO_RECORDS / REPRO_FULL_SCALE env vars.
 
-    Benchmarks default to a reduced scale (100k records, 5 runs) so the
+    Benchmarks default to a reduced scale (100k records, 10 runs) so the
     suite runs in minutes; exporting ``REPRO_FULL_SCALE=1`` reproduces the
     paper's full 1,000,001-record, 10-run campaign (as recorded in
-    EXPERIMENTS.md).  ``REPRO_PARALLEL=1`` fans the matrix out over
-    ``REPRO_WORKERS`` processes (default: all cores but one) — results
-    are bit-identical to serial execution.
+    EXPERIMENTS.md).
     """
     # Keep the paper's 10 runs even at reduced scale: the variance draw
     # sequence (and with it the Table III outlier pattern and Figure 10's
@@ -182,10 +164,5 @@ def scaled_config(**overrides: object) -> BenchmarkConfig:
     records_override = os.environ.get(RECORDS_ENV)
     if records_override:
         defaults["records"] = int(records_override)
-    if os.environ.get(PARALLEL_ENV, "") not in ("", "0"):
-        defaults["parallel"] = True
-    workers_override = os.environ.get(WORKERS_ENV)
-    if workers_override:
-        defaults["workers"] = int(workers_override)
     defaults.update(overrides)
     return BenchmarkConfig(**defaults)  # type: ignore[arg-type]

@@ -52,10 +52,8 @@ from repro.yarn import YarnCluster
 class RunRecord:
     """One benchmark run's outcome.
 
-    ``slots=True``: campaigns create one per run of every grid cell and
-    parallel execution pickles them across process boundaries, so the
-    per-instance footprint matters (the broker's record types made the
-    same move in PR 2).
+    ``slots=True``: campaigns create one per run of every grid cell, so
+    the per-instance footprint matters.
     """
 
     system: str
@@ -277,18 +275,12 @@ class StreamBenchHarness:
     # ------------------------------------------------------------------
     # phase 2 + 3: execution and measurement
     # ------------------------------------------------------------------
-    def run_matrix(
-        self, parallel: bool | None = None, workers: int | None = None
-    ) -> BenchmarkReport:
+    def run_matrix(self) -> BenchmarkReport:
         """Run every configured combination; returns the full report.
 
         Each grid cell executes in its own isolated world (fresh simulator,
-        broker and chaos — see :mod:`repro.benchmark.parallel`), so the
-        matrix can fan out over worker processes: ``parallel=True`` runs
-        cells on a process pool of ``workers`` (default
-        ``os.cpu_count() - 1``) and merges results in grid order,
-        **bit-identical** to the serial ``parallel=False`` path.  Both
-        arguments default to the config's ``parallel`` / ``workers``.
+        broker and chaos — see :mod:`repro.benchmark.parallel`), so a
+        cell's records do not depend on the cells run before it.
 
         Per-setup durations are unaffected by the isolation (they derive
         from per-label RNG streams keyed by the campaign seed alone); only
@@ -298,18 +290,12 @@ class StreamBenchHarness:
         """
         from repro.benchmark.parallel import MatrixRunner
 
-        use_parallel = self.config.parallel if parallel is None else parallel
         runner = MatrixRunner(
-            self.config,
-            chaos=self._chaos_plan,
-            retry_policy=self._retry_policy,
-            workers=workers if workers is not None else self.config.workers,
+            self.config, chaos=self._chaos_plan, retry_policy=self._retry_policy
         )
-        return runner.run(parallel=use_parallel, sender_report=self.ingest())
+        return runner.run(sender_report=self.ingest())
 
-    def run_capacity(
-        self, parallel: bool | None = None, workers: int | None = None
-    ):
+    def run_capacity(self):
         """Sustainable-throughput search over the (system × query) grid.
 
         Ramps an open-loop load against a bounded input partition, detects
@@ -319,23 +305,15 @@ class StreamBenchHarness:
         :mod:`repro.benchmark.capacity` and the ``capacity`` settings on
         :class:`BenchmarkConfig`).  Probes run in fresh isolated worlds
         seeded from the campaign seed alone and charge raw cost-model
-        costs, so the report is bit-identical serial vs parallel and across
-        execution tiers.
+        costs, so the report is bit-identical across execution tiers.
 
         Returns a :class:`~repro.benchmark.capacity.CapacityReport`.
         """
         from repro.benchmark.capacity import CapacityRunner
 
-        use_parallel = self.config.parallel if parallel is None else parallel
-        runner = CapacityRunner(self.config)
-        return runner.run(
-            parallel=use_parallel,
-            workers=workers if workers is not None else self.config.workers,
-        )
+        return CapacityRunner(self.config).run()
 
-    def run_scalability(
-        self, parallel: bool | None = None, workers: int | None = None
-    ):
+    def run_scalability(self):
         """Capacity knees swept over parallelism: the scalability curves.
 
         One capacity search per (system × SDK kind × query × parallelism)
@@ -350,12 +328,7 @@ class StreamBenchHarness:
         """
         from repro.benchmark.capacity import CapacityRunner
 
-        use_parallel = self.config.parallel if parallel is None else parallel
-        runner = CapacityRunner(self.config)
-        return runner.run_scalability(
-            parallel=use_parallel,
-            workers=workers if workers is not None else self.config.workers,
-        )
+        return CapacityRunner(self.config).run_scalability()
 
     def run_setup(
         self, system: str, query_name: str, kind: str, parallelism: int

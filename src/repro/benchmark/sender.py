@@ -9,7 +9,7 @@ globally ordered input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.broker import AdminClient, BrokerCluster, Producer, RetryPolicy
 
@@ -77,12 +77,9 @@ class DataSender:
         replication_factor: int = 1,
         retry_policy: RetryPolicy | None = None,
         idempotent: bool | None = None,
-        partition: int = 0,
     ) -> None:
         if ingestion_rate <= 0:
             raise ValueError(f"ingestion_rate must be > 0, got {ingestion_rate}")
-        if partition < 0:
-            raise ValueError(f"partition must be >= 0, got {partition}")
         self.cluster = cluster
         self.topic = topic
         self.ingestion_rate = ingestion_rate
@@ -92,10 +89,6 @@ class DataSender:
         self.replication_factor = replication_factor
         self.retry_policy = retry_policy
         self.idempotent = idempotent
-        #: Target partition — shard-parallel ingest points each sender at
-        #: its own partition of a sharded topic (default 0, the paper's
-        #: single-partition setup).
-        self.partition = partition
 
     def send(self, records: Sequence[str]) -> SenderReport:
         """Ingest all ``records``; returns a :class:`SenderReport`.
@@ -110,73 +103,29 @@ class DataSender:
         column without materialising a single record string), with batch
         boundaries, pacing charges and produce sequencing identical to the
         list path — the resulting log differs only in its storage layout.
+        One transient batch-sized slice lives at a time, so the workload
+        is never duplicated in memory during ingestion.
         """
         if self.create_topic:
             AdminClient(self.cluster).recreate_topic(
                 self.topic, replication_factor=self.replication_factor
             )
         started = self.cluster.simulator.now()
-        producer = self._producer()
-        total = self._send_paced(producer, records)
-        producer.close()
-        return self._report(started, total, producer)
-
-    def send_stream(
-        self,
-        chunks: Iterable[Sequence[str]],
-        on_chunk: Callable[[int], None] | None = None,
-    ) -> SenderReport:
-        """Ingest an iterable of record chunks without materialising them.
-
-        The bounded-memory counterpart of :meth:`send` for chunk-streamed
-        workloads (:func:`repro.workloads.columnar.iter_column_chunks`
-        wrapped in per-chunk slab columns): each chunk is batched, paced
-        and sequenced exactly as :meth:`send` batches it, through one
-        producer spanning the whole stream, and is free to be released as
-        soon as the next chunk arrives.  ``on_chunk(total_so_far)`` fires
-        after each chunk lands — a scale run drains and acknowledges the
-        bounded topic there, keeping broker-resident memory at O(chunk).
-        """
-        if self.create_topic:
-            AdminClient(self.cluster).recreate_topic(
-                self.topic, replication_factor=self.replication_factor
-            )
-        started = self.cluster.simulator.now()
-        producer = self._producer()
-        total = 0
-        for chunk in chunks:
-            total += self._send_paced(producer, chunk)
-            if on_chunk is not None:
-                on_chunk(total)
-        producer.close()
-        return self._report(started, total, producer)
-
-    def _producer(self) -> Producer:
-        return Producer(
+        producer = Producer(
             self.cluster,
             acks=self.acks,
             batch_size=self.batch_size,
             retry_policy=self.retry_policy,
             idempotent=self.idempotent,
         )
-
-    def _send_paced(self, producer: Producer, records: Sequence[str]) -> int:
-        """Batch ``records`` into the topic at the configured pace.
-
-        One transient batch-sized slice lives at a time; the producer
-        reads it straight into the log's column storage without copying,
-        so the workload is never duplicated in memory during ingestion.
-        """
         total = len(records)
         for start in range(0, total, self.batch_size):
             batch = records[start : start + self.batch_size]
             # Rate pacing: the batch occupies batch/rate seconds of the
             # timeline before it lands in the log.
             self.cluster.simulator.charge(len(batch) / self.ingestion_rate)
-            producer.send_values(self.topic, batch, partition=self.partition)
-        return total
-
-    def _report(self, started: float, total: int, producer: Producer) -> SenderReport:
+            producer.send_values(self.topic, batch)
+        producer.close()
         return SenderReport(
             topic=self.topic,
             records_sent=total,

@@ -226,11 +226,7 @@ class PartitionLog:
         place, and a selection over the current adopted selection's slab
         appends its rows; a column arriving on an empty log becomes the
         value column as a log-private copy, so the caller's object is
-        never aliased.  Anything else materialises — except a column
-        hitting a log whose adopted column was trimmed empty: that
-        *re-adopts* (and releases the previous chunk's slab), which is
-        what keeps a chunk-streamed ingest of per-chunk slabs
-        resident-bounded at O(chunk) instead of materialising every chunk.
+        never aliased.  Anything else materialises.
         """
         current = self._values
         if type(current) is SlabColumn:
@@ -242,12 +238,6 @@ class PartitionLog:
                 elif current.rows is not None and column.rows is not None:
                     self._append_rows(column)
                     return
-            if len(current) == 0:
-                # Trimmed empty: re-adopt without degrading — degrading
-                # would decode the *old* slab's full record list just to
-                # copy zero rows out of it.
-                self._values = self._private_copy(column)
-                return
             self._degrade()
             current = self._values
         if not current:

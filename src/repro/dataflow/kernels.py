@@ -41,10 +41,8 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   selection drawn from the same mask, and projection returns a window of
   a fixed-width column slab built by one NumPy row take per input slab,
   when every line has the separator at the same verified offset.  No
-  record string is built on these paths.  A large records list is
-  wrapped once as a window over :func:`slab_for`'s slab (the list joined
-  and encoded once, cached per list identity), whose ``records`` is the
-  list itself, so selections still serve the original objects.
+  record string is built on these paths.  A plain records list takes
+  the kernels' list paths.
 - ``bernoulli`` (sample): a pre-drawn Bernoulli mask.  The seeded
   ``random.Random`` state is transplanted into a NumPy ``RandomState``
   (both are MT19937 with the same double recipe), the whole chunk's mask
@@ -132,10 +130,6 @@ from numpy.lib.stride_tricks import sliding_window_view as _sliding_window_view
 _NL = 10  # ord("\n")
 _MIN_BULK = 32  # below this, comprehension fallbacks win
 
-#: Smallest records list worth turning into a shared slab: below this the
-#: join/encode build cost exceeds what per-chunk kernels would spend.
-SLAB_MIN_RECORDS = 4096
-
 
 # ---------------------------------------------------------------------------
 # Workload slabs
@@ -152,19 +146,18 @@ class WorkloadSlab:
     equal character offsets and slices of ``text`` are bit-identical to
     the original records.
 
-    A slab is built either *from* a records list (:func:`_build_slab` —
-    join and encode once) or *as* the primary representation
-    (:func:`slab_from_columns` — the columnar data plane's generated or
-    ``mmap``-loaded byte columns).  In the latter case ``records`` starts
-    as ``None`` and the decoded list materialises lazily, at most once,
-    via :class:`SlabColumn`; ``text`` likewise decodes on first access.
+    A slab is the columnar data plane's primary representation, built by
+    :func:`slab_from_columns` over generated or ``mmap``-loaded byte
+    columns.  ``records`` starts as ``None`` and the decoded list
+    materialises lazily, at most once, via :class:`SlabColumn`; ``text``
+    likewise decodes on first access.
     """
 
     __slots__ = ("records", "_text", "data", "arr", "starts", "size")
 
-    def __init__(self, records, text, data, arr, starts) -> None:
-        self.records = records
-        self._text = text
+    def __init__(self, data, arr, starts) -> None:
+        self.records = None
+        self._text = None
         self.data = data
         self.arr = arr
         self.starts = starts
@@ -176,24 +169,6 @@ class WorkloadSlab:
         if self._text is None:
             self._text = str(self.data, "ascii")
         return self._text
-
-
-def _build_slab(records: list) -> WorkloadSlab | None:
-    try:
-        text = "\n".join(records)
-    except TypeError:  # non-str records: no slab, kernels fall back
-        return None
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    arr = _np.frombuffer(data, _np.uint8)
-    newlines = _np.flatnonzero(arr == _NL)
-    if len(newlines) != len(records) - 1:
-        return None  # some record embeds a newline: offsets are ambiguous
-    starts = _np.empty(len(records), _np.int64)
-    starts[0] = 0
-    starts[1:] = newlines + 1
-    return WorkloadSlab(records, text, data, arr, starts)
 
 
 def _line_end(slab: WorkloadSlab, row: int) -> int:
@@ -216,7 +191,7 @@ def slab_from_columns(data, starts) -> WorkloadSlab:
     arr = _np.frombuffer(data, _np.uint8)
     if not isinstance(starts, _np.ndarray):
         starts = _np.frombuffer(starts, _np.int64)
-    return WorkloadSlab(None, None, data, arr, starts)
+    return WorkloadSlab(data, arr, starts)
 
 
 class SlabColumn(Sequence):
@@ -411,36 +386,6 @@ class RecordColumn(Sequence):
         ``keys`` is ``None`` where every key of the pair's rows is ``None``.
         """
         raise NotImplementedError
-
-
-#: Slab memo keyed by list identity: ``id -> (records, slab_or_None, len)``.
-#: The strong reference to ``records`` makes the id stable (no reuse while
-#: cached); the stored length detects list growth between runs.  Failed
-#: builds memoize ``None`` so ineligible workloads are not re-joined every
-#: run.  Entries beyond the cap evict oldest-first.
-_SLAB_CACHE: dict[int, tuple[list, WorkloadSlab | None, int]] = {}
-_SLAB_CACHE_MAX = 2
-
-
-def slab_for(records: Any) -> WorkloadSlab | None:
-    """The shared slab for ``records``, building and caching on first use.
-
-    Only plain lists of at least :data:`SLAB_MIN_RECORDS` records qualify.
-    Callers must treat cached lists as immutable (the repo-wide contract
-    for workload and broker column lists); in-place element replacement is
-    not detectable.  The slab's ``records`` is the list itself.
-    """
-    if type(records) is not list or len(records) < SLAB_MIN_RECORDS:
-        return None
-    key = id(records)
-    entry = _SLAB_CACHE.get(key)
-    if entry is not None and entry[0] is records and entry[2] == len(records):
-        return entry[1]
-    slab = _build_slab(records)
-    while len(_SLAB_CACHE) >= _SLAB_CACHE_MAX:
-        _SLAB_CACHE.pop(next(iter(_SLAB_CACHE)))
-    _SLAB_CACHE[key] = (records, slab, len(records))
-    return slab
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.dataflow.kernels import SlabColumn, as_output, run_kernel, slab_for
+from repro.dataflow.kernels import as_output, run_kernel
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance
 from repro.engines.common.progress import LagTracker
@@ -161,7 +161,6 @@ class StreamPump:
         injected = total == 0
         processed = 0
 
-        records = self._slab_input(records)
         try:
             for batch in self._batches(records):
                 if self.micro_batch_records is not None and batch:
@@ -305,28 +304,6 @@ class StreamPump:
             kernel = stage.cached_kernel()
             if kernel is not None:
                 kernel.flush()
-
-    def _slab_input(self, records: Sequence[Any]) -> Sequence[Any]:
-        """``records``, as a window over a slab when that pays.
-
-        A large records list becomes one
-        :class:`~repro.dataflow.kernels.SlabColumn` over
-        :func:`~repro.dataflow.kernels.slab_for`'s slab when a kernel of
-        this pump has a slab path; the slab's records are the list
-        itself.  The build amortizes across runs (and matrix cells)
-        because the workload cache hands the pump the same list object
-        each time.  Anything else — a column from the broker, a small or
-        ineligible list, the reference tier — passes through.
-        """
-        if not self.vectorized or type(records) is not list:
-            return records
-        for stage in self.stages:
-            if stage.kind is StageKind.OPERATOR:
-                kernel = stage.compiled_kernel()
-                if kernel is not None and kernel.supports_slab:
-                    slab = slab_for(records)
-                    return records if slab is None else SlabColumn(slab)
-        return records
 
     def _run_stages(
         self, values: Sequence[Any], metrics: JobMetrics, start: int

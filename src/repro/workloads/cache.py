@@ -1,14 +1,13 @@
 """Versioned workload cache: the AOL workload's byte columns, generated once.
 
 Generating the paper's 1,000,001-record AOL workload is the largest
-start-up cost of a campaign, and a parallel campaign would pay it once
-per worker process on top of once per invocation.  This module makes
+start-up cost of a campaign, paid once per invocation.  This module makes
 generation a once-per-machine cost with two tiers:
 
 * an **in-process memo** shares one
   :class:`~repro.workloads.columnar.ColumnarWorkload` between every
-  workload/harness with the same key, so forked worker processes inherit
-  it for free;
+  workload/harness with the same key, so the matrix's isolated cell
+  worlds all read one copy;
 * a **versioned on-disk cache** persists the columns, keyed by
   ``(generator version, seed, record count)`` — the version comes from
   :data:`repro.workloads.aol.GENERATOR_VERSION`, so a changed generator
@@ -259,49 +258,3 @@ def load_columnar_workload(
         _COLUMNS_MEMO.pop(next(iter(_COLUMNS_MEMO)))
     _COLUMNS_MEMO[key] = workload
     return workload
-
-
-def ensure_columns_cached(
-    num_records: int, seed: int = 2006, cache: WorkloadCache | None = None
-) -> pathlib.Path | None:
-    """Pre-seed the columnar disk entry (parallel campaigns, before fan-out).
-
-    Returns the entry path, or ``None`` when below the disk threshold,
-    with the disk tier disabled, or when the cache directory is not
-    writable (the workers then generate, as the serial path does).
-    """
-    effective = cache or WorkloadCache()
-    if cache is None and (
-        not disk_cache_enabled() or num_records < effective.min_records
-    ):
-        return None
-    if num_records < 1:
-        return None
-    path = effective.columns_path(seed, num_records)
-    key = (aol.GENERATOR_VERSION, seed, num_records)
-    loaded = effective.load_columns(seed, num_records)
-    if loaded is None:
-        memoised = _COLUMNS_MEMO.get(key)
-        if memoised is not None:
-            data, starts = memoised.data, memoised.starts
-        else:
-            data, starts = generate_columns(num_records, seed)
-        try:
-            effective.store_columns(seed, num_records, data, starts)
-        except OSError:
-            return None  # an unwritable cache directory never fails the campaign
-        loaded = effective.load_columns(seed, num_records)
-    # Re-point the memo at the mmap-backed entry: forked workers then share
-    # file-backed read-only pages through the page cache (and spawned
-    # workers mmap the same file) instead of inheriting anonymous heap
-    # pages — no worker ever holds a private copy of the workload.
-    if loaded is not None:
-        memoised = _COLUMNS_MEMO.get(key)
-        if memoised is None or not memoised.mmap_backed:
-            while (
-                key not in _COLUMNS_MEMO
-                and len(_COLUMNS_MEMO) >= _COLUMNS_MEMO_MAX_ENTRIES
-            ):
-                _COLUMNS_MEMO.pop(next(iter(_COLUMNS_MEMO)))
-            _COLUMNS_MEMO[key] = loaded
-    return path

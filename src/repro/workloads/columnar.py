@@ -368,12 +368,11 @@ def iter_column_chunks(
 ):
     """Stream the workload as per-chunk ``(data, starts)`` column pairs.
 
-    The bounded-memory source of the scale-out data plane: each yielded
-    chunk holds at most ``chunk_records`` records as its own contiguous
-    byte buffer plus a *chunk-relative* ``array('q')`` line-start column —
-    ready for :func:`~repro.dataflow.kernels.slab_from_columns` — and
-    nothing larger than one chunk is ever resident in the generator.
-    Joining the chunk buffers with ``b"\\n"`` reproduces
+    The chunked generator :func:`generate_columns` is built on: each
+    yielded chunk holds at most ``chunk_records`` records as its own
+    contiguous byte buffer plus a *chunk-relative* ``array('q')``
+    line-start column, and nothing larger than one chunk is ever resident
+    in the generator.  Joining the chunk buffers with ``b"\\n"`` reproduces
     :func:`generate_columns`'s byte stream exactly (each chunk is itself
     ``"\\n".join(chunk_lines).encode()``, no trailing newline); the RNG
     word stream runs seamlessly across chunk boundaries, so the chunking

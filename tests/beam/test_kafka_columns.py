@@ -49,7 +49,6 @@ from repro.dataflow.kernels import (
     RecordKvKernel,
     SlabColumn,
     _build_chain,
-    slab_from_columns,
 )
 from repro.dataflow.compiler import lower_stage
 from repro.engines.common.io import BoundedKafkaReader
@@ -58,22 +57,13 @@ from repro.engines.flink import FlinkCluster
 from repro.engines.spark import SparkCluster
 from repro.simtime import Simulator
 from repro.yarn import YarnCluster
+from tests.slabs import slab_column
 
 TOPIC = "in"
 PARTITIONS = 3
 
 #: The two execution tiers as their ``StreamPump.vectorized`` setting.
 TIERS = {"kernel": True, "reference": False}
-
-
-def slab_column(lines: list[str]) -> SlabColumn:
-    """``lines`` as a column-built slab window, the adopted log layout."""
-    starts = array("q")
-    position = 0
-    for line in lines:
-        starts.append(position)
-        position += len(line) + 1
-    return SlabColumn(slab_from_columns("\n".join(lines).encode("ascii"), starts))
 
 
 def build_world(chaos: bool = True) -> tuple[Simulator, BrokerCluster]:

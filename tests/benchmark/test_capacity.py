@@ -288,12 +288,14 @@ class TestKneeSearch:
 
 
 class TestCapacityReport:
-    def test_serial_parallel_bit_identical(self):
+    def test_reverse_order_cells_match_run(self):
+        """A cell's knee does not depend on the cells searched before it."""
         cfg = config(systems=("flink", "apex"), queries=("grep", "identity"))
         runner = CapacityRunner(cfg)
-        serial = runner.run(parallel=False)
-        parallel = runner.run(parallel=True, workers=2)
-        assert serial.cells == parallel.cells
+        searched = {
+            pair: find_capacity(cfg, *pair) for pair in reversed(runner.cells())
+        }
+        assert [searched[pair] for pair in runner.cells()] == runner.run().cells
 
     def test_grid_order_and_lookup(self):
         cfg = config(systems=("flink", "spark"), queries=("grep",))
@@ -424,12 +426,20 @@ class TestScalabilityReport:
         with pytest.raises(KeyError):
             report.cell("flink", "native", "grep", 8)
 
-    def test_sweep_serial_parallel_bit_identical(self):
+    def test_sweep_reverse_order_matches_run_scalability(self):
+        """A sweep point's knee does not depend on the points searched
+        before it: ``find_capacity`` over the points in reverse order
+        reproduces ``run_scalability`` cell for cell."""
         cfg = config(capacity=SWEEP)
         runner = CapacityRunner(cfg)
-        serial = runner.run_scalability(parallel=False)
-        parallel = runner.run_scalability(parallel=True, workers=2)
-        assert serial.cells == parallel.cells
+        searched = {
+            point: find_capacity(
+                cfg, point[0], point[2], kind=point[1], parallelism=point[3]
+            )
+            for point in reversed(runner.scalability_cells())
+        }
+        expected = [searched[point] for point in runner.scalability_cells()]
+        assert expected == runner.run_scalability().cells
 
     def test_curves_monotonic_per_kind(self):
         cfg = config(capacity=SWEEP)

@@ -32,8 +32,8 @@ from repro.workloads.columnar import ColumnarWorkload
 def run_both_worlds(list_world, config, chaos=None):
     """The serial matrix fed the record list, then fed the slab column."""
     with list_world():
-        lists = StreamBenchHarness(config, chaos=chaos).run_matrix(parallel=False)
-    columns = StreamBenchHarness(config, chaos=chaos).run_matrix(parallel=False)
+        lists = StreamBenchHarness(config, chaos=chaos).run_matrix()
+    columns = StreamBenchHarness(config, chaos=chaos).run_matrix()
     return lists, columns
 
 

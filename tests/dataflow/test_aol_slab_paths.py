@@ -1,6 +1,6 @@
 """The AOL slab paths of the windowed, statistics and wordcount kernels.
 
-Each property builds a slab with ``slab_from_columns`` from random lines,
+Each property builds a slab over random lines with ``tests.slabs.slab_of``,
 cuts it at random chunk boundaries and feeds every chunk to the kernel's
 ``call_slab`` the way the pump does: as a window (a slice) of the
 slab's ``SlabColumn``.  The lines are AOL-shaped, with ``QueryTime``
@@ -26,10 +26,10 @@ from repro.dataflow.compiler import lower_stage
 from repro.dataflow.kernels import (
     SlabColumn,
     WindowedAggregateKernel,
-    slab_from_columns,
 )
 from repro.dataflow.windowing import WindowedAggregateFunction
 from repro.workloads.aol import event_time, first_word, generate_records
+from tests.slabs import slab_of
 
 #: Query words, with whitespace that is not a space (``str.split``
 #: splits on it, ``partition(" ")`` does not).
@@ -89,17 +89,10 @@ def chunked_lines(draw):
     return lines, [0, *sorted(cuts | {len(lines)})]
 
 
-def _slab(lines):
-    data = "\n".join(lines).encode("ascii")
-    starts = np.zeros(len(lines), np.int64)
-    starts[1:] = np.cumsum([len(line) + 1 for line in lines[:-1]])
-    return slab_from_columns(data, starts)
-
-
 def _run_slab(function, lines, bounds):
     kernel = lower_stage(function)
     assert kernel.supports_slab
-    slab = _slab(lines)
+    slab = slab_of(lines)
     column = SlabColumn(slab)
     out: list = []
     try:
@@ -183,7 +176,7 @@ def test_windowed_slab_path_parses_clean_aol_chunks():
     function = get_query("windowed").make_function(random.Random(0))
     kernel = _NoLoop(function)
     assert kernel.supports_slab
-    slab = _slab(lines)
+    slab = slab_of(lines)
     column = SlabColumn(slab)
     for lo in range(0, len(lines), 700):
         hi = min(lo + 700, len(lines))

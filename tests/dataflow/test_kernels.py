@@ -32,8 +32,8 @@ from repro.dataflow.kernels import (
     SampleKernel,
     WorkloadSlab,
     compile_function,
-    slab_for,
 )
+from tests.slabs import slab_of
 
 
 def ref_grep(needle, values):
@@ -166,47 +166,42 @@ class TestColumnKernel:
 
 
 class TestColumnSlabProjection:
-    def _slab(self, values):
-        slab = kernels._build_slab(values)
-        assert slab is not None
-        return slab
-
     def test_uniform_width_projects_exactly(self):
         values = [f"{100000 + i}\tquery {i}" for i in range(300)]
         kernel = ColumnKernel(0, "\t")
-        column = kernel._project_slab(self._slab(values))
+        column = kernel._project_slab(slab_of(values))
         assert column == ref_column(0, "\t", values)
 
     def test_nonuniform_width_refused(self):
         values = [f"{'x' * (5 + i % 3)}\trest" for i in range(100)]
         kernel = ColumnKernel(0, "\t")
-        assert kernel._project_slab(self._slab(values)) is None
+        assert kernel._project_slab(slab_of(values)) is None
 
     def test_short_line_cannot_read_into_neighbour(self):
         """A line shorter than the learned width must refuse the gather —
         the byte at ``start + width`` belongs to the *next* line."""
         values = ["abcdef\trest"] * 50 + ["ab"] + ["abcdef\trest"] * 50
         kernel = ColumnKernel(0, "\t")
-        assert kernel._project_slab(self._slab(values)) is None
+        assert kernel._project_slab(slab_of(values)) is None
 
     def test_earlier_separator_refused(self):
         values = ["abcdef\trest"] * 50 + ["ab\tcdef\trest"] + ["abcdef\trest"] * 50
         kernel = ColumnKernel(0, "\t")
-        assert kernel._project_slab(self._slab(values)) is None
+        assert kernel._project_slab(slab_of(values)) is None
 
     def test_no_separator_in_first_line_refused(self):
         values = ["nosep"] + [f"abc\tdef{i}" for i in range(50)]
         kernel = ColumnKernel(0, "\t")
-        assert kernel._project_slab(self._slab(values)) is None
+        assert kernel._project_slab(slab_of(values)) is None
 
     def test_width_zero_column(self):
         values = ["\trest of line"] * 80
         kernel = ColumnKernel(0, "\t")
-        assert kernel._project_slab(self._slab(values)) == [""] * 80
+        assert kernel._project_slab(slab_of(values)) == [""] * 80
 
     def test_call_slab_serves_windows(self):
         values = [f"{100000 + i}\tq{i}" for i in range(200)]
-        slab = self._slab(values)
+        slab = slab_of(values)
         kernel = ColumnKernel(0, "\t")
         expected = ref_column(0, "\t", values)
         assert kernel.call_slab(slab, 0, values[0:64]) == expected[0:64]
@@ -221,7 +216,7 @@ class TestColumnSlabProjection:
 
     def test_call_slab_nonuniform_falls_back_per_chunk(self):
         values = [f"{'x' * (5 + i % 3)}\trest{i}" for i in range(120)]
-        slab = self._slab(values)
+        slab = slab_of(values)
         kernel = ColumnKernel(0, "\t")
         out = kernel.call_slab(slab, 0, values[:60]) + kernel.call_slab(
             slab, 60, values[60:]
@@ -231,7 +226,7 @@ class TestColumnSlabProjection:
     def test_projected_strings_are_real_strs(self):
         values = [f"{100000 + i}\tq" for i in range(100)]
         kernel = ColumnKernel(0, "\t")
-        column = kernel._project_slab(self._slab(values))
+        column = kernel._project_slab(slab_of(values))
         assert all(type(v) is str for v in column)
 
 
@@ -303,12 +298,12 @@ SLICES = [slice(a, b, c) for a in _BOUNDS for b in _BOUNDS for c in _STEPS]
 
 
 def _slab_column(start, stop):
-    slab = kernels._build_slab([f"row{i}" for i in range(20)])
+    slab = slab_of([f"row{i}" for i in range(20)])
     return kernels.SlabColumn(slab, start, stop)
 
 
 def _selection(rows):
-    slab = kernels._build_slab([f"row{i}" for i in range(20)])
+    slab = slab_of([f"row{i}" for i in range(20)])
     return kernels.SlabColumn(slab, rows=np.array(rows, np.int64))
 
 
@@ -347,20 +342,13 @@ def test_window_slices_match_list_slices(make):
 _lines = st.lists(st.text(alphabet="ab\t ", max_size=3), min_size=1, max_size=24)
 
 
-def _column_slab(lines):
-    """``lines`` as a column-built slab, so every decode path is live."""
-    starts = np.zeros(len(lines), np.int64)
-    starts[1:] = np.cumsum([len(line) + 1 for line in lines[:-1]])
-    return kernels.slab_from_columns("\n".join(lines).encode("ascii"), starts)
-
-
 @st.composite
 def slab_columns(draw):
     """A window (at row 0, mid-slab or empty) or a masked selection over a
     fresh column-built slab, with its records as a list built from the
     lines (not from the column)."""
     lines = draw(_lines)
-    slab = _column_slab(lines)
+    slab = slab_of(lines)
     n = len(lines)
     shape = draw(st.sampled_from(("window-at-0", "window", "empty", "selection")))
     if shape == "selection":
@@ -571,7 +559,7 @@ class TestFusionAndChains:
 class TestWorkloadSlab:
     def test_build_and_offsets(self):
         records = ["alpha", "b", "", "gamma"]
-        slab = kernels._build_slab(records)
+        slab = slab_of(records)
         assert isinstance(slab, WorkloadSlab)
         assert slab.text == "alpha\nb\n\ngamma"
         assert slab.starts.tolist() == [0, 6, 8, 9]
@@ -579,62 +567,11 @@ class TestWorkloadSlab:
             start = int(slab.starts[i])
             assert slab.text[start : start + len(rec)] == rec
 
-    def test_embedded_newline_refused(self):
-        assert kernels._build_slab(["a", "b\nc"]) is None
-
-    def test_non_ascii_refused(self):
-        assert kernels._build_slab(["héllo", "x"]) is None
-
-    def test_non_str_refused(self):
-        assert kernels._build_slab([1, 2, 3]) is None
-
-    def test_slab_for_threshold_and_type(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 4)
-        assert slab_for(["a", "b"]) is None  # below threshold
-        assert slab_for(("a", "b", "c", "d", "e")) is None  # not a list
-        records = ["a", "b", "c", "d", "e"]
-        slab = slab_for(records)
-        assert slab is not None and slab.records is records
-
-    def test_slab_cached_by_identity(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        records = ["a", "b", "c"]
-        assert slab_for(records) is slab_for(records)
-        assert slab_for(list(records)) is not slab_for(records)
-
-    def test_failed_build_memoized(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        records = ["a\nb", "c"]
-        assert slab_for(records) is None
-        builds = []
-        original = kernels._build_slab
-        monkeypatch.setattr(
-            kernels, "_build_slab", lambda r: builds.append(1) or original(r)
-        )
-        assert slab_for(records) is None
-        assert not builds  # the failure was served from the memo
-
-    def test_grown_list_invalidates_entry(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        records = ["a", "b", "c"]
-        first = slab_for(records)
-        records.append("d")
-        second = slab_for(records)
-        assert second is not first
-        assert second.text == "a\nb\nc\nd"
-
-    def test_cache_eviction_keeps_cap(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        keep = [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"]]
-        for records in keep:
-            slab_for(records)
-        assert len(kernels._SLAB_CACHE) <= kernels._SLAB_CACHE_MAX
-
 
 class TestGrepSlabPath:
     def test_call_slab_serves_original_objects(self):
         records = [f"row {i} test" if i % 3 == 0 else f"row {i}" for i in range(100)]
-        slab = kernels._build_slab(records)
+        slab = slab_of(records)
         kernel = GrepKernel("test")
         out = kernel.call_slab(slab, 0, records[:50]) + kernel.call_slab(
             slab, 50, records[50:]
@@ -642,13 +579,14 @@ class TestGrepSlabPath:
         kernel.flush()
         expected = ref_grep("test", records)
         assert out == expected
-        assert all(any(o is r for r in records) for o in out)
+        # Hits are rows of the slab's one decoded list, not copies.
+        assert all(any(o is r for r in slab.records) for o in out)
 
     def test_window_scan_keeps_no_state(self):
         """Only the window's rows are scanned and reported, and nothing
         of the slab stays on the kernel."""
         records = ["a test", "b"] * 40
-        slab = kernels._build_slab(records)
+        slab = slab_of(records)
         kernel = GrepKernel("test")
         hits = kernel.call_slab(slab, 10, records[10:50])
         assert hits.rows[hits.start : hits.stop].tolist() == list(range(10, 50, 2))
@@ -657,14 +595,14 @@ class TestGrepSlabPath:
 
     def test_no_hits(self):
         records = [f"row {i}" for i in range(80)]
-        slab = kernels._build_slab(records)
+        slab = slab_of(records)
         kernel = GrepKernel("zzz")
         assert kernel.call_slab(slab, 0, records) == []
         kernel.flush()
 
     def test_multiple_hits_one_record_emitted_once(self):
         records = ["XY XY XY", "plain"] * 40
-        slab = kernels._build_slab(records)
+        slab = slab_of(records)
         kernel = GrepKernel("XY")
         out = kernel.call_slab(slab, 0, records)
         kernel.flush()
@@ -717,7 +655,7 @@ class TestWordCountKernel:
 
     def test_slab_path_matches(self):
         records = [f"u{i}\tquery {i % 3} words" for i in range(120)]
-        slab = kernels._build_slab(records)
+        slab = slab_of(records)
         fn = make_wordcount()
         kernel = kernels.WordCountKernel(fn)
         out = kernel.call_slab(slab, 0, records[:60]) + kernel.call_slab(
@@ -731,7 +669,7 @@ class TestWordCountKernel:
         """A separator-free line is its own query column: the field
         locator must span the whole line, as the reference does."""
         records = ["a\tone two", "no-separator here", "b\tthree"] * 30
-        slab = kernels._build_slab(records)
+        slab = slab_of(records)
         fn = make_wordcount()
         kernel = kernels.WordCountKernel(fn)
         out = kernel.call_slab(slab, 0, records)

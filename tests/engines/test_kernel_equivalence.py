@@ -6,8 +6,8 @@ be a pure host-side optimisation: for every system × query × API
 combination the simulated world — run durations, broker-timestamp
 measurements, output topic contents, cost totals, operator metrics — has
 to be **bit-identical** to the per-record reference loop.  This suite
-runs the full benchmark matrix both ways under one fixed seed (with the
-workload-slab threshold lowered so the slab fast path is genuinely
+runs the full benchmark matrix both ways under one fixed seed (the
+harness feeds the pump slab columns, so the slab fast paths are
 exercised), repeats the comparison under broker chaos, and
 property-tests that the sample kernel consumes the *exact same RNG
 stream* as per-record draws.
@@ -30,6 +30,7 @@ from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
 from repro.engines.common.stages import PhysicalStage, StageKind
 from repro.simtime import Simulator
+from tests.slabs import slab_column
 
 SYSTEMS = ("flink", "spark", "apex")
 QUERIES = ("identity", "sample", "projection", "grep")
@@ -77,17 +78,14 @@ def _campaign() -> tuple[list, dict, float]:
 
 @pytest.fixture(scope="module")
 def campaigns():
-    """One full-matrix campaign per tier, slab threshold lowered.
+    """One full-matrix campaign per tier.
 
-    The matrix runs 2,000 records per cell — below the production
-    ``SLAB_MIN_RECORDS`` — so the threshold is dropped for the whole
-    fixture to make the kernel campaign actually take the slab path
-    (the other tiers never consult it).
+    The harness sends the workload as a slab column, so the kernel
+    campaign's native cells take the slab paths.
     """
     results = {}
     mp = pytest.MonkeyPatch()
     try:
-        mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
         for tier, vectorized in TIERS.items():
             mp.setattr(StreamPump, "vectorized", vectorized)
             results[tier] = _campaign()
@@ -147,11 +145,10 @@ class TestChaosEquivalence:
         reports = {}
         mp = pytest.MonkeyPatch()
         try:
-            mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
             for tier, vectorized in TIERS.items():
                 mp.setattr(StreamPump, "vectorized", vectorized)
                 harness = StreamBenchHarness(config, chaos=plan)
-                reports[tier] = harness.run_matrix(parallel=False)
+                reports[tier] = harness.run_matrix()
         finally:
             mp.undo()
         return reports
@@ -264,11 +261,6 @@ def test_sample_rng_state_continues_across_runs():
 # Slab fast path through the pump
 
 
-@pytest.fixture
-def low_slab_threshold(monkeypatch):
-    monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 32)
-
-
 def _grep_stages(function=None):
     from repro.workloads.aol import GREP_NEEDLE
 
@@ -301,11 +293,11 @@ def _pump_stages(stages, records, tier="kernel"):
 
 
 class TestSlabPumpPath:
-    def test_slab_path_taken_and_identical(self, low_slab_threshold, monkeypatch):
-        """Above the threshold the pump serves grep from the slab scan."""
+    def test_slab_path_taken_and_identical(self, monkeypatch):
+        """The pump serves grep over a slab column from the slab scan."""
         from repro.workloads.aol import generate_records
 
-        records = generate_records(1_000)
+        column = slab_column(generate_records(1_000))
         calls = []
         original = kernels.GrepKernel.call_slab
 
@@ -314,17 +306,15 @@ class TestSlabPumpPath:
             return original(self, slab, base, values)
 
         monkeypatch.setattr(kernels.GrepKernel, "call_slab", spying)
-        outputs, _ = _pump_stages(_grep_stages(), records)
-        reference, _ = _pump_stages(_grep_stages(), records, tier="reference")
+        outputs, _ = _pump_stages(_grep_stages(), column)
+        reference, _ = _pump_stages(_grep_stages(), column, tier="reference")
         assert calls, "slab path was not taken"
         assert outputs == reference
-        # Slab grep must emit the *original* record objects, not copies.
-        by_identity = {id(r) for r in records}
+        # Slab grep emits rows of the slab's one decoded list, not copies.
+        by_identity = {id(r) for r in column.slab.records}
         assert all(id(v) in by_identity for v in outputs)
 
-    def test_leading_identity_keeps_slab_eligibility(
-        self, low_slab_threshold, monkeypatch
-    ):
+    def test_leading_identity_keeps_slab_eligibility(self, monkeypatch):
         """An identity stage passes chunks through without breaking the
         downstream kernel's slab path (zero-copy preserves identity)."""
         from repro.workloads.aol import GREP_NEEDLE, generate_records
@@ -347,11 +337,11 @@ class TestSlabPumpPath:
             ),
             *_grep_stages()[1:],
         ]
-        outputs, _ = _pump_stages(stages, records)
+        outputs, _ = _pump_stages(stages, slab_column(records))
         assert calls, "identity stage broke the slab path"
         assert outputs == [v for v in records if GREP_NEEDLE in v]
 
-    def test_transformed_chunks_leave_slab_path(self, low_slab_threshold):
+    def test_transformed_chunks_leave_slab_path(self):
         """After a non-slab transform the grep kernel gets real values."""
         from repro.workloads.aol import GREP_NEEDLE, generate_records
 
@@ -382,7 +372,7 @@ class TestSlabPumpPath:
                 "grep", StageKind.OPERATOR, StageCosts(per_weight=1e-6), function=upper
             ),
         ]
-        outputs, _ = _pump_stages(stages, records)
+        outputs, _ = _pump_stages(stages, slab_column(records))
 
         ref_rng = random.Random(7)
         expected = [
@@ -390,8 +380,9 @@ class TestSlabPumpPath:
         ]
         assert outputs == expected
 
-    def test_records_with_newlines_fall_back_correctly(self, low_slab_threshold):
-        """Slab build fails on embedded newlines; outputs stay exact."""
+    def test_records_with_newlines_fall_back_correctly(self):
+        """A records list whose records embed newlines takes grep's list
+        path, whose blob guard refuses the bulk scan; outputs stay exact."""
         records = [f"line-{i}\nneedle-{i}" if i % 7 == 0 else f"line-{i}" for i in range(200)]
         function = FilterFunction(
             lambda v: "needle" in v,
@@ -402,25 +393,7 @@ class TestSlabPumpPath:
         outputs, _ = _pump_stages(stages, records)
         assert outputs == [v for v in records if "needle" in v]
 
-    def test_below_threshold_no_slab(self, monkeypatch):
-        """Small inputs never pay the slab build."""
-        from repro.workloads.aol import generate_records
-
-        records = generate_records(100)  # < SLAB_MIN_RECORDS
-        built = []
-        original = kernels._build_slab
-
-        def spying(recs):
-            built.append(len(recs))
-            return original(recs)
-
-        monkeypatch.setattr(kernels, "_build_slab", spying)
-        outputs, _ = _pump_stages(_grep_stages(), records)
-        reference, _ = _pump_stages(_grep_stages(), records, tier="reference")
-        assert not built
-        assert outputs == reference
-
-    def test_recovery_chunk_path_flushes_per_chunk(self, low_slab_threshold):
+    def test_recovery_chunk_path_flushes_per_chunk(self):
         """_process_chunk (the recovery entry point) stays slab-free and
         leaves no kernel state behind between chunks."""
         from repro.workloads.aol import GREP_NEEDLE, generate_records

@@ -90,12 +90,10 @@ def _campaign() -> tuple[list, dict, float]:
 
 @pytest.fixture(scope="module")
 def campaigns():
-    """One keyed-matrix campaign per tier, slab threshold lowered so the
-    slab paths are genuinely exercised on the kernel tier."""
+    """One keyed-matrix campaign per tier."""
     results = {}
     mp = pytest.MonkeyPatch()
     try:
-        mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
         for tier, vectorized in TIERS.items():
             mp.setattr(StreamPump, "vectorized", vectorized)
             results[tier] = _campaign()
@@ -155,11 +153,10 @@ class TestKeyedChaosEquivalence:
         reports = {}
         mp = pytest.MonkeyPatch()
         try:
-            mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
             for tier, vectorized in TIERS.items():
                 mp.setattr(StreamPump, "vectorized", vectorized)
                 harness = StreamBenchHarness(config, chaos=plan)
-                reports[tier] = harness.run_matrix(parallel=False)
+                reports[tier] = harness.run_matrix()
         finally:
             mp.undo()
         return reports

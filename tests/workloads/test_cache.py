@@ -17,7 +17,6 @@ from repro.workloads import aol
 from repro.workloads.cache import (
     WorkloadCache,
     clear_memo,
-    ensure_columns_cached,
     load_columnar_workload,
 )
 
@@ -117,14 +116,3 @@ class TestCorruptionAndStaleness:
         clear_memo()
         assert cache.load_columns(9, 2_000) is None
         assert not path.exists()
-
-
-class TestTiering:
-    def test_ensure_disk_cached(self, cache):
-        path = ensure_columns_cached(1_000, seed=6, cache=cache)
-        assert path == cache.columns_path(6, 1_000)
-        # Idempotent, and the memo then serves the pre-seeded entry itself.
-        assert ensure_columns_cached(1_000, seed=6, cache=cache).exists()
-        served = load_columnar_workload(1_000, seed=6, cache=cache)
-        assert served.mmap_backed
-        assert served.records == aol.generate_records(1_000, seed=6)

@@ -17,7 +17,6 @@ from repro.workloads import aol
 from repro.workloads.cache import (
     WorkloadCache,
     clear_memo,
-    ensure_columns_cached,
     load_columnar_workload,
 )
 from repro.workloads.columnar import generate_columns
@@ -147,40 +146,6 @@ class TestStaleness:
         assert cache.load_columns(3, 1_000) is not None
 
 
-class TestEnsure:
-    def test_ensure_columns_cached_creates_entry(self, cache):
-        path = ensure_columns_cached(1_200, seed=6, cache=cache)
-        assert path is not None and path.exists()
-        clear_memo()
-        workload = cache.load_columns(6, 1_200)
-        assert workload is not None
-        assert workload.records == aol.generate_records(1_200, seed=6)
-
-    def test_ensure_is_idempotent(self, cache):
-        first = ensure_columns_cached(1_200, seed=6, cache=cache)
-        stamp = first.stat().st_mtime_ns
-        assert ensure_columns_cached(1_200, seed=6, cache=cache) == first
-        assert first.stat().st_mtime_ns == stamp
-
-    def test_ensure_respects_threshold(self, tmp_path, monkeypatch):
-        directory = tmp_path / "disk"
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
-        assert ensure_columns_cached(500, seed=4) is None
-        assert not directory.exists()
-
-    def test_unwritable_directory_degrades_gracefully(self, tmp_path):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file, not a directory")
-        cache = WorkloadCache(blocked / "sub", min_records=0)
-        workload = load_columnar_workload(800, seed=2, cache=cache)
-        assert workload.records == aol.generate_records(800, seed=2)
-        # Pre-seeding reports the miss instead of raising: parallel
-        # campaigns then let each worker generate, like the serial path.
-        assert ensure_columns_cached(800, seed=2, cache=cache) is None
-        clear_memo()
-        assert ensure_columns_cached(800, seed=2, cache=cache) is None
-
-
 class TestTiering:
     @pytest.mark.parametrize(
         "env, on_disk",
@@ -203,6 +168,14 @@ class TestTiering:
         assert directory.exists() is on_disk
         if on_disk:
             assert WorkloadCache().load_columns(4, 500).records == workload.records
+
+    def test_unwritable_directory_degrades_gracefully(self, tmp_path):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        cache = WorkloadCache(blocked / "sub", min_records=0)
+        workload = load_columnar_workload(800, seed=2, cache=cache)
+        assert workload.records == aol.generate_records(800, seed=2)
+        assert cache.load_columns(2, 800) is None
 
 
 class TestWorkloadIntegration:
