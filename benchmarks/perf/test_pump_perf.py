@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 
 import pytest
 
@@ -75,8 +74,12 @@ CACHE_RECORDS = int(os.environ.get("REPRO_PERF_CACHE_RECORDS", "200000"))
 CAPACITY_RECORDS = int(os.environ.get("REPRO_PERF_CAPACITY_RECORDS", "4000"))
 #: The ISSUE's acceptance floor for the headline scenario.
 MIN_HEADLINE_SPEEDUP = float(os.environ.get("REPRO_PERF_MIN_HEADLINE", "5.0"))
+#: The checked-in speedup baselines (``baseline.json``).
+BASELINE = json.loads(BASELINE_PATH.read_text())
 #: Warm mmap cache load vs cold slab-direct generation.
-MIN_CACHE_LOAD_SPEEDUP = float(os.environ.get("REPRO_PERF_MIN_CACHE_LOAD", "5.0"))
+MIN_CACHE_LOAD_SPEEDUP = float(
+    os.environ.get("REPRO_PERF_MIN_CACHE_LOAD", BASELINE["workload_cache_load_speedup"])
+)
 #: ">30% regression vs baseline fails" — i.e. measured >= 0.7 * baseline.
 REGRESSION_FLOOR = 0.7
 #: Per-query kernel-tier floors (kernel vs tuple) from the ISSUE, measured
@@ -174,9 +177,8 @@ def test_keyed_kernel_floors(micro: dict) -> None:
 
 def test_no_regression_vs_baseline(micro: dict) -> None:
     """Every kernel speedup stays within 30% of its checked-in baseline."""
-    baseline = json.loads(pathlib.Path(BASELINE_PATH).read_text())
     failures = []
-    for name, expected in baseline["speedups"].items():
+    for name, expected in BASELINE["speedups"].items():
         measured = micro["scenarios"][name]["speedup"]
         floor = REGRESSION_FLOOR * expected
         if measured < floor:
@@ -188,7 +190,8 @@ def test_no_regression_vs_baseline(micro: dict) -> None:
 
 
 def test_workload_cache_load_speedup(cache_bench: dict) -> None:
-    """A warm mmap load beats cold slab-direct generation by ≥5×."""
+    """A warm mmap load beats cold slab-direct generation by the
+    baseline's ``workload_cache_load_speedup``."""
     speedup = cache_bench["columns_load_speedup"]
     assert speedup >= MIN_CACHE_LOAD_SPEEDUP, (
         f"warm cache load only {speedup:.2f}x faster than generation "

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Any
-
-import networkx as nx
 
 from repro.dataflow.functions import StreamFunction
 
@@ -56,95 +55,148 @@ class LogicalGraph:
     :meth:`validate`: it must be acyclic, every operator reachable from a
     source, and every non-sink must have a downstream consumer.  Engines
     translate a validated logical graph into their own execution plan.
+
+    Nodes and each node's edges keep their insertion order; connecting
+    the same pair twice adds one edge.
     """
 
     def __init__(self, name: str = "job") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
-        self._order: list[str] = []
+        #: Name -> operator, in insertion order.
+        self._ops: dict[str, LogicalOperator] = {}
+        #: Name -> consumers and name -> producers, each in edge order.
+        self._succ: dict[str, list[str]] = {}
+        self._pred: dict[str, list[str]] = {}
 
     def add(self, operator: LogicalOperator) -> LogicalOperator:
         """Add a node; names must be unique within the graph."""
-        if operator.name in self._graph:
+        if operator.name in self._ops:
             raise GraphError(f"duplicate operator name: {operator.name!r}")
-        self._graph.add_node(operator.name, op=operator)
-        self._order.append(operator.name)
+        self._ops[operator.name] = operator
+        self._succ[operator.name] = []
+        self._pred[operator.name] = []
         return operator
 
     def connect(self, upstream: str, downstream: str) -> None:
         """Add an edge from ``upstream`` to ``downstream``."""
         for name in (upstream, downstream):
-            if name not in self._graph:
+            if name not in self._ops:
                 raise GraphError(f"unknown operator: {name!r}")
         if upstream == downstream:
             raise GraphError(f"self-loop on {upstream!r}")
-        self._graph.add_edge(upstream, downstream)
+        consumers = self._succ[upstream]
+        if downstream not in consumers:
+            consumers.append(downstream)
+            self._pred[downstream].append(upstream)
 
     def operator(self, name: str) -> LogicalOperator:
         """Look up a node by name."""
         try:
-            return self._graph.nodes[name]["op"]
+            return self._ops[name]
         except KeyError:
             raise GraphError(f"unknown operator: {name!r}") from None
 
     def operators(self) -> list[LogicalOperator]:
         """All nodes in insertion order."""
-        return [self._graph.nodes[name]["op"] for name in self._order]
+        return list(self._ops.values())
 
     def sources(self) -> list[LogicalOperator]:
         """All ``SOURCE`` nodes in insertion order."""
-        return [op for op in self.operators() if op.kind is OperatorKind.SOURCE]
+        return [op for op in self._ops.values() if op.kind is OperatorKind.SOURCE]
 
     def sinks(self) -> list[LogicalOperator]:
         """All ``SINK`` nodes in insertion order."""
-        return [op for op in self.operators() if op.kind is OperatorKind.SINK]
+        return [op for op in self._ops.values() if op.kind is OperatorKind.SINK]
 
     def downstream(self, name: str) -> list[LogicalOperator]:
         """Direct consumers of ``name``."""
-        return [self.operator(succ) for succ in self._graph.successors(name)]
+        self.operator(name)  # GraphError for an unknown name
+        return [self._ops[succ] for succ in self._succ[name]]
 
     def upstream(self, name: str) -> list[LogicalOperator]:
         """Direct producers into ``name``."""
-        return [self.operator(pred) for pred in self._graph.predecessors(name)]
+        self.operator(name)  # GraphError for an unknown name
+        return [self._ops[pred] for pred in self._pred[name]]
 
     def topological(self) -> list[LogicalOperator]:
-        """Nodes in a deterministic topological order."""
-        self.validate()
-        order = nx.lexicographical_topological_sort(
-            self._graph, key=lambda n: self._order.index(n)
-        )
-        return [self.operator(name) for name in order]
+        """Nodes in a deterministic topological order: of the nodes whose
+        producers have all been listed, the earliest-inserted comes next."""
+        return [self._ops[name] for name in self._validated_order()]
 
     def validate(self) -> None:
         """Raise :class:`GraphError` if the graph is not a well-formed job."""
-        if not self._order:
+        self._validated_order()
+
+    def _validated_order(self) -> list[str]:
+        """:meth:`validate`, returning the topological order of the names."""
+        if not self._ops:
             raise GraphError("empty graph")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
-            raise GraphError(f"graph contains a cycle: {cycle}")
-        if not self.sources():
+        order = self._kahn()
+        if len(order) < len(self._ops):
+            raise GraphError(f"graph contains a cycle: {self._cycle(order)}")
+        sources = self.sources()
+        if not sources:
             raise GraphError("graph has no source")
-        source_names = {op.name for op in self.sources()}
-        for op in self.operators():
+        # In topological order every producer is settled before its
+        # consumers, so one forward walk marks what the sources reach.
+        reachable = {op.name for op in sources}
+        for name in order:
+            if name in reachable:
+                reachable.update(self._succ[name])
+        for op in self._ops.values():
             if op.kind is OperatorKind.SOURCE:
-                if self._graph.in_degree(op.name) != 0:
+                if self._pred[op.name]:
                     raise GraphError(f"source {op.name!r} has inputs")
-            else:
-                reachable = any(
-                    nx.has_path(self._graph, src, op.name) for src in source_names
-                )
-                if not reachable:
-                    raise GraphError(
-                        f"operator {op.name!r} is unreachable from any source"
-                    )
-            if op.kind is OperatorKind.SINK and self._graph.out_degree(op.name) != 0:
+            elif op.name not in reachable:
+                raise GraphError(f"operator {op.name!r} is unreachable from any source")
+            if op.kind is OperatorKind.SINK and self._succ[op.name]:
                 raise GraphError(f"sink {op.name!r} has outputs")
+        return order
+
+    def _kahn(self) -> list[str]:
+        """Kahn's algorithm with the ready set ordered by insertion rank.
+
+        Lists every node of an acyclic graph; on a cyclic one it stops
+        short of the nodes on or behind a cycle.
+        """
+        names = list(self._ops)
+        rank = {name: index for index, name in enumerate(names)}
+        pending = {name: len(preds) for name, preds in self._pred.items() if preds}
+        # Ascending, so already a heap.
+        ready = [index for index, name in enumerate(names) if name not in pending]
+        order = []
+        while ready:
+            name = names[heapq.heappop(ready)]
+            order.append(name)
+            for succ in self._succ[name]:
+                pending[succ] -= 1
+                if not pending[succ]:
+                    heapq.heappush(ready, rank[succ])
+        return order
+
+    def _cycle(self, order: list[str]) -> list[tuple[str, str]]:
+        """The edges of one cycle among the nodes :meth:`_kahn` left out.
+
+        Each left-out node has a left-out producer, so walking producers
+        back from any of them must revisit a node.
+        """
+        listed = set(order)
+        left = [name for name in self._ops if name not in listed]
+        path = [left[0]]
+        seen = {left[0]: 0}
+        while True:
+            pred = next(p for p in self._pred[path[-1]] if p not in listed)
+            if pred in seen:
+                loop = path[seen[pred] :][::-1]
+                return list(zip(loop, loop[1:] + loop[:1]))
+            seen[pred] = len(path)
+            path.append(pred)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._ops)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     def __repr__(self) -> str:
         return f"LogicalGraph({self.name!r}, nodes={len(self)})"

@@ -215,12 +215,12 @@ class SlabColumn(Sequence):
     It compares equal, by value, to a list or another column with equal
     records, in either operand order; ``+`` with a list or a column gives
     a list; it is unhashable, like a list.  Iteration, non-unit-step
-    slices and comparison decode the whole slab at most once, into
-    ``slab.records`` — the one decoded list every column over the slab
-    shares — while single-record indexing decodes just that line until
-    the shared list exists.  A column must be treated as immutable, the
-    contract cached record lists carry too; only the log grows its own
-    private copy.
+    slices and comparison of a non-empty column decode the whole slab at
+    most once, into ``slab.records`` — the one decoded list every column
+    over the slab shares — while single-record indexing decodes just that
+    line until the shared list exists.  A column must be treated as
+    immutable, the contract cached record lists carry too; only the log
+    grows its own private copy.
     """
 
     __slots__ = ("slab", "start", "stop", "rows")
@@ -249,6 +249,8 @@ class SlabColumn(Sequence):
         return self.rows[self.start : self.stop].tolist()
 
     def __iter__(self):
+        if self.start == self.stop:
+            return iter(())
         lines = self._lines()
         if self.rows is not None:
             return map(lines.__getitem__, self._row_list())
@@ -257,6 +259,8 @@ class SlabColumn(Sequence):
         return iter(lines[self.start : self.stop])
 
     def __reversed__(self):
+        if self.start == self.stop:
+            return iter(())
         lines = self._lines()
         if self.rows is not None:
             return map(lines.__getitem__, reversed(self._row_list()))

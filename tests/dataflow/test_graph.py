@@ -1,6 +1,9 @@
 """Tests for repro.dataflow.graph."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.functions import IdentityFunction
 from repro.dataflow.graph import (
@@ -151,3 +154,121 @@ class TestValidation:
         g.connect("a", "sink")
         g.connect("b", "sink")
         g.validate()
+
+
+_KINDS = (OperatorKind.SOURCE, OperatorKind.OPERATOR, OperatorKind.SINK)
+
+
+@st.composite
+def generated_graphs(draw):
+    """Nodes added in a random order and edges connected in a random order,
+    duplicates included.
+
+    A ``"dag"`` graph only has edges that go forward in a hidden order of
+    the nodes, and its kinds follow the edges (no inputs: source, no
+    outputs: sink), so most of them are valid jobs; an ``"any"`` graph has
+    arbitrary edges and kinds, so cycles and every other defect occur.
+    """
+    n = draw(st.integers(0, 7))
+    names = [f"n{i}" for i in range(n)]
+    hidden = draw(st.permutations(names))
+    inserted = draw(st.permutations(names))
+    shape = draw(st.sampled_from(("dag", "any")))
+    pairs = [(u, v) for u in names for v in names if u != v]
+    if shape == "dag":
+        pairs = [(u, v) for u, v in pairs if hidden.index(u) < hidden.index(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    if shape == "dag":
+        with_inputs = {v for _, v in edges}
+        with_outputs = {u for u, _ in edges}
+        kinds = {}
+        for name in names:
+            if name not in with_inputs:
+                kinds[name] = OperatorKind.SOURCE
+            elif name not in with_outputs:
+                kinds[name] = OperatorKind.SINK
+            else:
+                kinds[name] = OperatorKind.OPERATOR
+    else:
+        kinds = {name: draw(st.sampled_from(_KINDS)) for name in names}
+    return inserted, kinds, edges
+
+
+def build(inserted, kinds, edges):
+    g = LogicalGraph("generated")
+    for name in inserted:
+        g.add(op(name, kinds[name]))
+    for u, v in edges:
+        g.connect(u, v)
+    return g
+
+
+def first_defect(inserted, kinds, edges):
+    """The message ``validate()`` must raise first, by brute force, or
+    ``None`` for a well-formed job."""
+    reach = {name: {v for u, v in edges if u == name} for name in inserted}
+    grown = True
+    while grown:  # transitive closure: paths of one edge or more
+        grown = False
+        for name in inserted:
+            wider = reach[name].union(*(reach[v] for v in reach[name]))
+            grown |= wider != reach[name]
+            reach[name] = wider
+    sources = [name for name in inserted if kinds[name] is OperatorKind.SOURCE]
+    if not inserted:
+        return "empty graph"
+    if any(name in reach[name] for name in inserted):
+        return "graph contains a cycle"
+    if not sources:
+        return "graph has no source"
+    for name in inserted:
+        if kinds[name] is OperatorKind.SOURCE:
+            if any(v == name for _, v in edges):
+                return f"source {name!r} has inputs"
+        elif not any(name in reach[src] for src in sources):
+            return f"operator {name!r} is unreachable from any source"
+        if kinds[name] is OperatorKind.SINK and any(u == name for u, _ in edges):
+            return f"sink {name!r} has outputs"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_graphs())
+def test_generated_graphs_validate_and_order_like_brute_force(generated):
+    """Edges keep their first-insertion order, ``validate()`` raises the
+    first defect a brute-force check finds, and ``topological()`` lists a
+    valid job's nodes once each, edges forward, always taking the
+    earliest-inserted node whose producers are all listed."""
+    inserted, kinds, edges = generated
+    g = build(inserted, kinds, edges)
+    for name in inserted:
+        assert [o.name for o in g.downstream(name)] == list(
+            dict.fromkeys(v for u, v in edges if u == name)
+        )
+        assert [o.name for o in g.upstream(name)] == list(
+            dict.fromkeys(u for u, v in edges if v == name)
+        )
+    with pytest.raises(GraphError):
+        g.downstream("missing")
+    with pytest.raises(GraphError):
+        g.upstream("missing")
+    defect = first_defect(inserted, kinds, edges)
+    if defect is not None:
+        for check in (g.validate, g.topological):
+            with pytest.raises(GraphError, match=re.escape(defect)):
+                check()
+        return
+    g.validate()
+    order = [o.name for o in g.topological()]
+    assert sorted(order) == sorted(inserted) and len(set(order)) == len(order)
+    position = {name: index for index, name in enumerate(order)}
+    assert all(position[u] < position[v] for u, v in edges)
+    for step, name in enumerate(order):
+        listed = set(order[:step])
+        ready = [
+            other
+            for other in inserted
+            if other not in listed
+            and all(u in listed for u, v in edges if v == other)
+        ]
+        assert name == ready[0]

@@ -337,6 +337,23 @@ def test_window_slices_match_list_slices(make):
         assert window[index] == rows[index], index
 
 
+@pytest.mark.parametrize(
+    "make",
+    (lambda: _slab_column(4, 14), lambda: _selection(range(0, 20, 2))),
+    ids=("window", "selection"),
+)
+@pytest.mark.parametrize("k", (0, 5, 10))
+def test_empty_column_decodes_nothing(make, k):
+    """Iterating an empty column, forwards or backwards, leaves its slab
+    undecoded: a drained log copies one without touching the slab."""
+    column = make()
+    empty = column[k:k]
+    assert list(empty) == []
+    assert list(reversed(empty)) == []
+    assert empty == [] and not empty
+    assert column.slab.records is None
+
+
 #: Short lines from a tiny alphabet, so duplicates (for ``index`` and
 #: ``count``) and equal columns over different rows are common.
 _lines = st.lists(st.text(alphabet="ab\t ", max_size=3), min_size=1, max_size=24)

@@ -123,9 +123,10 @@ class TestTrimmedLogReAdoption:
         bounded_log.mark_consumed(bounded_log.end_offset)  # trims empty
         bounded_log.append_batch(second.view(0, 500))
         # A fresh zero-copy window over the *new* chunk's slab — not a
-        # materialised list of the old one.
+        # materialised list of the old one, whose slab stays undecoded.
         assert type(bounded_log._values) is SlabColumn
         assert bounded_log._values.slab is second.slab
+        assert first.slab.records is None
         assert bounded_log.read_values(bounded_log.start_offset) == second[0:500]
 
     def test_partial_trim_still_degrades_on_foreign_slab(self, bounded_log):
