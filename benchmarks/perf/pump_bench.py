@@ -102,14 +102,16 @@ BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baseline.json"
 #: Headline scenario for the CI gate (per-record dispatch vs a passthrough).
 HEADLINE_SCENARIO = "identity-op"
 
-#: Keyed/stateful scenarios (ISSUE 7): per-key state in the hot loop.  The
+#: Keyed/stateful scenarios: per-key state in the hot loop.  The
 #: Nexmark ones pump *encoded* events through ``decode |> query`` — the
 #: shape the plan compiler fuses into a wire kernel that parses only what
 #: the query consumes — and carry the ≥3x CI floor.  ``wordcount`` is
 #: emit-bound (a fresh (word, count) tuple per word dominates all tiers),
 #: so it reports its honest ratio under the baseline-regression family
-#: only; see docs/architecture.md.
-KEYED_SCENARIOS = ("wordcount", "nexmark-q3", "nexmark-q4", "nexmark-q5")
+#: only; see docs/architecture.md.  ``windowed`` counts hourly panes per
+#: first word over the AOL slab column, the kernel's pane tally against
+#: the reference's per-record pane fold; it is regression-gated too.
+KEYED_SCENARIOS = ("wordcount", "windowed", "nexmark-q3", "nexmark-q4", "nexmark-q5")
 
 #: Nexmark generator seed for the keyed microbenchmarks.
 NEXMARK_SEED = 8
@@ -184,6 +186,10 @@ def _scenario_functions() -> dict[str, tuple[str, Callable[[], StreamFunction]]]
         "wordcount": (
             "aol",
             lambda: get_query("wordcount").make_function(random.Random(0)),
+        ),
+        "windowed": (
+            "aol",
+            lambda: get_query("windowed").make_function(random.Random(0)),
         ),
         "nexmark-q3": (
             "nexmark",

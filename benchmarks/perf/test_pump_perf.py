@@ -20,7 +20,8 @@ across hardware, unlike absolute records/sec.  Checks:
   floor, times the same tolerance.  Stateful ``wordcount`` carries no
   absolute floor: it is emit-bound (the fresh ``(word, count)`` tuple
   per word dominates every tier), so it is gated by the
-  baseline-regression family only — see docs/architecture.md;
+  baseline-regression family only — see docs/architecture.md — and so
+  is the ``windowed`` pane count over the AOL slab column;
 * no scenario may regress more than 30% below the checked-in
   kernel/tuple baseline ratios in ``baseline.json`` (``speedups``);
 * a warm mmap load of the workload cache's columnar entry must stay ≥5×

@@ -539,9 +539,9 @@ def run_probe(
                     stall_timeout=settings.stall_timeout,
                 )
     finally:
-        # Nothing reads the data RNG mid-probe, so kernels step every
-        # chunk without flushing and return adopted state once, here —
-        # on a stall too.
+        # Nothing reads the data RNG or the panes mid-probe, so kernels
+        # step every chunk without flushing and return adopted state
+        # once, here — on a stall too.
         if sharded is None:
             pump._flush_kernels()
         else:

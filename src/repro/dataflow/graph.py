@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -96,10 +95,6 @@ class LogicalGraph:
         except KeyError:
             raise GraphError(f"unknown operator: {name!r}") from None
 
-    def operators(self) -> list[LogicalOperator]:
-        """All nodes in insertion order."""
-        return list(self._ops.values())
-
     def sources(self) -> list[LogicalOperator]:
         """All ``SOURCE`` nodes in insertion order."""
         return [op for op in self._ops.values() if op.kind is OperatorKind.SOURCE]
@@ -113,22 +108,8 @@ class LogicalGraph:
         self.operator(name)  # GraphError for an unknown name
         return [self._ops[succ] for succ in self._succ[name]]
 
-    def upstream(self, name: str) -> list[LogicalOperator]:
-        """Direct producers into ``name``."""
-        self.operator(name)  # GraphError for an unknown name
-        return [self._ops[pred] for pred in self._pred[name]]
-
-    def topological(self) -> list[LogicalOperator]:
-        """Nodes in a deterministic topological order: of the nodes whose
-        producers have all been listed, the earliest-inserted comes next."""
-        return [self._ops[name] for name in self._validated_order()]
-
     def validate(self) -> None:
         """Raise :class:`GraphError` if the graph is not a well-formed job."""
-        self._validated_order()
-
-    def _validated_order(self) -> list[str]:
-        """:meth:`validate`, returning the topological order of the names."""
         if not self._ops:
             raise GraphError("empty graph")
         order = self._kahn()
@@ -151,27 +132,20 @@ class LogicalGraph:
                 raise GraphError(f"operator {op.name!r} is unreachable from any source")
             if op.kind is OperatorKind.SINK and self._succ[op.name]:
                 raise GraphError(f"sink {op.name!r} has outputs")
-        return order
 
     def _kahn(self) -> list[str]:
-        """Kahn's algorithm with the ready set ordered by insertion rank.
+        """Kahn's algorithm: the names in a topological order.
 
         Lists every node of an acyclic graph; on a cyclic one it stops
         short of the nodes on or behind a cycle.
         """
-        names = list(self._ops)
-        rank = {name: index for index, name in enumerate(names)}
         pending = {name: len(preds) for name, preds in self._pred.items() if preds}
-        # Ascending, so already a heap.
-        ready = [index for index, name in enumerate(names) if name not in pending]
-        order = []
-        while ready:
-            name = names[heapq.heappop(ready)]
-            order.append(name)
+        order = [name for name in self._ops if name not in pending]
+        for name in order:  # grows while it is walked
             for succ in self._succ[name]:
                 pending[succ] -= 1
                 if not pending[succ]:
-                    heapq.heappush(ready, rank[succ])
+                    order.append(succ)
         return order
 
     def _cycle(self, order: list[str]) -> list[tuple[str, str]]:

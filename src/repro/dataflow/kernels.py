@@ -79,7 +79,10 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   function's own state containers in place, re-fetching them on every
   call because ``restore()`` rebinds them.  Snapshots, recovery and the
   drain phase therefore observe exactly the state the reference loop
-  would have produced, and ``flush`` stays a no-op.
+  would have produced.  The windowed slab path alone adopts state, as
+  the sample kernel adopts its RNG: it tallies pane codes and writes
+  them into the owner's panes on ``flush``, which the pump calls before
+  any of those observers reads them.
 - ``wordcount`` / ``distinct_count`` / ``statistics``: the stateful
   StreamBench queries as bulk column extraction plus one hoisted
   accumulation loop (statistics additionally uses NumPy's sequential
@@ -91,9 +94,9 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   second helper decodes ragged byte spans into one newline-joined
   ``str``.  Statistics folds query-span lengths without building a
   string, wordcount decodes only the query spans, and windowed decodes
-  only the first words and reads event times from the ``QueryTime``
-  digit bytes.  Distinct-count keeps its string loop (its set needs
-  every query string anyway).
+  only the first words, reads event times from the ``QueryTime`` digit
+  bytes and counts one integer pane code per row.  Distinct-count keeps
+  its string loop (its set needs every query string anyway).
 - ``keyed_reduce`` / ``update_state`` / ``group_by_key``: the engines'
   keyed operators (Flink ``KeyedStream.reduce``, Spark
   ``updateStateByKey``, Beam GroupByKey) as hoisted per-chunk loops over
@@ -119,6 +122,7 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -563,12 +567,13 @@ class Kernel:
         return self(values)
 
     def flush(self) -> None:
-        """Return adopted state (RNG) to its owner.
+        """Return adopted state to its owner: the sample kernel's RNG
+        state, the windowed kernel's pane tally.
 
-        Idempotent.  The pump flushes at the end of a run, a capacity
-        probe and its pump pool at the end of the probe, and the recovery
-        path after every chunk, so external observers always see true
-        RNG state.
+        Idempotent.  The pump flushes at the end of a run and before its
+        drain calls any ``finish()``, a capacity probe and its pump pool
+        at the end of the probe, and the recovery path after every
+        chunk, so external observers always see the true state.
         """
 
     def describe(self) -> str:
@@ -1019,8 +1024,9 @@ class ChainKernel(Kernel):
 # Each kernel below compiles one keyed/stateful operator shape.  None of
 # them owns state: they mutate the owner function's containers in place and
 # re-fetch them on every call (restore() rebinds them), so snapshots,
-# recovery and drain always observe reference-identical state and flush()
-# stays the inherited no-op.
+# recovery and drain always observe reference-identical state.  Only the
+# windowed slab path adopts state, a pane tally that flush() writes into
+# the owner's panes; the pump flushes before any of those observers.
 
 
 class StatefulKernel(Kernel):
@@ -1046,6 +1052,16 @@ _SPACE = 32  # ord(" ")
 _TIME_DIGITS = _np.array([8, 9, 11, 12, 14, 15, 17, 18])
 _TIME_WEIGHTS = _np.array([864000, 86400, 36000, 3600, 600, 60, 10, 1])
 _TIME_WIDTH = 19
+
+#: Rows the windowed slab path parses at once.  Every chunk inside a
+#: block reuses its parse, so a capacity probe's small drain chunks share
+#: one; a chunk longer than a block is parsed as one block of its own.
+_PANE_BLOCK = 4096
+#: A pane code is ``window index << _WORD_BITS | first-word id``.
+_WORD_BITS = 20
+_WORD_MASK = (1 << _WORD_BITS) - 1
+#: Window indices a pane code holds (``|index| < 2**42``; int64 has room).
+_MAX_WINDOW = float(1 << 42)
 
 
 def _byte_offsets(arr, byte: int, positions, stop: int, count: int = 1) -> list:
@@ -1212,15 +1228,18 @@ class StatisticsKernel(StatefulKernel):
         if not values:
             return []
         begins, ends = _query_spans(slab, base, len(values))
-        # Python floats, like the reference's ``float(len(...))``: no
-        # NumPy scalar may reach the owner state.
-        return self._fold((ends - begins).astype(_np.float64).tolist())
+        return self._fold((ends - begins).astype(_np.float64))
 
-    def _fold(self, lengths: list) -> list:
-        """Fold parsed lengths into the owner state (reference order)."""
+    def _fold(self, lengths) -> list:
+        """Fold parsed lengths, a list or a float64 array, into the owner
+        state (reference order)."""
         fn = self._fn
         n = len(lengths)
         if n < _MIN_BULK:
+            if type(lengths) is not list:
+                # Python floats, like the reference's ``float(len(...))``:
+                # no NumPy scalar may reach the owner state.
+                lengths = lengths.tolist()
             out: list = []
             emit = out.append
             minimum, maximum = fn.minimum, fn.maximum
@@ -1235,7 +1254,7 @@ class StatisticsKernel(StatefulKernel):
                 minimum, maximum, total, count,
             )
             return out
-        arr = _np.array(lengths, _np.float64)
+        arr = _np.asarray(lengths, _np.float64)
         minima = _np.minimum(_np.minimum.accumulate(arr), fn.minimum).tolist()
         maxima = _np.maximum(_np.maximum.accumulate(arr), fn.maximum).tolist()
         totals = _np.cumsum(arr)
@@ -1400,17 +1419,24 @@ class WindowedAggregateKernel(StatefulKernel):
 
     The slab path serves owners that count per
     :func:`~repro.workloads.aol.first_word` over
-    :func:`~repro.workloads.aol.event_time` in ``FixedWindows`` (no
-    filter, no reducer).  It parses the chunk from the slab bytes: the
-    field locator gives each line's tabs, the event time comes from the
-    eight ``QueryTime`` digits in integer arithmetic, the window bounds
-    from the same double operations as the loop below, and each first
-    word from the query span up to its first space.  The panes then fold
-    in record order.  A chunk with any line the reference would parse
-    differently or reject — fewer than two tabs, a time field shorter
-    than 19 bytes, a non-digit at a digit position, a window with
-    ``end <= start`` — takes the hoisted loop whole, so values, pane
-    order and the state at a raise stay the reference's.
+    :func:`~repro.workloads.aol.event_time` in ``FixedWindows`` from an
+    ``int`` initial value (no filter, no reducer).  It parses blocks of
+    rows from the slab bytes: the field locator gives each line's tabs,
+    the event time comes from the eight ``QueryTime`` digits in integer
+    arithmetic, the window index from the same double operations as the
+    loop below, and each first word from the query span up to its first
+    space.  Each row becomes one int64 pane code, the window index above
+    the first word's id, and the kernel counts the codes in one
+    ``Counter`` whose insertion order is the panes' first occurrence.
+    The tally is adopted state, like the sample kernel's RNG: ``flush``
+    writes it into ``owner.panes`` once per distinct pane, with the
+    window bounds from the same double operations, and ``__call__``
+    flushes before it folds anything.  A chunk with any line the
+    reference would parse differently or reject — fewer than two tabs, a
+    time field shorter than 19 bytes, a non-digit at a digit position, a
+    window with ``end <= start`` — takes the hoisted loop whole, so
+    values, pane order and the state at a raise stay the reference's; so
+    do window indices of 2**42 or more and first words past the 2**20th.
     """
 
     def __init__(self, fn: Any) -> None:
@@ -1425,40 +1451,109 @@ class WindowedAggregateKernel(StatefulKernel):
             and fn.reducer is None
             and fn.key_fn is first_word
             and fn.timestamp_fn is event_time
+            and type(fn.initial) is int
         )
+        self._tally: Counter = Counter()
+        self._ids: dict = {}  # first word -> id
+        self._words: list = []  # id -> first word
+        self._block: tuple | None = None  # (slab, first row, stop, codes, valid)
 
     def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
-        if not values:
+        n = len(values)
+        if not n:
             return []
+        block = self._block
+        if (
+            block is None
+            or block[0] is not slab
+            or not block[1] <= base <= block[2] - n
+        ):
+            block = self._block = self._parse(slab, base, max(n, _PANE_BLOCK))
+        _, first, _, codes, valid = block
+        lo = base - first
+        if not valid[lo : lo + n].all():
+            return self(values)
+        self._tally.update(codes[lo : lo + n])
+        return []
+
+    def _parse(self, slab: WorkloadSlab, base: int, n: int) -> tuple:
+        """Pane codes and validity of rows ``[base, base + n)``, clipped to
+        the slab; a row is valid when the reference parses it the same way."""
+        n = min(n, len(slab.starts) - base)
         fn = self._fn
         arr = slab.arr
-        _, ends, (tab1, tab2, tab3) = _line_tabs(slab, base, len(values), 3)
+        begins, ends, (tab1, tab2, tab3) = _line_tabs(slab, base, n, 3)
         times = tab2 + 1
         # A line with fewer than two tabs fails this too: its second tab
         # offset lies at or past its end.
-        if not bool((_np.minimum(tab3, ends) - times >= _TIME_WIDTH).all()):
-            return self(values)
-        digits = arr[times[:, None] + _TIME_DIGITS] - 48  # uint8: wraps below "0"
-        if not bool((digits <= 9).all()):
-            return self(values)
+        valid = _np.minimum(tab3, ends) - times >= _TIME_WIDTH
+        # Clipped: an invalid row's digit positions may lie past the slab.
+        digits = arr.take(times[:, None] + _TIME_DIGITS, mode="clip") - 48
+        valid &= (digits <= 9).all(axis=1)  # uint8: wraps below "0"
         timestamps = (digits @ _TIME_WEIGHTS).astype(_np.float64)
         size, offset = fn.window_fn.size, fn.window_fn.offset
-        lows = _np.floor_divide(timestamps - offset, size) * size + offset
-        highs = lows + size
-        if not bool((highs > lows).all()):
-            return self(values)
-        queries = tab1 + 1
+        windows = _np.floor_divide(timestamps - offset, size)
+        lows = windows * size + offset
+        valid &= (lows + size > lows) & (_np.abs(windows) < _MAX_WINDOW)
+        # Clipped, so that every position lies inside the scanned bytes.
+        queries = _np.minimum(tab1 + 1, ends)
         spaces = _byte_offsets(arr, _SPACE, queries, int(ends[-1]))[0]
-        words = _gather_spans(arr, queries, _np.minimum(spaces, tab2)).split("\n")
+        # An invalid row's span may run backwards: give it an empty word.
+        word_begins = _np.where(valid, queries, begins)
+        word_ends = _np.where(valid, _np.minimum(spaces, tab2), begins)
+        words = _gather_spans(arr, word_begins, word_ends).split("\n")
         words.pop()  # the empty piece after the final newline
+        ids = self._ids
+        try:
+            word_ids = _np.fromiter(map(ids.__getitem__, words), _np.int64, n)
+        except KeyError:
+            new = [word for word in dict.fromkeys(words) if word not in ids]
+            if len(ids) + len(new) > _WORD_MASK + 1:
+                return slab, base, base + n, [], _np.zeros(n, bool)
+            for word in new:
+                ids[word] = len(self._words)
+                self._words.append(word)
+            word_ids = _np.fromiter(map(ids.__getitem__, words), _np.int64, n)
+        windows[~valid] = 0
+        codes = windows.astype(_np.int64) << _WORD_BITS | word_ids
+        return slab, base, base + n, codes.tolist(), valid
+
+    def flush(self) -> None:
+        """Write the tally into ``owner.panes``, one update per pane."""
+        tally = self._tally
+        if not tally:
+            return
+        self._tally = Counter()
+        fn = self._fn
+        size, offset = fn.window_fn.size, fn.window_fn.offset
+        codes = _np.fromiter(tally, _np.int64, len(tally))
+        lows = (codes >> _WORD_BITS).astype(_np.float64) * size + offset
+        keys = list(
+            zip(
+                map(self._words.__getitem__, (codes & _WORD_MASK).tolist()),
+                lows.tolist(),
+                (lows + size).tolist(),
+            )
+        )
         panes = fn.panes
-        get = panes.get
         initial = fn.initial
-        for key in zip(words, lows.tolist(), highs.tolist()):
-            panes[key] = get(key, initial) + 1
-        return []
+        if not panes:
+            panes.update(zip(keys, map(initial.__add__, tally.values())))
+            if len(panes) == len(keys):
+                return
+            panes.clear()  # two codes share a float key: merge them below
+        get = panes.get
+        for key, count in zip(keys, tally.values()):
+            value = get(key, initial)
+            if type(value) is int:
+                value += count
+            else:  # restored state: the reference's additions, one by one
+                for _ in repeat(None, count):
+                    value = value + 1
+            panes[key] = value
 
     def __call__(self, values: Sequence[Any]) -> list:
+        self.flush()
         fn = self._fn
         panes = fn.panes
         get = panes.get

@@ -72,11 +72,13 @@ class StreamPump:
     equivalence suites (``tests/engines/test_batch_equivalence.py``,
     ``tests/engines/test_kernel_equivalence.py``) and the host-perf
     baseline (``benchmarks/perf/``) prove bit-identical behaviour and
-    measure the speedup.  Kernels may adopt RNG state for bulk drawing
-    and hand it back through their ``flush`` hooks.  Chunk-steppers
-    flush only where an observer needs the true state: :meth:`run` at
-    the end of the run, a capacity probe (and its pump pool) at the end
-    of the probe, and only the recovery path after every chunk
+    measure the speedup.  Kernels may adopt state — the sample
+    kernel's RNG state for bulk drawing, the windowed kernel's pane
+    tally — and hand it back through their ``flush`` hooks.
+    Chunk-steppers flush only where an observer needs the true state:
+    :meth:`drain` before it calls any ``finish()``, :meth:`run` at the
+    end of the run, a capacity probe (and its pump pool) at the end of
+    the probe, and only the recovery path after every chunk
     (:meth:`_process_chunk`), because its checkpoints interleave with
     its chunks.
     """
@@ -258,10 +260,13 @@ class StreamPump:
     def drain(self, metrics: JobMetrics) -> tuple[float, list[Any]]:
         """Flush every stage's buffered state through the pipeline tail.
 
+        Adopted kernel state returns to its owners first, so each
+        ``finish()`` reads the state the reference loop would have.
         Returns the accumulated cost and the sink-bound trailing records.
         """
         cost = 0.0
         collected: list[Any] = []
+        self._flush_kernels()
         try:
             for index, stage in enumerate(self.stages):
                 if stage.function is None:
@@ -277,7 +282,7 @@ class StreamPump:
                 collected.extend(outputs)
         finally:
             # Callers that drain outside run() (the recovery path) must
-            # also observe true RNG state afterwards.
+            # also observe the true state afterwards.
             self._flush_kernels()
         return cost, collected
 
@@ -299,7 +304,8 @@ class StreamPump:
             self._flush_kernels()
 
     def _flush_kernels(self) -> None:
-        """Return state adopted by any compiled kernel (RNG) to its owner."""
+        """Return state adopted by any compiled kernel (the sample RNG,
+        the pane tally) to its owner."""
         for stage in self.stages:
             kernel = stage.cached_kernel()
             if kernel is not None:

@@ -35,9 +35,9 @@ any host.
 
 Shards step their chunks without flushing their kernels, as
 :meth:`StreamPump.run <repro.engines.common.pump.StreamPump.run>` does
-within a run: adopted kernel state (the sample RNG) stays in NumPy
-until :meth:`ShardedPump.flush` or :meth:`ShardedPump.drain` returns it
-to its owner.  Callers that step chunks flush once when they are done,
+within a run: adopted kernel state (the sample RNG, the windowed pane
+tally) stays in the kernels until :meth:`ShardedPump.flush` or
+:meth:`ShardedPump.drain` returns it to its owner.  Callers that step chunks flush once when they are done,
 in a ``finally``.
 """
 
@@ -158,7 +158,7 @@ class ShardedPump:
             tracker.observe(now, self._consumed[shard], backlog)
 
     def flush(self) -> None:
-        """Return every shard's adopted kernel state (RNG) to its owner.
+        """Return every shard's adopted kernel state to its owner.
 
         Idempotent; :meth:`drain` flushes too.
         """

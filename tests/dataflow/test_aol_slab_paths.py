@@ -3,13 +3,16 @@
 Each property builds a slab over random lines with ``tests.slabs.slab_of``,
 cuts it at random chunk boundaries and feeds every chunk to the kernel's
 ``call_slab`` the way the pump does: as a window (a slice) of the
-slab's ``SlabColumn``.  The lines are AOL-shaped, with ``QueryTime``
-digits 00–99, empty queries and leading or double spaces, and are mixed
-with malformed lines: no tab or one tab, a time field of 0–18 bytes, a
-digit replaced by a space, ``+``, ``-``, ``_`` or a letter, and trailing
-text or extra fields.  The outputs, the owner's state (compared by
-``repr``, so a NumPy scalar or a reordered dict fails) and any raised
-exception must equal a reference ``process`` loop over the same records.
+slab's ``SlabColumn``, flushing the kernel when the chunks are done, as
+the pump does at the end of a run.  The lines are AOL-shaped, with
+``QueryTime`` digits 00–99, empty queries and leading or double spaces,
+and are mixed with malformed lines: no tab or one tab, a time field of
+0–18 bytes, a digit replaced by a space, ``+``, ``-``, ``_`` or a letter,
+and trailing text or extra fields.  The outputs, the owner's state
+(compared by ``repr``, so a NumPy scalar or a reordered dict fails) and
+any raised exception must equal a reference ``process`` loop over the
+same records.  The windowed kernel's pane tally is also checked after
+flushes in mid-stream, with list chunks in between and restored panes.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.dataflow.compiler import lower_stage
 from repro.dataflow.kernels import (
     SlabColumn,
     WindowedAggregateKernel,
+    run_kernel,
 )
 from repro.dataflow.windowing import WindowedAggregateFunction
 from repro.workloads.aol import event_time, first_word, generate_records
@@ -80,9 +84,9 @@ def malformed_lines(draw) -> str:
 
 
 @st.composite
-def chunked_lines(draw):
+def chunked_lines(draw, lines=st.lists(aol_lines(), min_size=1, max_size=60)):
     """Lines with a few malformed ones spliced in, and chunk bounds."""
-    lines = draw(st.lists(aol_lines(), min_size=1, max_size=60))
+    lines = draw(lines)
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(malformed_lines()))
     cuts = draw(st.sets(st.integers(1, len(lines)), max_size=8))
@@ -100,6 +104,10 @@ def _run_slab(function, lines, bounds):
             out.extend(kernel.call_slab(slab, lo, column[lo:hi]))
     except Exception as err:  # noqa: BLE001 - compared with the reference's
         return out, (type(err), str(err))
+    finally:
+        # Adopted state (the windowed pane tally) reaches the owner here,
+        # as at the end of a pump run.
+        kernel.flush()
     return out, None
 
 
@@ -150,6 +158,80 @@ def test_windowed_slab_path_equals_reference(chunked, size, offset):
     )
 
 
+def _pane_state(function) -> list:
+    """Each pane's key and value by ``repr``, and the value's type
+    (``2 == 2.0``, so only the type tells them apart)."""
+    return [
+        (repr(key), repr(value), type(value)) for key, value in function.panes.items()
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # Few distinct lines, so that panes repeat between flushes.
+    chunked=chunked_lines(
+        st.lists(aol_lines(), min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+        )
+    ),
+    as_list=st.lists(st.booleans(), min_size=9, max_size=9),
+    flush_after=st.lists(st.booleans(), min_size=9, max_size=9),
+    # 1e16 + 1 + 1 != 1e16 + 2: a float prior takes its additions one by one.
+    priors=st.lists(st.sampled_from((2, 0.1, 1e16, True)), max_size=6),
+    initial=st.sampled_from((0, 3, 0.0)),
+    size=st.sampled_from((3600.0, 7.3, 0.1)),
+    offset=st.sampled_from((0.0, 1.25, 12345.6)),
+)
+def test_windowed_pane_tally_equals_reference(
+    chunked, as_list, flush_after, priors, initial, size, offset
+):
+    """After every flush the panes equal the reference loop's: slab
+    windows mixed with list chunks, over panes that ``restore()`` filled
+    with int, float and bool values.  An owner whose initial value is
+    not an ``int`` does not take the slab path."""
+    lines, bounds = chunked
+    window_fn = FixedWindows(size, offset)
+
+    def make():
+        return WindowedAggregateFunction(
+            window_fn=window_fn,
+            key_fn=first_word,
+            timestamp_fn=event_time,
+            initial=initial,
+        )
+
+    keys = []
+    for line in lines:
+        try:
+            window = window_fn.assign(event_time(line))
+        except (IndexError, ValueError):  # a malformed line
+            continue
+        keys.append((first_word(line), window.start, window.end))
+    restored = {("unseen", -1.0, 0.0): 1, **dict(zip(dict.fromkeys(keys), priors))}
+    function, reference = make(), make()
+    function.restore((restored, {}))
+    reference.restore((restored, {}))
+    kernel = lower_stage(function)
+    assert kernel.supports_slab == (type(initial) is int)
+    column = SlabColumn(slab_of(lines))
+    error = ref_error = None
+    for (lo, hi), listed, flush in zip(zip(bounds, bounds[1:]), as_list, flush_after):
+        chunk = column[lo:hi]
+        try:
+            run_kernel(kernel, list(chunk) if listed else chunk)
+        except Exception as err:  # noqa: BLE001 - compared with the reference's
+            error = (type(err), str(err))
+        _, ref_error = _run_reference(reference, lines[lo:hi])
+        if flush or error is not None:
+            kernel.flush()
+            assert _pane_state(function) == _pane_state(reference)
+        assert error == ref_error
+        if error is not None:
+            return
+    kernel.flush()
+    assert _pane_state(function) == _pane_state(reference)
+
+
 @settings(max_examples=150, deadline=None)
 @given(chunked=chunked_lines())
 def test_statistics_slab_path_equals_reference(chunked):
@@ -178,9 +260,12 @@ def test_windowed_slab_path_parses_clean_aol_chunks():
     assert kernel.supports_slab
     slab = slab_of(lines)
     column = SlabColumn(slab)
-    for lo in range(0, len(lines), 700):
-        hi = min(lo + 700, len(lines))
-        kernel.call_slab(slab, lo, column[lo:hi])
+    try:
+        for lo in range(0, len(lines), 700):
+            hi = min(lo + 700, len(lines))
+            kernel.call_slab(slab, lo, column[lo:hi])
+    finally:
+        kernel.flush()
     reference = get_query("windowed").make_function(random.Random(0))
     _run_reference(reference, lines)
     assert list(function.panes.items()) == list(reference.panes.items())

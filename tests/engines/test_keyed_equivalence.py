@@ -27,13 +27,17 @@ import pytest
 import repro.dataflow.kernels as kernels
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.harness import StreamBenchHarness
+from repro.benchmark.queries import get_query
 from repro.broker.faults import FaultPlan, NodeOutage
 from repro.dataflow.compiler import lower_stage
 from repro.dataflow.functions import compose
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
+from repro.engines.common.recovery import FailureInjector, RecoveringPump
+from repro.engines.common.sharded import ShardedPump
 from repro.engines.common.stages import PhysicalStage, StageKind
 from repro.simtime import Simulator
+from repro.workloads.columnar import ColumnarWorkload
 from repro.workloads.nexmark import NexmarkGenerator
 from repro.workloads.nexmark_queries import (
     nexmark_decode,
@@ -167,6 +171,76 @@ class TestKeyedChaosEquivalence:
 
     def test_chaos_actually_bit(self, chaos_reports):
         assert chaos_reports["kernel"].sender_report.retries > 0
+
+
+# ---------------------------------------------------------------------------
+# The windowed pane tally through every pump that drains
+
+
+def _windowed_stages() -> list[PhysicalStage]:
+    function = get_query("windowed").make_function(random.Random(0))
+    function.open()
+    return [
+        PhysicalStage("source", StageKind.SOURCE, StageCosts(per_record_in=1e-6)),
+        PhysicalStage(
+            "op", StageKind.OPERATOR, StageCosts(per_weight=1e-6), function=function
+        ),
+        PhysicalStage("sink", StageKind.SINK, StageCosts(per_record_out=1e-6)),
+    ]
+
+
+def _windowed_pump(emit=None, chunk_size=None) -> StreamPump:
+    return StreamPump(
+        simulator=Simulator(seed=3),
+        stages=_windowed_stages(),
+        variance=RunVariance(),
+        rng=random.Random(3),
+        emit=emit,
+        chunk_size=chunk_size,
+    )
+
+
+def _windowed_run(column) -> list:
+    outputs: list = []
+    _windowed_pump(outputs.extend, chunk_size=700).run(column)
+    return outputs
+
+
+def _windowed_pool_drain(column) -> list:
+    pool = ShardedPump([_windowed_pump() for _ in range(2)])
+    for lo in range(0, len(column), 250):
+        pool.process_chunk(column[lo : lo + 250])
+    return pool.drain()[1]
+
+
+def _windowed_recovering(column) -> list:
+    outputs: list = []
+    RecoveringPump(
+        simulator=Simulator(seed=3),
+        stages=_windowed_stages(),
+        rng=random.Random(3),
+        emit=outputs.extend,
+        checkpoint_interval_records=1_000,
+        failure=FailureInjector(at_fraction=0.55),
+    ).run(column)
+    return outputs
+
+
+@pytest.mark.parametrize(
+    "drive",
+    (_windowed_run, _windowed_pool_drain, _windowed_recovering),
+    ids=("run", "pool-drain", "recovering"),
+)
+def test_windowed_panes_at_finish_equal_the_reference_tier(drive):
+    """The kernel tier's pane tally reaches ``finish()`` complete: through
+    a pump run, a P=2 pool's drain and a checkpointed run that fails in
+    mid-run, the drained panes equal the reference tier's, in order."""
+    column = ColumnarWorkload.generate(6_000, seed=7109).column()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StreamPump, "vectorized", False)
+        expected = drive(column)
+    assert len(expected) > 100
+    assert repr(drive(column)) == repr(expected)
 
 
 # ---------------------------------------------------------------------------
