@@ -17,12 +17,23 @@ The measurements:
   production default — see ``repro.dataflow.kernels``); outputs are
   asserted identical and the kernel's speedup over the tuple path is
   reported.  The ``identity-op`` scenario is the headline: a
-  pass-through operator, which the reference loop calls once per record
-  and the kernel tier skips, handing the column on.  The keyed
+  pass-through operator over the decoded record list, which the
+  reference loop calls once per record and the kernel tier hands on
+  chunk by chunk, so it times per-record dispatch.  The keyed
   scenarios (stateful wordcount and the Nexmark Q3/Q4/Q5 queries over
   encoded events) exercise the stateful kernel tier and the plan
-  compiler's decode fusion.  The AOL scenarios pump the workload's slab
-  column, the Figure-5 input, so the kernels take their slab paths.
+  compiler's decode fusion.  The other AOL scenarios pump the
+  workload's slab column, the Figure-5 input, so the kernels take their
+  slab paths; every timed run gets a fresh slab over the same byte
+  columns, so each kernel run builds its slab derivations
+  (:meth:`~repro.dataflow.kernels.WorkloadSlab.derived`) instead of
+  reading a previous run's.
+* **Slab derivations** — the one-off build time and the retained bytes
+  of each whole-slab result the slab paths memoise (grep hits, the
+  projected column, the query field, the windowed pane codes) on the
+  1,000,001-row and 250,000-row slabs.  A campaign's fastest executions
+  read these as memo hits, so this is where a slower build shows.
+  Reported only, never gated.
 * **Generation** — cold workload generation, slab-direct byte columns
   (``repro.workloads.columnar``) vs the per-record string generator.
   The ratio is the CI floor for the columnar plane's reason to exist.
@@ -67,6 +78,7 @@ import os
 import pathlib
 import random
 import shutil
+import sys
 import tempfile
 import time
 from typing import Any, Callable, Sequence
@@ -88,7 +100,8 @@ from repro.dataflow.functions import (
     StreamFunction,
     compose,
 )
-from repro.dataflow.kernels import KernelSpec
+from repro.dataflow.compiler import lower_stage
+from repro.dataflow.kernels import KernelSpec, SlabColumn, slab_from_columns
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
 from repro.engines.common.stages import PhysicalStage, StageKind
@@ -141,13 +154,16 @@ def _scenario_functions() -> dict[str, tuple[str, Callable[[], StreamFunction]]]
     Each function declares its :class:`KernelSpec` exactly as the real
     StreamBench/Nexmark queries do, so the ``kernel`` tier exercises the
     same compiled kernels production runs use.  ``record_source`` is
-    ``"aol"`` (the StreamBench workload) or ``"nexmark"`` (encoded auction
-    events) — the Nexmark queries consume the wire format so the plan
-    compiler's decode fusion is on the timed path.
+    ``"aol"`` (the StreamBench workload's slab column), ``"aol-records"``
+    (its decoded record list) or ``"nexmark"`` (encoded auction events)
+    — the Nexmark queries consume the wire format so the plan compiler's
+    decode fusion is on the timed path.
     """
     return {
-        # Pass-through operator: the per-record dispatch cost alone.
-        "identity-op": ("aol", lambda: IdentityFunction()),
+        # Pass-through operator over a list: the per-record dispatch
+        # cost alone (on the slab column the kernel would hand the
+        # column on without touching a record).
+        "identity-op": ("aol-records", lambda: IdentityFunction()),
         "grep": (
             "aol",
             lambda: FilterFunction(
@@ -255,6 +271,20 @@ def _time_pump_once(
     return seconds, result.records_out
 
 
+def _fresh_column(records: Sequence[str]) -> Sequence[str]:
+    """``records``, or for a slab column the same rows of a fresh slab.
+
+    The fresh slab shares the column's byte columns (zero-copy) and its
+    decoded records, but none of its memoised derivations.
+    """
+    if type(records) is not SlabColumn:
+        return records
+    slab = records.slab
+    fresh = slab_from_columns(slab.data, slab.starts)
+    fresh.records = slab.records
+    return SlabColumn(fresh, records.start, records.stop)
+
+
 def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str, Any]:
     """Pump both execution tiers over every scenario; returns results.
 
@@ -268,22 +298,26 @@ def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str
     systematically flatters whichever tier runs first on a cool CPU, and
     a fixed within-repeat order flatters whichever tier follows the
     lightest predecessor; rotation exposes every tier to every position.
-    The first repeat that iterates the AOL column also pays its one-off
-    decode into the slab's shared record list, so best-of-N reflects the
-    warm steady state a campaign actually runs in.
+    The AOL records are decoded once, up front, and every timed run over
+    the slab column reads a fresh slab (:func:`_fresh_column`) that
+    shares them, so the tuple tier runs warm while each kernel run still
+    builds its slab derivations.
     """
     sources: dict[str, Sequence[str]] = {}
 
     def records_for(source: str) -> Sequence[str]:
         # One input per source, built lazily and shared across runs: the
-        # AOL workload's slab column, the Nexmark events as a list.
+        # AOL workload's slab column and decoded records, the Nexmark
+        # events as a list.
         if source not in sources:
             if source == "nexmark":
                 sources[source] = NexmarkGenerator(
                     num_records, seed=NEXMARK_SEED
                 ).encoded()
             else:
-                sources[source] = AolWorkload(num_records).columnar().column()
+                workload = AolWorkload(num_records).columnar()
+                sources["aol-records"] = workload.records
+                sources["aol"] = workload.column()
         return sources[source]
 
     scenarios: dict[str, Any] = {}
@@ -296,7 +330,9 @@ def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str
         for rep in range(repeats):
             shift = rep % len(tier_names)
             for tier in tier_names[shift:] + tier_names[:shift]:
-                elapsed, outs[tier] = _time_pump_once(make_function, records, tier)
+                elapsed, outs[tier] = _time_pump_once(
+                    make_function, _fresh_column(records), tier
+                )
                 seconds[tier] = min(seconds[tier], elapsed)
         if len(set(outs.values())) != 1:
             raise AssertionError(f"{name}: tiers emitted different counts: {outs}")
@@ -358,6 +394,64 @@ def run_generation_bench(
         "columnar_seconds": round(columnar_seconds, 4),
         "generation_speedup": round(object_seconds / columnar_seconds, 2),
     }
+
+
+#: Slab derivations as ``name -> query``: a 1-row window of the query's
+#: kernel builds exactly that derivation on a fresh slab.
+DERIVATIONS = {
+    "grep_hits": "grep",
+    "projection_column": "projection",
+    "query_field": "statistics",
+    "pane_codes": "windowed",
+}
+
+
+def _retained_bytes(value: Any) -> int:
+    """Bytes a memoised derivation holds: array buffers, strings and
+    lists of strings, and a column slab's two columns."""
+    if isinstance(value, tuple):
+        return sum(_retained_bytes(item) for item in value)
+    if isinstance(value, SlabColumn):
+        return value.slab.arr.nbytes + value.slab.starts.nbytes
+    if isinstance(value, list):
+        return sys.getsizeof(value) + sum(map(sys.getsizeof, value))
+    if isinstance(value, str):
+        return sys.getsizeof(value)
+    return value.nbytes
+
+
+def run_derivation_bench(
+    sizes: Sequence[int] = (1_000_001, 250_000), repeats: int = 3
+) -> dict[str, Any]:
+    """Build time and retained bytes of each slab derivation.
+
+    For every size and derivation, each repeat runs the query's kernel
+    over a 1-row window of a fresh slab over the workload's byte columns,
+    which builds the derivation once; the best repeat is reported, with
+    the bytes the slab's memo then holds.  Reporting only: a campaign's
+    fastest executions read these results as memo hits, so a slower
+    build shows here and nowhere else.
+    """
+    results: dict[str, Any] = {}
+    for size in sizes:
+        slab = AolWorkload(size).columnar().to_slab()
+        entries: dict[str, Any] = {}
+        for name, query in DERIVATIONS.items():
+            seconds = float("inf")
+            for _ in range(repeats):
+                fresh = slab_from_columns(slab.data, slab.starts)
+                kernel = lower_stage(get_query(query).make_function(random.Random(0)))
+                started = time.perf_counter()
+                kernel.call_slab(fresh, 0, SlabColumn(fresh, 0, 1))
+                seconds = min(seconds, time.perf_counter() - started)
+                kernel.flush()
+            (value,) = fresh._derived.values()
+            entries[name] = {
+                "build_seconds": round(seconds, 4),
+                "retained_bytes": _retained_bytes(value),
+            }
+        results[str(size)] = entries
+    return results
 
 
 def run_end_to_end(num_records: int = 1_000_001) -> dict[str, Any]:
@@ -676,6 +770,9 @@ def main() -> None:
         )
     if not args.skip_end_to_end:
         payload["end_to_end"] = run_end_to_end(args.records)
+    # Last: its 1,000,001-row builds would otherwise set the end-to-end
+    # campaign's peak RSS.
+    payload["derivations"] = run_derivation_bench(repeats=args.repeats)
     write_bench(payload)
     print(BENCH_PATH.read_text(), end="")
     print(f"\nwritten to {BENCH_PATH}")

@@ -6,8 +6,8 @@ per-record reference loop on the *same* machine — which are comparable
 across hardware, unlike absolute records/sec.  Checks:
 
 * the headline ``identity-op`` scenario (per-record dispatch, the cost
-  the kernel tier exists to eliminate: on the workload's slab column
-  its kernel hands the column on) must keep its ≥5× speedup;
+  the kernel tier exists to eliminate, over the workload's decoded
+  record list) must keep its ≥5× speedup;
 * every per-query compiled kernel keeps its absolute floor from the
   ISSUE — ≥3× over the tuple path for ``projection``, ``grep`` and
   ``sample``, ≥5× for the fused ``chained`` pipeline.  The committed
@@ -38,7 +38,10 @@ across hardware, unlike absolute records/sec.  Checks:
 * a native-Flink identity campaign (``run_end_to_end`` at
   ``REPRO_PERF_RECORDS``) must emit every record without decoding the
   workload slab into strings: the columnar plane keeps windows from the
-  poll to the output log, on any host.
+  poll to the output log, on any host;
+* the slab derivations' build times and retained bytes
+  (``run_derivation_bench`` at ``REPRO_PERF_RECORDS``) are recorded for
+  every derivation, with no timing gate.
 
 The measured numbers are merged into ``BENCH_pump.json`` at the repo
 root; CI uploads it as an artifact for trend-watching.
@@ -58,8 +61,10 @@ import pytest
 
 from pump_bench import (
     BASELINE_PATH,
+    DERIVATIONS,
     HEADLINE_SCENARIO,
     run_capacity_bench,
+    run_derivation_bench,
     run_end_to_end,
     run_generation_bench,
     run_microbenchmark,
@@ -282,6 +287,16 @@ def test_end_to_end_decodes_nothing(payload: dict) -> None:
     payload["end_to_end"] = result
     assert result["records_out"] == RECORDS
     assert result["slab_decoded"] is False
+
+
+def test_derivations_are_recorded(payload: dict) -> None:
+    """Every slab derivation reports its build time and retained bytes
+    (reporting only: the times are not gated)."""
+    result = run_derivation_bench(sizes=(RECORDS,), repeats=1)
+    payload["derivations"] = result
+    entries = result[str(RECORDS)]
+    assert set(entries) == set(DERIVATIONS)
+    assert all(entry["retained_bytes"] > 0 for entry in entries.values())
 
 
 def test_kernel_path_is_the_default() -> None:

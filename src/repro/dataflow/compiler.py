@@ -73,9 +73,7 @@ class SegmentKernel(Kernel):
     order through :func:`~repro.dataflow.kernels.run_kernel`, so a window
     takes the slab path of any segment that has one, short-circuiting
     when a segment empties the chunk (the same early exit
-    ``ComposedFunction.process_batch`` takes).  It has a slab path when
-    its first segment has one, so the pump wraps a large list input for
-    it as for that segment.
+    ``ComposedFunction.process_batch`` takes).
     """
 
     def __init__(self, segments: Sequence[Kernel]) -> None:

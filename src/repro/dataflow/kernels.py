@@ -36,13 +36,16 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   and row selections: the broker's reads, the pump's chunks and the
   kernels' outputs are all columns over the slab, and the output log
   adopts them.  Every chunk that is a window takes its kernel's slab
-  path, which reads only the window's own bytes: grep scans them and
-  returns its hits as a selection, sample returns its kept rows as a
-  selection drawn from the same mask, and projection returns a window of
-  a fixed-width column slab built by one NumPy row take per input slab,
-  when every line has the separator at the same verified offset.  No
-  record string is built on these paths.  A plain records list takes
-  the kernels' list paths.
+  path.  Sample draws the window's mask and returns its kept rows as a
+  selection.  The other slab paths cut their window from a whole-slab
+  result that depends only on the slab's bytes and the spec's
+  parameters, which :meth:`WorkloadSlab.derived` builds at most once
+  per slab, so every kernel, pool shard and cell over one slab shares
+  it: grep returns a selection of the slab's hit rows, and projection a
+  window of a fixed-width column slab built by one NumPy row take, when
+  every line has the separator at the same verified offset.  No record
+  string is built on these paths.  A plain records list takes the
+  kernels' list paths.
 - ``bernoulli`` (sample): a pre-drawn Bernoulli mask.  The seeded
   ``random.Random`` state is transplanted into a NumPy ``RandomState``
   (both are MT19937 with the same double recipe), the whole chunk's mask
@@ -87,16 +90,18 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   StreamBench queries as bulk column extraction plus one hoisted
   accumulation loop (statistics additionally uses NumPy's sequential
   accumulates, exact because every quantity is an integer-valued double).
-- **AOL slab paths**: on a slab window, wordcount, statistics
-  and the AOL windowed count read the fields they need from the slab
-  bytes.  One shared field locator (one tab scan and one
-  ``searchsorted`` per chunk) gives every line's first tab offsets; a
-  second helper decodes ragged byte spans into one newline-joined
-  ``str``.  Statistics folds query-span lengths without building a
-  string, wordcount decodes only the query spans, and windowed decodes
-  only the first words, reads event times from the ``QueryTime`` digit
-  bytes and counts one integer pane code per row.  Distinct-count keeps
-  its string loop (its set needs every query string anyway).
+- **AOL slab paths**: on a slab window, wordcount, distinct-count,
+  statistics and the AOL windowed count read the slab's memoised
+  fields, never its records.  One shared field locator (one tab scan
+  and one ``searchsorted`` per block) gives every line's first tab
+  offsets; a second helper decodes ragged byte spans into one
+  newline-joined ``str``.  The query field (every query column as one
+  newline-terminated ``str`` plus line offsets) serves three kernels:
+  wordcount counts the window's slice, distinct-count splits it on
+  newlines for its membership loop, and statistics folds offset
+  differences without reading a string.  Windowed counts the window's
+  rows of the slab's pane codes, one integer per row from the first
+  word and the ``QueryTime`` digit bytes.
 - ``keyed_reduce`` / ``update_state`` / ``group_by_key``: the engines'
   keyed operators (Flink ``KeyedStream.reduce``, Spark
   ``updateStateByKey``, Beam GroupByKey) as hoisted per-chunk loops over
@@ -133,6 +138,9 @@ from numpy.lib.stride_tricks import sliding_window_view as _sliding_window_view
 
 _NL = 10  # ord("\n")
 _MIN_BULK = 32  # below this, comprehension fallbacks win
+#: Rows a whole-slab derivation (:meth:`WorkloadSlab.derived`) parses at
+#: once: about 1 MB of AOL lines, so its temporaries stay near that size.
+_DERIVE_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +163,15 @@ class WorkloadSlab:
     columns.  ``records`` starts as ``None`` and the decoded list
     materialises lazily, at most once, via :class:`SlabColumn`; ``text``
     likewise decodes on first access.
+
+    The slab paths' whole-slab results — grep's hit rows, the projected
+    column, the query field and the windowed pane codes — are pure
+    functions of the bytes and a spec's parameters, so :meth:`derived`
+    builds each at most once per slab: every kernel, pool shard and
+    campaign cell over the slab reads a window of the same result.
     """
 
-    __slots__ = ("records", "_text", "data", "arr", "starts", "size")
+    __slots__ = ("records", "_text", "data", "arr", "starts", "size", "_derived")
 
     def __init__(self, data, arr, starts) -> None:
         self.records = None
@@ -166,6 +180,7 @@ class WorkloadSlab:
         self.arr = arr
         self.starts = starts
         self.size = len(data)
+        self._derived: dict = {}
 
     @property
     def text(self) -> str:
@@ -173,6 +188,25 @@ class WorkloadSlab:
         if self._text is None:
             self._text = str(self.data, "ascii")
         return self._text
+
+    def derived(self, key, build: Callable[["WorkloadSlab"], Any]):
+        """``build(self)``, computed at most once per ``key``.
+
+        ``key`` names the derivation and every spec parameter its result
+        depends on.  Every array the result holds (the result itself or
+        the items of a tuple) is made read-only, so a kernel output that
+        is a view of one cannot corrupt it.  Nothing is evicted: the memo
+        lives and dies with the slab.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        value = self._derived[key] = build(self)
+        for item in value if type(value) is tuple else (value,):
+            if isinstance(item, _np.ndarray):
+                item.flags.writeable = False
+        return value
 
 
 def _line_end(slab: WorkloadSlab, row: int) -> int:
@@ -546,14 +580,13 @@ class Kernel:
     """A compiled chunk-at-a-time operator: a sequence in, a sequence out.
 
     The output is a ``list``, a :class:`SlabColumn` over the input's
-    slab (or, for projection, over the kernel's column slab) or a
+    slab (or, for projection, over the input slab's column slab) or a
     :class:`KvColumn` over such a column.
     """
 
     #: Whether :meth:`call_slab` beats :meth:`__call__` for this kernel.
     #: :func:`run_kernel` takes the slab path for every chunk that is a
-    #: :class:`SlabColumn` window, and the pump wraps a large list input
-    #: as one.
+    #: :class:`SlabColumn` window.
     supports_slab: bool = False
 
     def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
@@ -611,17 +644,16 @@ class IdentityKernel(Kernel):
         return "identity[zero-copy]"
 
 
-def _joined_window(slices: list) -> SlabColumn | None:
-    """Keyless value slices that are adjacent windows of one slab, as one
-    window; ``None`` for any other slices."""
-    if not slices or type(slices[0][1]) is not SlabColumn:
+def joined_window(columns: Sequence[Any]) -> SlabColumn | None:
+    """``columns`` as one window when they are adjacent windows of one
+    slab, in order; ``None`` for any other columns."""
+    if not columns or type(columns[0]) is not SlabColumn:
         return None
-    first = slices[0][1]
+    first = columns[0]
     stop = first.start
-    for keys, column in slices:
+    for column in columns:
         if (
-            keys is not None
-            or type(column) is not SlabColumn
+            type(column) is not SlabColumn
             or column.rows is not None
             or column.slab is not first.slab
             or column.start != stop
@@ -645,7 +677,9 @@ class RecordKvKernel(Kernel):
         if not isinstance(values, RecordColumn):
             return [record.kv() for record in values]
         slices = values.kv_slices()
-        window = _joined_window(slices)
+        window = None
+        if all(keys is None for keys, _ in slices):
+            window = joined_window([column for _, column in slices])
         if window is not None:
             return KvColumn(window)
         pairs: list = []
@@ -704,10 +738,12 @@ class GrepKernel(Kernel):
     The first two needle bytes are compared as aligned little-endian
     ``uint16`` lanes at both phases (covering every byte offset); the
     remaining needle bytes are checked by sparse gathers at the candidate
-    positions only.  On a slab window only the window's own bytes are
-    scanned, and the hits come back as a :class:`SlabColumn` selection of
-    the slab: no string is built, and a list-built slab still serves the
-    *original* record objects.
+    positions only.  On a slab window the hits come back as a
+    :class:`SlabColumn` selection of the slab, cut from the slab's
+    memoised hit rows (:meth:`WorkloadSlab.derived`), which one scan of
+    the whole slab builds in blocks of :data:`_DERIVE_BLOCK` rows: no
+    string is built, and every grep over the slab after the first scans
+    nothing.
     """
 
     def __init__(self, needle: str) -> None:
@@ -718,6 +754,7 @@ class GrepKernel(Kernel):
             self._word = int.from_bytes(encoded[:2], "little")
             self._tail = _np.frombuffer(encoded[2:], _np.uint8)
             self._u2 = _np.dtype("<u2")
+            self._key = ("contains", needle)
         self.supports_slab = self._bulk
 
     def _scan(self, data, size: int):
@@ -786,18 +823,26 @@ class GrepKernel(Kernel):
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
     ) -> SlabColumn:
-        starts = slab.starts[base : base + len(values)]
-        rows = _np.empty(0, _np.int64)
-        if len(starts):
-            begin = int(starts[0])
-            end = _line_end(slab, base + len(starts) - 1)
+        hits = slab.derived(self._key, self._hits)
+        lo, hi = hits.searchsorted((base, base + len(values))).tolist()
+        return SlabColumn(slab, rows=hits[lo:hi])
+
+    def _hits(self, slab: WorkloadSlab):
+        """The ascending rows of every ``slab`` line holding the needle."""
+        starts = slab.starts
+        parts = [_np.empty(0, _np.int64)]
+        for base in range(0, len(starts), _DERIVE_BLOCK):
+            block = starts[base : base + _DERIVE_BLOCK]
+            begin = int(block[0])
+            end = _line_end(slab, base + len(block) - 1)
             positions = self._scan(slab.arr[begin:end], end - begin)
             if positions is not None:
-                # A hit lies inside one line; several hits in one line
-                # keep it once.
-                rows = _np.unique(starts.searchsorted(positions + begin, "right") - 1)
+                # A hit lies inside one line (the needle holds no
+                # newline); several hits in one line keep it once.
+                rows = _np.unique(block.searchsorted(positions + begin, "right") - 1)
                 rows += base
-        return SlabColumn(slab, rows=rows)
+                parts.append(rows)
+        return _np.concatenate(parts)
 
     def describe(self) -> str:
         return f"grep[u2-scan {self.needle!r}]" if self._bulk else (
@@ -898,12 +943,13 @@ class ColumnKernel(Kernel):
     line vectorized (separator at the learned offset, none earlier, line
     long enough); the whole column then becomes one fixed-width NumPy
     row take, kept as a slab of its own, and each window's output is the
-    matching window of that column slab.  The column is built once per
-    input slab and kept until the kernel sees another slab, so
-    consecutive windows come out contiguous (the output log widens one
-    adopted window) and per-chunk flushes never project twice.  Any
-    failed proof falls back to the per-chunk path, and non-str values
-    fall through to the reference ``v.split(sep)[index]`` semantics.
+    matching window of that column slab.  The column is memoised on the
+    input slab (:meth:`WorkloadSlab.derived`), so every kernel and pool
+    shard over one slab shares one column slab: consecutive windows come
+    out contiguous (the output log widens one adopted window) and
+    nothing projects a slab twice.  Any failed proof falls back to the
+    per-chunk path, and non-str values fall through to the reference
+    ``v.split(sep)[index]`` semantics.
     """
 
     def __init__(self, index: int, sep: str) -> None:
@@ -911,8 +957,7 @@ class ColumnKernel(Kernel):
         self.sep = sep
         self._fast = index == 0 and isinstance(sep, str) and len(sep) == 1
         self.supports_slab = self._fast and ord(sep) < 128
-        self._slab: WorkloadSlab | None = None
-        self._column: SlabColumn | None = None
+        self._key = ("column", index, sep)
 
     def __call__(self, values: Sequence[Any]) -> list:
         sep = self.sep
@@ -926,10 +971,7 @@ class ColumnKernel(Kernel):
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
     ) -> Sequence[Any]:
-        if self._slab is not slab:
-            self._slab = slab
-            self._column = self._project_slab(slab)
-        column = self._column
+        column = slab.derived(self._key, self._project_slab)
         if column is None:  # non-uniform width: per-chunk path for this slab
             return self(values)
         return column[base : base + len(values)]
@@ -970,8 +1012,11 @@ class ColumnKernel(Kernel):
         # the final newline is the only byte left out.  A prefix can never
         # contain a newline (the slab has exactly one per boundary).
         gathered[:, width] = _NL
+        # Read-only, like the memoised arrays: the column slab is shared.
+        gathered.flags.writeable = False
         data = memoryview(gathered.reshape(-1))[:-1]
         starts = _np.arange(0, n * (width + 1), width + 1, dtype=_np.int64)
+        starts.flags.writeable = False
         return SlabColumn(slab_from_columns(data, starts))
 
     def describe(self) -> str:
@@ -1053,10 +1098,6 @@ _TIME_DIGITS = _np.array([8, 9, 11, 12, 14, 15, 17, 18])
 _TIME_WEIGHTS = _np.array([864000, 86400, 36000, 3600, 600, 60, 10, 1])
 _TIME_WIDTH = 19
 
-#: Rows the windowed slab path parses at once.  Every chunk inside a
-#: block reuses its parse, so a capacity probe's small drain chunks share
-#: one; a chunk longer than a block is parsed as one block of its own.
-_PANE_BLOCK = 4096
 #: A pane code is ``window index << _WORD_BITS | first-word id``.
 _WORD_BITS = 20
 _WORD_MASK = (1 << _WORD_BITS) - 1
@@ -1115,6 +1156,8 @@ def _gather_spans(arr, begins, ends) -> str:
     contains a newline (the slab has exactly one per line boundary), so
     ``split("\\n")`` of the result is exact.
     """
+    if not len(arr):  # a slab of one empty line: nothing to gather
+        return "\n" * len(begins)
     seps = _np.cumsum(ends - begins + 1) - 1  # output offset of each newline
     # Source offsets as a running sum: +1 inside a span, then a jump from
     # one span's separator byte to the next span's first byte.
@@ -1128,6 +1171,31 @@ def _gather_spans(arr, begins, ends) -> str:
     return out.tobytes().decode("ascii")
 
 
+#: :meth:`WorkloadSlab.derived` key of :func:`_query_field`.
+_QUERY_FIELD = ("query",)
+
+
+def _query_field(slab: WorkloadSlab) -> tuple:
+    """Every line's query column as ``(text, offsets)``.
+
+    ``text`` holds each line's query column followed by a newline, and
+    the ``n + 1`` int64 ``offsets`` place line ``i``'s column at
+    ``text[offsets[i] : offsets[i + 1] - 1]``, so rows ``[b, b + n)`` are
+    ``text[offsets[b] : offsets[b + n]]``.  Built in blocks of
+    :data:`_DERIVE_BLOCK` rows.
+    """
+    n = len(slab.starts)
+    offsets = _np.zeros(n + 1, _np.int64)
+    pieces = []
+    for base in range(0, n, _DERIVE_BLOCK):
+        count = min(_DERIVE_BLOCK, n - base)
+        begins, ends = _query_spans(slab, base, count)
+        offsets[base + 1 : base + count + 1] = ends - begins + 1
+        pieces.append(_gather_spans(slab.arr, begins, ends))
+    _np.cumsum(offsets, out=offsets)
+    return "".join(pieces), offsets
+
+
 class WordCountKernel(StatefulKernel):
     """Running word count: bulk column extraction + one hoisted loop.
 
@@ -1136,8 +1204,8 @@ class WordCountKernel(StatefulKernel):
     one newline-joined text — newline is whitespace, so per-line word
     order is preserved — and updates ``owner.counts`` in one hoisted loop
     emitting the identical ``(word, count)`` stream.  On a slab window
-    the columns never exist as strings: the field locator gives
-    every query span and one gather decodes them all.
+    it counts the window's slice of the slab's memoised query field
+    (:func:`_query_field`), which is already newline-joined text.
 
     A malformed record stops the extraction; the columns extracted before
     it are counted and its error re-raised, which leaves the owner
@@ -1159,10 +1227,8 @@ class WordCountKernel(StatefulKernel):
         return self._count("\n".join(columns))
 
     def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
-        if not values:
-            return []
-        begins, ends = _query_spans(slab, base, len(values))
-        return self._count(_gather_spans(slab.arr, begins, ends))
+        text, offsets = slab.derived(_QUERY_FIELD, _query_field)
+        return self._count(text[offsets[base] : offsets[base + len(values)]])
 
     def _count(self, text: str) -> list:
         counts = self._fn.counts
@@ -1177,17 +1243,44 @@ class WordCountKernel(StatefulKernel):
 
 
 class DistinctCountKernel(StatefulKernel):
-    """Running distinct-query count as one hoisted membership loop."""
+    """Running distinct-query count as one hoisted membership loop.
+
+    The loop reads query columns: split from each record, or, on a slab
+    window, split on newlines from the window's slice of the slab's
+    memoised query field (:func:`_query_field`).  A malformed record
+    stops the extraction; the columns extracted before it are counted
+    and its error re-raised, as the reference loop leaves the owner.
+    """
+
+    supports_slab = True
 
     def __call__(self, values: Sequence[Any]) -> list:
+        columns = []
+        append = columns.append
+        try:
+            for line in values:
+                parts = line.split("\t", 2)
+                append(parts[1] if len(parts) > 1 else line)
+        except Exception:
+            self._count(columns)
+            raise
+        return self._count(columns)
+
+    def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
+        if not values:
+            return []
+        text, offsets = slab.derived(_QUERY_FIELD, _query_field)
+        columns = text[offsets[base] : offsets[base + len(values)]].split("\n")
+        columns.pop()  # the empty piece after the final newline
+        return self._count(columns)
+
+    def _count(self, columns: list) -> list:
         seen = self._fn.seen
         add = seen.add
         out: list = []
         append = out.append
         n = len(seen)
-        for line in values:
-            parts = line.split("\t", 2)
-            column = parts[1] if len(parts) > 1 else line
+        for column in columns:
             if column not in seen:
                 add(column)
                 n += 1
@@ -1206,8 +1299,10 @@ class StatisticsKernel(StatefulKernel):
     The chunk's query lengths are parsed first and folded second.  A
     malformed record stops the parse; the lengths parsed before it are
     folded and its error re-raised, which leaves the owner exactly where
-    the reference loop leaves it.  On a slab window the lengths
-    are the field locator's query spans, and no string is built.
+    the reference loop leaves it.  On a slab window the lengths are the
+    differences of the slab's memoised query-field offsets
+    (:func:`_query_field`), less each column's newline; no string is
+    read.
     """
 
     supports_slab = True
@@ -1227,8 +1322,9 @@ class StatisticsKernel(StatefulKernel):
     def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
         if not values:
             return []
-        begins, ends = _query_spans(slab, base, len(values))
-        return self._fold((ends - begins).astype(_np.float64))
+        _, offsets = slab.derived(_QUERY_FIELD, _query_field)
+        lengths = _np.diff(offsets[base : base + len(values) + 1]) - 1
+        return self._fold(lengths.astype(_np.float64))
 
     def _fold(self, lengths) -> list:
         """Fold parsed lengths, a list or a float64 array, into the owner
@@ -1408,6 +1504,58 @@ class NexmarkQ4Kernel(StatefulKernel):
         return out
 
 
+def _pane_codes(slab: WorkloadSlab, size: float, offset: float) -> tuple:
+    """Every line's pane code in ``FixedWindows(size, offset)`` panes per
+    first word, as ``(codes, valid, words)``.
+
+    ``codes`` is int64, ``window index << _WORD_BITS | first-word id``,
+    with ids in first-occurrence order over the slab and ``words`` the
+    id -> first word list.  ``valid`` marks the lines the reference
+    parses the same way: at least two tabs, a time field of 19 bytes or
+    more with digits at the eight digit positions, a window with
+    ``end > start`` and an index below 2**42, and a first word among the
+    slab's first 2**20.  Built in blocks of :data:`_DERIVE_BLOCK` rows.
+    """
+    n = len(slab.starts)
+    arr = slab.arr
+    codes = _np.zeros(n, _np.int64)
+    valid = _np.zeros(n, bool)
+    ids: dict = {}  # first word -> id
+    if not slab.size:  # no line has a tab
+        return codes, valid, []
+    for base in range(0, n, _DERIVE_BLOCK):
+        count = min(_DERIVE_BLOCK, n - base)
+        begins, ends, (tab1, tab2, tab3) = _line_tabs(slab, base, count, 3)
+        times = tab2 + 1
+        # A line with fewer than two tabs fails this too: its second tab
+        # offset lies at or past its end.
+        ok = _np.minimum(tab3, ends) - times >= _TIME_WIDTH
+        # Clipped: an invalid row's digit positions may lie past the slab.
+        digits = arr.take(times[:, None] + _TIME_DIGITS, mode="clip") - 48
+        ok &= (digits <= 9).all(axis=1)  # uint8: wraps below "0"
+        timestamps = (digits @ _TIME_WEIGHTS).astype(_np.float64)
+        windows = _np.floor_divide(timestamps - offset, size)
+        lows = windows * size + offset
+        ok &= (lows + size > lows) & (_np.abs(windows) < _MAX_WINDOW)
+        # Clipped, so that every position lies inside the scanned bytes.
+        queries = _np.minimum(tab1 + 1, ends)
+        spaces = _byte_offsets(arr, _SPACE, queries, int(ends[-1]))[0]
+        # An invalid row's span may run backwards: give it an empty word.
+        word_begins = _np.where(ok, queries, begins)
+        word_ends = _np.where(ok, _np.minimum(spaces, tab2), begins)
+        words = _gather_spans(arr, word_begins, word_ends).split("\n")
+        words.pop()  # the empty piece after the final newline
+        for word in dict.fromkeys(words):
+            ids.setdefault(word, len(ids))
+        word_ids = _np.fromiter(map(ids.__getitem__, words), _np.int64, count)
+        ok &= word_ids <= _WORD_MASK
+        windows[~ok] = 0
+        word_ids[~ok] = 0
+        codes[base : base + count] = windows.astype(_np.int64) << _WORD_BITS | word_ids
+        valid[base : base + count] = ok
+    return codes, valid, list(ids)
+
+
 class WindowedAggregateKernel(StatefulKernel):
     """Trigger-less windowed panes as one hoisted loop.
 
@@ -1420,23 +1568,27 @@ class WindowedAggregateKernel(StatefulKernel):
     The slab path serves owners that count per
     :func:`~repro.workloads.aol.first_word` over
     :func:`~repro.workloads.aol.event_time` in ``FixedWindows`` from an
-    ``int`` initial value (no filter, no reducer).  It parses blocks of
-    rows from the slab bytes: the field locator gives each line's tabs,
-    the event time comes from the eight ``QueryTime`` digits in integer
-    arithmetic, the window index from the same double operations as the
-    loop below, and each first word from the query span up to its first
-    space.  Each row becomes one int64 pane code, the window index above
-    the first word's id, and the kernel counts the codes in one
-    ``Counter`` whose insertion order is the panes' first occurrence.
-    The tally is adopted state, like the sample kernel's RNG: ``flush``
-    writes it into ``owner.panes`` once per distinct pane, with the
-    window bounds from the same double operations, and ``__call__``
-    flushes before it folds anything.  A chunk with any line the
-    reference would parse differently or reject — fewer than two tabs, a
-    time field shorter than 19 bytes, a non-digit at a digit position, a
+    ``int`` initial value (no filter, no reducer).  A slab window reads
+    its rows of the slab's memoised pane codes (:func:`_pane_codes`,
+    keyed by the window size and offset): the event time comes from the
+    eight ``QueryTime`` digits in integer arithmetic, the window index
+    from the same double operations as the loop below, and each first
+    word from the query span up to its first space; each row's int64
+    code holds the window index above the first word's id in the slab's
+    word list.  The kernel counts the window's codes in one ``Counter``
+    whose insertion order is the panes' first occurrence.  The tally is
+    adopted state, like the sample kernel's RNG, and belongs to one slab:
+    ``flush`` writes it into ``owner.panes`` once per distinct pane,
+    mapping ids through that slab's words and computing the window
+    bounds with the same double operations, and the kernel flushes
+    before it tallies a window of another slab.  ``__call__`` flushes
+    before it folds anything.  A window with any line the reference
+    would parse differently or reject — fewer than two tabs, a time
+    field shorter than 19 bytes, a non-digit at a digit position, a
     window with ``end <= start`` — takes the hoisted loop whole, so
     values, pane order and the state at a raise stay the reference's; so
-    do window indices of 2**42 or more and first words past the 2**20th.
+    do window indices of 2**42 or more and first words past the slab's
+    2**20th.
     """
 
     def __init__(self, fn: Any) -> None:
@@ -1453,70 +1605,27 @@ class WindowedAggregateKernel(StatefulKernel):
             and fn.timestamp_fn is event_time
             and type(fn.initial) is int
         )
+        if self._fixed:
+            self._key = ("panes", fn.window_fn.size, fn.window_fn.offset)
         self._tally: Counter = Counter()
-        self._ids: dict = {}  # first word -> id
-        self._words: list = []  # id -> first word
-        self._block: tuple | None = None  # (slab, first row, stop, codes, valid)
+        self._words: list = []  # the tally's slab's id -> first word list
 
     def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
         n = len(values)
         if not n:
             return []
-        block = self._block
-        if (
-            block is None
-            or block[0] is not slab
-            or not block[1] <= base <= block[2] - n
-        ):
-            block = self._block = self._parse(slab, base, max(n, _PANE_BLOCK))
-        _, first, _, codes, valid = block
-        lo = base - first
-        if not valid[lo : lo + n].all():
+        codes, valid, words = slab.derived(self._key, self._panes)
+        if not valid[base : base + n].all():
             return self(values)
-        self._tally.update(codes[lo : lo + n])
+        if words is not self._words:  # a window of another slab
+            self.flush()
+            self._words = words
+        self._tally.update(codes[base : base + n].tolist())
         return []
 
-    def _parse(self, slab: WorkloadSlab, base: int, n: int) -> tuple:
-        """Pane codes and validity of rows ``[base, base + n)``, clipped to
-        the slab; a row is valid when the reference parses it the same way."""
-        n = min(n, len(slab.starts) - base)
-        fn = self._fn
-        arr = slab.arr
-        begins, ends, (tab1, tab2, tab3) = _line_tabs(slab, base, n, 3)
-        times = tab2 + 1
-        # A line with fewer than two tabs fails this too: its second tab
-        # offset lies at or past its end.
-        valid = _np.minimum(tab3, ends) - times >= _TIME_WIDTH
-        # Clipped: an invalid row's digit positions may lie past the slab.
-        digits = arr.take(times[:, None] + _TIME_DIGITS, mode="clip") - 48
-        valid &= (digits <= 9).all(axis=1)  # uint8: wraps below "0"
-        timestamps = (digits @ _TIME_WEIGHTS).astype(_np.float64)
-        size, offset = fn.window_fn.size, fn.window_fn.offset
-        windows = _np.floor_divide(timestamps - offset, size)
-        lows = windows * size + offset
-        valid &= (lows + size > lows) & (_np.abs(windows) < _MAX_WINDOW)
-        # Clipped, so that every position lies inside the scanned bytes.
-        queries = _np.minimum(tab1 + 1, ends)
-        spaces = _byte_offsets(arr, _SPACE, queries, int(ends[-1]))[0]
-        # An invalid row's span may run backwards: give it an empty word.
-        word_begins = _np.where(valid, queries, begins)
-        word_ends = _np.where(valid, _np.minimum(spaces, tab2), begins)
-        words = _gather_spans(arr, word_begins, word_ends).split("\n")
-        words.pop()  # the empty piece after the final newline
-        ids = self._ids
-        try:
-            word_ids = _np.fromiter(map(ids.__getitem__, words), _np.int64, n)
-        except KeyError:
-            new = [word for word in dict.fromkeys(words) if word not in ids]
-            if len(ids) + len(new) > _WORD_MASK + 1:
-                return slab, base, base + n, [], _np.zeros(n, bool)
-            for word in new:
-                ids[word] = len(self._words)
-                self._words.append(word)
-            word_ids = _np.fromiter(map(ids.__getitem__, words), _np.int64, n)
-        windows[~valid] = 0
-        codes = windows.astype(_np.int64) << _WORD_BITS | word_ids
-        return slab, base, base + n, codes.tolist(), valid
+    def _panes(self, slab: WorkloadSlab) -> tuple:
+        _, size, offset = self._key
+        return _pane_codes(slab, size, offset)
 
     def flush(self) -> None:
         """Write the tally into ``owner.panes``, one update per pane."""

@@ -14,9 +14,9 @@ deterministically:
   genuine parallelism axis priced by each engine's
   ``parallelism_per_record`` coordination term;
 * **outputs** concatenate in shard order (span order == record order):
-  a lone non-empty output passes through unchanged, and columns over
-  one slab join into one row selection without decoding it
-  (:func:`join_outputs`);
+  a lone non-empty output passes through unchanged, adjacent windows of
+  one slab join into one window and other columns over one slab into
+  one row selection, without decoding it (:func:`join_outputs`);
 * **lag samples** merge via :func:`~repro.engines.common.progress.
   merge_trackers` into one monotonic series, and the per-shard watchdogs
   share one :class:`~repro.engines.common.progress.ProgressGroup` so no
@@ -47,7 +47,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.dataflow.kernels import SlabColumn
+from repro.dataflow.kernels import SlabColumn, joined_window
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.progress import LagTracker, ProgressGroup, merge_trackers
 from repro.engines.common.pump import StreamPump
@@ -64,15 +64,20 @@ def shard_spans(total: int, parallelism: int) -> list[tuple[int, int]]:
 def join_outputs(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
     """The non-empty shard outputs ``parts``, concatenated in order.
 
-    One part comes back unchanged.  Columns over one slab join into one
-    row selection by concatenating their rows, which stay ascending
-    because the spans are in record order, so nothing is decoded; any
-    other mix is extended into a list.
+    One part comes back unchanged.  Adjacent windows of one slab (the
+    shards' projections, windows of the input slab's one column slab)
+    join into one window, which the output log widens; other columns
+    over one slab join into one row selection by concatenating their
+    rows, which stay ascending because the spans are in record order.
+    Neither decodes anything; any other mix is extended into a list.
     """
     if not parts:
         return []
     if len(parts) == 1:
         return parts[0]
+    window = joined_window(parts)
+    if window is not None:
+        return window
     first = parts[0]
     if all(type(part) is SlabColumn and part.slab is first.slab for part in parts):
         rows = np.concatenate(

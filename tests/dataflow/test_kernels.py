@@ -202,17 +202,18 @@ class TestColumnSlabProjection:
     def test_call_slab_serves_windows(self):
         values = [f"{100000 + i}\tq{i}" for i in range(200)]
         slab = slab_of(values)
-        kernel = ColumnKernel(0, "\t")
+        kernel, other = ColumnKernel(0, "\t"), ColumnKernel(0, "\t")
         expected = ref_column(0, "\t", values)
-        assert kernel.call_slab(slab, 0, values[0:64]) == expected[0:64]
+        first = kernel.call_slab(slab, 0, values[0:64])
+        assert first == expected[0:64]
         assert kernel.call_slab(slab, 64, values[64:128]) == expected[64:128]
         assert kernel.call_slab(slab, 128, values[128:200]) == expected[128:200]
-        column = kernel._column
         kernel.flush()
-        # One projection per slab: a flush keeps it, so per-chunk
-        # flushes over windows of one slab never project twice.
-        assert kernel.call_slab(slab, 64, values[64:128]) == expected[64:128]
-        assert kernel._column is column
+        # One projection per slab: a flush keeps it, and a second kernel
+        # over the slab reads a window of the same column slab.
+        again = other.call_slab(slab, 64, values[64:128])
+        assert again == expected[64:128]
+        assert again.slab is first.slab
 
     def test_call_slab_nonuniform_falls_back_per_chunk(self):
         values = [f"{'x' * (5 + i % 3)}\trest{i}" for i in range(120)]

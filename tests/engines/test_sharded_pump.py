@@ -265,3 +265,43 @@ def test_join_outputs_shapes():
     assert type(mixed) is list
     assert mixed == list(window) + list(SlabColumn(other, 0, 2)) + ["x"]
     assert join_outputs([["a"], ["b", "c"]]) == ["a", "b", "c"]
+
+
+def test_join_outputs_widens_adjacent_windows():
+    """Adjacent windows of one slab join into one window, which an output
+    log widens; a gap between them makes a row selection."""
+    slab = ColumnarWorkload.generate(20, seed=7109).to_slab()
+    joined = join_outputs([SlabColumn(slab, 2, 5), SlabColumn(slab, 5, 9)])
+    assert type(joined) is SlabColumn and joined.rows is None
+    assert (joined.slab, joined.start, joined.stop) == (slab, 2, 9)
+    gapped = join_outputs([SlabColumn(slab, 2, 5), SlabColumn(slab, 6, 9)])
+    assert gapped.rows.tolist() == [2, 3, 4, 6, 7, 8]
+    assert slab.records is None
+
+
+@pytest.mark.parametrize("parallelism", (1, 2, 4))
+def test_probe_projects_each_slab_once(parallelism, monkeypatch):
+    """A projection probe's pump pool projects the input slab once, for
+    every shard, and decodes neither the input slab nor its column."""
+    from repro.benchmark import BenchmarkConfig
+    from repro.benchmark.capacity import run_probe
+    from repro.dataflow import kernels
+    from repro.workloads.cache import clear_memo
+
+    projected: list = []
+    project = kernels.ColumnKernel._project_slab
+
+    def counting_project(self, slab):
+        column = project(self, slab)
+        projected.append((slab, column))
+        return column
+
+    monkeypatch.setattr(kernels.ColumnKernel, "_project_slab", counting_project)
+    clear_memo()  # a fresh input slab, with nothing memoised on it
+    config = BenchmarkConfig(seed=8302)
+    result = run_probe(config, "flink", "projection", 50_000.0, parallelism=parallelism)
+    assert result.accepted == config.capacity.records
+    [(slab, column)] = projected
+    assert column is not None
+    assert slab.records is None
+    assert column.slab.records is None
