@@ -57,7 +57,9 @@ The measurements:
 
 Everything runs in one process.  Results are written to
 ``BENCH_pump.json`` at the repository root, with a ``host`` block naming
-the machine they ran on; each microbenchmark scenario records
+the machine they ran on and an append-only ``history``: each run of this
+script adds one entry (commit, headline ratio, end-to-end ingest and
+execute + measure seconds, host); each microbenchmark scenario records
 records/sec for both paths plus ``speedup`` (kernel over tuple, the
 headline ratio).  CI's perf-smoke job gates on the *speedups*
 (machine-independent ratios) against ``benchmarks/perf/baseline.json``
@@ -78,6 +80,7 @@ import os
 import pathlib
 import random
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -505,8 +508,9 @@ def run_end_to_end(num_records: int = 1_000_001) -> dict[str, Any]:
         "query": "identity",
         "records": num_records,
         "records_out": job.records_out,
-        "phases_seconds": {k: round(v, 3) for k, v in phases.items()},
-        "pipeline_seconds": round(pipeline_seconds, 3),
+        # Microseconds: the ingest phase takes well under a millisecond.
+        "phases_seconds": {k: round(v, 6) for k, v in phases.items()},
+        "pipeline_seconds": round(pipeline_seconds, 6),
         "pipeline_records_per_sec": round(num_records / pipeline_seconds),
         "simulated_execution_time": round(measurement.execution_time, 3),
         "slab_decoded": slab_decoded,
@@ -709,10 +713,57 @@ def host_info() -> dict[str, Any]:
     }
 
 
-def write_bench(payload: dict[str, Any], path: pathlib.Path = BENCH_PATH) -> None:
+def git_state() -> dict[str, Any]:
+    """The measured checkout's commit and whether its tree had changes
+    (``None`` for both outside a git checkout)."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "--no-optional-locks", "-C", str(REPO_ROOT), *args],
+            capture_output=True, text=True, timeout=30, check=True,
+        ).stdout.strip()
+
+    try:
+        return {
+            "git_commit": git("rev-parse", "HEAD"),
+            "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        }
+    except (OSError, subprocess.SubprocessError):
+        return {"git_commit": None, "git_dirty": None}
+
+
+def history_entry(payload: dict[str, Any]) -> dict[str, Any]:
+    """One entry of ``BENCH_pump.json``'s append-only ``history``: the
+    checkout measured, the headline ratio, the end-to-end phases that the
+    Figure-5 pipeline pays (``None`` when that section was skipped) and
+    the host."""
+    phases = payload.get("end_to_end", {}).get("phases_seconds", {})
+    return {
+        **git_state(),
+        "identity_op_speedup": payload["microbenchmark"]["headline_speedup"],
+        "ingest_seconds": phases.get("ingest"),
+        "execute_and_measure_seconds": phases.get("execute_and_measure"),
+        "host": host_info(),
+    }
+
+
+def write_bench(
+    payload: dict[str, Any],
+    path: pathlib.Path = BENCH_PATH,
+    record: dict[str, Any] | None = None,
+) -> None:
     """Persist one benchmark payload, with its ``host`` block, as the
-    repo's ``BENCH_pump.json``."""
-    payload = {**payload, "host": host_info()}
+    repo's ``BENCH_pump.json``.
+
+    The file's ``history`` list is carried over unchanged, with
+    ``record`` appended when given: entries are never rewritten.
+    """
+    history = []
+    if path.exists():
+        history = json.loads(path.read_text()).get("history", [])
+    if record is not None:
+        history.append(record)
+    payload = {**payload, "host": host_info(), "history": history}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -773,7 +824,7 @@ def main() -> None:
     # Last: its 1,000,001-row builds would otherwise set the end-to-end
     # campaign's peak RSS.
     payload["derivations"] = run_derivation_bench(repeats=args.repeats)
-    write_bench(payload)
+    write_bench(payload, record=history_entry(payload))
     print(BENCH_PATH.read_text(), end="")
     print(f"\nwritten to {BENCH_PATH}")
 

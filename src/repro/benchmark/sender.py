@@ -80,6 +80,8 @@ class DataSender:
     ) -> None:
         if ingestion_rate <= 0:
             raise ValueError(f"ingestion_rate must be > 0, got {ingestion_rate}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.cluster = cluster
         self.topic = topic
         self.ingestion_rate = ingestion_rate
@@ -97,14 +99,23 @@ class DataSender:
         setup — with ``replication_factor``, default one) unless it already
         exists and ``create_topic`` is False.
 
+        Every ``batch_size`` records form one produce request, and rate
+        pacing charges the request's ``batch / ingestion_rate`` seconds of
+        the timeline before it lands in the log
+        (:meth:`~repro.broker.producer.Producer.send_values` with a
+        ``rate``).  On a reliable broker the producer replays that timeline
+        in one pass and appends the whole workload at once, with one
+        LogAppendTime run per request; with chaos attached, or an
+        idempotent producer, each request goes through the guarded,
+        retried produce path.
+
         ``records`` may be a plain list or a columnar-plane
-        :class:`~repro.dataflow.kernels.SlabColumn`: a column is batched
-        as zero-copy sub-windows (the broker adopts them into its value
-        column without materialising a single record string), with batch
-        boundaries, pacing charges and produce sequencing identical to the
-        list path — the resulting log differs only in its storage layout.
-        One transient batch-sized slice lives at a time, so the workload
-        is never duplicated in memory during ingestion.
+        :class:`~repro.dataflow.kernels.SlabColumn`, which the broker
+        adopts into its value column without materialising a single
+        record string; batch boundaries, pacing charges and produce
+        sequencing are identical to the list path — the resulting log
+        differs only in its storage layout.  The workload is never
+        duplicated in memory during ingestion.
         """
         if self.create_topic:
             AdminClient(self.cluster).recreate_topic(
@@ -119,12 +130,7 @@ class DataSender:
             idempotent=self.idempotent,
         )
         total = len(records)
-        for start in range(0, total, self.batch_size):
-            batch = records[start : start + self.batch_size]
-            # Rate pacing: the batch occupies batch/rate seconds of the
-            # timeline before it lands in the log.
-            self.cluster.simulator.charge(len(batch) / self.ingestion_rate)
-            producer.send_values(self.topic, batch)
+        producer.send_values(self.topic, records, rate=self.ingestion_rate)
         producer.close()
         return SenderReport(
             topic=self.topic,

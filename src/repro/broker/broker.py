@@ -238,6 +238,29 @@ class BrokerCluster:
         if self.chaos is not None:
             self.chaos.after_append(topic, partition)
 
+    def reliable_log(self, topic: str, partition: int) -> "PartitionLog | None":
+        """The partition's log when no produce request to it can fail.
+
+        A produce request fails only through :meth:`guard_request` (chaos
+        transitions, jitter and transient errors, a leader that is down),
+        :meth:`post_append` (a lost acknowledgement) and a bounded log's
+        flow control (:meth:`PartitionLog.ensure_capacity`).  With no chaos
+        attached, the leader up and an unbounded log none of them can
+        fire, and nodes never go down on their own, so a run of requests
+        can skip those checks.  ``None`` otherwise, and for an unknown
+        topic or partition, whose error the guarded path raises.  A new
+        failure mode of the guarded path must be ruled out here too.
+        """
+        state = self._topics.get(topic)
+        if self.chaos is not None or state is None:
+            return None
+        if not 0 <= partition < state.topic.num_partitions:
+            return None
+        if state.leaders[partition].node_id in self._down:
+            return None
+        log = state.topic.partition(partition)
+        return log if log.max_queue is None else None
+
     # ------------------------------------------------------------------
     # chaos attachment and client registration
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, Sequence
 
 import numpy as _np
@@ -22,15 +23,19 @@ class PartitionLog:
     ignoring any producer-provided timestamp; with ``CreateTime`` the
     producer's timestamp is preserved.
 
-    Storage is column-oriented (parallel columns for values, keys and
-    timestamps) — the benchmark appends tens of millions of records, and
-    per-record objects would dominate memory and time.  The timestamp
-    column is a compact ``array('d')`` slab, 8 bytes per record; values
-    read out of it are exact C doubles, i.e. bit-identical to the floats
-    that went in.  :meth:`append_batch` stamps a whole batch with one
-    LogAppendTime, as Kafka writes it once in the batch header, and fills
-    the column with a single C-level repeat of that double instead of
-    unboxing one Python float per record.
+    Storage is column-oriented (parallel columns for values and keys) —
+    the benchmark appends tens of millions of records, and per-record
+    objects would dominate memory and time.  Timestamps are stored as
+    *runs*, one ``(start offset, stamp)`` pair per append call in two
+    compact arrays, as Kafka writes LogAppendTime once in each record
+    batch's header: a 1,000-record :meth:`append_batch` adds 16 bytes,
+    not 1,000 stamps.
+    Runs are never merged.  Only :meth:`read_timestamps` and
+    :meth:`read_columns` expand them, into per-record ``array('d')``
+    slabs built by one C-level repeat of each run's double; the bounds
+    (:meth:`timestamp_bounds`, :meth:`first_timestamp`,
+    :meth:`last_timestamp`) read the runs directly.  Values read out are
+    exact C doubles, i.e. bit-identical to the floats that went in.
 
     **Slab adoption** (the columnar data plane's zero-copy ingest and
     emit): when a batch arrives as a keyless
@@ -63,6 +68,8 @@ class PartitionLog:
     O(bound) no matter the offered load; ``start_offset`` then advances
     past the trimmed prefix and reads below it raise
     :class:`OffsetOutOfRangeError`, as in Kafka after retention kicks in.
+    A trim drops the runs that end at or below the new start offset, and
+    every run once the log is fully consumed.
     Unbounded logs (the default) never trim — the measurement path reads
     the full history, exactly as before.
     """
@@ -84,7 +91,11 @@ class PartitionLog:
         self._clock = clock
         self._values: list[Any] = []
         self._keys: list[Any] = []
-        self._timestamps: array = array("d")
+        #: Timestamp runs: the append call that stored offsets
+        #: ``[_run_starts[i], _run_starts[i + 1])`` stamped them all with
+        #: ``_run_stamps[i]`` (the last run ends at :attr:`end_offset`).
+        self._run_starts: array = array("q")
+        self._run_stamps: array = array("d")
         #: Offset of the first *retained* record (> 0 once a bounded log
         #: has trimmed its consumed prefix).
         self._base = 0
@@ -160,8 +171,13 @@ class PartitionLog:
         else:  # adopted column: narrow it from the front, zero-copy
             values.start += count
         del self._keys[: min(count, len(self._keys))]
-        del self._timestamps[:count]
         self._base += count
+        # Keep the run holding the new start offset, unless nothing is left.
+        drop = len(self._run_starts)
+        if self.end_offset > self._base:
+            drop = bisect_right(self._run_starts, self._base) - 1
+        del self._run_starts[:drop]
+        del self._run_stamps[:drop]
 
     def append(self, value: Any, key: Any = None, create_time: float | None = None) -> int:
         """Append one record and return its offset.
@@ -181,7 +197,8 @@ class PartitionLog:
         offset = self.end_offset
         self._values.append(value)
         self._keys.append(key)
-        self._timestamps.append(timestamp)
+        self._run_starts.append(offset)
+        self._run_stamps.append(timestamp)
         return offset
 
     def append_batch(
@@ -206,18 +223,51 @@ class PartitionLog:
         if count == 0:
             return first
         self.ensure_capacity(count)
-        # One LogAppendTime per batch, repeated by a C memcpy rather than
-        # unboxed from a Python float once per record.
-        stamps = array("d", (self._clock.now(),)) * count
+        self._store(values, keys, count)
+        # One LogAppendTime per batch, as in Kafka's batch header.
+        self._run_starts.append(first)
+        self._run_stamps.append(self._clock.now())
+        return first
+
+    def append_requests(
+        self, values: Sequence[Any], batch_size: int, stamps: Sequence[float]
+    ) -> int:
+        """Append keyless ``values`` as consecutive produce requests of
+        ``batch_size`` records; returns the first assigned offset.
+
+        Request ``i`` holds ``values[i * batch_size : (i + 1) * batch_size]``
+        and is stamped ``stamps[i]``: the log then holds what one
+        :meth:`append_batch` per request would have stored had the clock
+        read ``stamps[i]`` at request ``i``, from one extend of the value
+        column and one run per request.  The caller computes the stamps
+        (:meth:`~repro.broker.producer.Producer.send_values` replays a paced
+        request timeline).  Only valid for ``LogAppendTime`` topics; a
+        rejected call (bad batch size or stamp count, full queue) changes no
+        column.
+        """
+        if self.timestamp_type is not TimestampType.LOG_APPEND_TIME:
+            raise ValueError("append_requests requires LogAppendTime")
+        first = self.end_offset
+        count = len(values)
+        if batch_size < 1 or len(stamps) != -(-count // batch_size):
+            raise ValueError("append_requests needs batch_size >= 1 and one stamp per request")
+        if count == 0:
+            return first
+        self.ensure_capacity(count)
+        self._store(values, None, count)
+        self._run_starts.extend(range(first, first + count, batch_size))
+        self._run_stamps.extend(stamps)
+        return first
+
+    def _store(self, values: Sequence[Any], keys: Sequence[Any] | None, count: int) -> None:
+        """Extend the value and key columns (adopting a keyless slab column)."""
         if keys is None and type(values) is SlabColumn:
             self._adopt_column(values)
-        else:
-            if type(self._values) is not list:
-                self._degrade()
-            self._values.extend(values)
-            self._keys.extend([None] * count if keys is None else keys)
-        self._timestamps.extend(stamps)
-        return first
+            return
+        if type(self._values) is not list:
+            self._degrade()
+        self._values.extend(values)
+        self._keys.extend([None] * count if keys is None else keys)
 
     def _adopt_column(self, column: SlabColumn) -> None:
         """Take a slab column as (part of) the value column, zero-copy.
@@ -334,7 +384,7 @@ class PartitionLog:
             self._values[lo:hi],
             # An adopted value column carries no keys.
             keys[lo:hi] if len(keys) >= hi else None,
-            self._timestamps[lo:hi],
+            self._stamps(offset, end),
         )
 
     def read(self, offset: int, max_records: int | None = None) -> list[ConsumerRecord]:
@@ -367,17 +417,35 @@ class PartitionLog:
     def read_timestamps(self, offset: int, max_records: int | None = None) -> array:
         """Bulk-read the timestamp column starting at ``offset``.
 
-        Returns an ``array('d')`` slab (a compact copy of the column
-        slice; the backing store keeps growing, so a live view cannot be
-        handed out).  Pairs with :meth:`read_values` for consumers that
-        need values + timestamps without ``ConsumerRecord`` objects.
+        Returns a fresh ``array('d')`` slab with one stamp per record,
+        expanded from the timestamp runs.  Pairs with :meth:`read_values`
+        for consumers that need values + timestamps without
+        ``ConsumerRecord`` objects.
         """
         if offset < self._base or offset > self.end_offset:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
-        index = offset - self._base
-        if max_records is None:
-            return self._timestamps[index:]
-        return self._timestamps[index : index + max_records]
+        end = self.end_offset
+        if max_records is not None:
+            end = min(end, offset + max_records)
+        return self._stamps(offset, end)
+
+    def _stamps(self, lo: int, hi: int) -> array:
+        """Per-record stamps of offsets ``[lo, hi)``, expanded from the runs.
+
+        Each run's share is one C-level repeat of a one-double slice: a
+        drain that spans two runs costs a few microseconds, where NumPy's
+        ``repeat`` costs several times that in call overhead.
+        """
+        starts, stamps = self._run_starts, self._run_stamps
+        first = bisect_right(starts, lo)  # runs [first, last) start inside (lo, hi)
+        last = bisect_left(starts, hi, first)
+        if first == last:
+            return stamps[first - 1 : first] * (hi - lo)
+        out = stamps[first - 1 : first] * (starts[first] - lo)
+        for run in range(first, last - 1):
+            out += stamps[run : run + 1] * (starts[run + 1] - starts[run])
+        out += stamps[last - 1 : last] * (hi - starts[last - 1])
+        return out
 
     def record_at(self, offset: int) -> ConsumerRecord:
         """Return the single record at ``offset``."""
@@ -387,22 +455,22 @@ class PartitionLog:
 
     def first_timestamp(self) -> float | None:
         """Timestamp of the first record, or ``None`` for an empty log."""
-        return self._timestamps[0] if self._timestamps else None
+        return self._run_stamps[0] if self._run_stamps else None
 
     def last_timestamp(self) -> float | None:
         """Timestamp of the last record, or ``None`` for an empty log."""
-        return self._timestamps[-1] if self._timestamps else None
+        return self._run_stamps[-1] if self._run_stamps else None
 
     def timestamp_bounds(self) -> tuple[float, float] | None:
-        """``(first, last)`` timestamps off the column, ``None`` when empty.
+        """``(first, last)`` timestamps off the runs, ``None`` when empty.
 
-        One guarded read for the measurement path: both bounds come from
-        the ``array('d')`` column directly — no record materialisation.
+        One guarded read for the measurement path: the first retained
+        run's stamp and the last run's — nothing is expanded.
         """
-        timestamps = self._timestamps
-        if not timestamps:
+        stamps = self._run_stamps
+        if not stamps:
             return None
-        return timestamps[0], timestamps[-1]
+        return stamps[0], stamps[-1]
 
     def iter_all(self) -> Iterator[ConsumerRecord]:
         """Iterate over every retained record in offset order."""
@@ -415,7 +483,9 @@ class PartitionLog:
         else:  # adopted column: the slab is shared, just drop the window
             self._values = []
         self._keys.clear()
-        del self._timestamps[:]  # array('d') has no clear() on py<=3.12
+        # array has no clear() on py<=3.12
+        del self._run_starts[:]
+        del self._run_stamps[:]
         self._producer_sequences.clear()
         self._base = 0
         self._consumed = 0

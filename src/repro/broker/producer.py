@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -133,29 +134,56 @@ class Producer:
             self._flush_batch(batch_key)
 
     def send_values(
-        self, topic: str, values: Sequence[Any], partition: int = 0
+        self,
+        topic: str,
+        values: Sequence[Any],
+        partition: int = 0,
+        *,
+        rate: float | None = None,
     ) -> None:
         """Bulk fast path: send keyless values to one partition and flush.
 
-        Equivalent to calling :meth:`send` per value followed by
-        :meth:`flush`, including the charged costs, but without building
-        per-record envelopes or copying ``values`` (the log copies them
-        into its own column storage on append; the caller's sequence is
-        only read, never retained — so full-scale ingestion holds one copy
-        of the workload, not two).  A columnar-plane
-        :class:`~repro.dataflow.kernels.SlabColumn` — the sender's window
-        of the workload, or the window or row selection a query emitted —
-        passes straight through to :meth:`PartitionLog.append_batch`,
-        which *adopts* it zero-copy instead of extending its value list;
-        charging, retries and idempotent sequencing are byte-for-byte the
-        list path's (a deduplicated replay never reaches the append, so it
-        can never widen an adopted column).  Only valid for
-        ``LogAppendTime`` topics — a ``CreateTime`` topic raises
-        :class:`TimestampTypeError` (use :meth:`send`, which preserves
-        producer timestamps, instead).
+        Without ``rate`` the call is one produce request, equivalent to
+        calling :meth:`send` per value followed by :meth:`flush`, including
+        the charged costs, but without building per-record envelopes or
+        copying ``values`` (the log copies them into its own column storage
+        on append; the caller's sequence is only read, never retained — so
+        full-scale ingestion holds one copy of the workload, not two).  A
+        columnar-plane :class:`~repro.dataflow.kernels.SlabColumn` — the
+        sender's window of the workload, or the window or row selection a
+        query emitted — passes straight through to
+        :meth:`PartitionLog.append_batch`, which *adopts* it zero-copy
+        instead of extending its value list; charging, retries and
+        idempotent sequencing are byte-for-byte the list path's (a
+        deduplicated replay never reaches the append, so it can never widen
+        an adopted column).  The log stores one LogAppendTime run for the
+        request.  Only valid for ``LogAppendTime`` topics — a
+        ``CreateTime`` topic raises :class:`TimestampTypeError` (use
+        :meth:`send`, which preserves producer timestamps, instead).
+
+        With ``rate`` (records per simulated second) ``values`` go out as
+        rate-paced requests of :attr:`batch_size` records: before each, the
+        clock advances by its record count over ``rate``, the time the
+        records occupy on the timeline.  When
+        :meth:`BrokerCluster.reliable_log` finds that no request can fail
+        and the producer is not idempotent, no request can retry or be
+        deduplicated either, so the requests' clock is replayed in one pass
+        (the same float additions in the same order: pacing, then the
+        request charge) and the log takes the whole column with one
+        LogAppendTime run per request (:meth:`PartitionLog.append_requests`).
+        Otherwise each request takes the guarded path in turn.  Values,
+        stamps, the final clock and :attr:`records_sent` are the same
+        either way.
         """
         if self._closed:
             raise ProducerClosedError("producer is closed")
+        if rate is None:
+            self._send_request(topic, partition, values)
+        else:
+            self._send_paced(topic, partition, values, rate)
+
+    def _send_request(self, topic: str, partition: int, values: Sequence[Any]) -> None:
+        """One guarded produce request of keyless ``values`` (none if empty)."""
         if not values:
             return
         log = self.cluster.partition_log(topic, partition)
@@ -168,6 +196,33 @@ class Producer:
         self._append_guarded(
             topic, partition, len(values), lambda log: log.append_batch(values)
         )
+
+    def _send_paced(
+        self, topic: str, partition: int, values: Sequence[Any], rate: float
+    ) -> None:
+        """The ``rate`` form of :meth:`send_values`."""
+        batch_size, total = self.batch_size, len(values)
+        log = None if self.idempotent else self.cluster.reliable_log(topic, partition)
+        if log is None or log.timestamp_type is not TimestampType.LOG_APPEND_TIME:
+            for start in range(0, total, batch_size):
+                batch = values[start : start + batch_size]
+                self.cluster.simulator.charge(len(batch) / rate)
+                self._send_request(topic, partition, batch)
+            return
+        clock = self.cluster.simulator.clock
+        now = clock.now()
+        stamps = array("d")
+        pace, charge = batch_size / rate, self._request_charge(batch_size)
+        for start in range(0, total, batch_size):
+            count = total - start
+            if count < batch_size:
+                pace, charge = count / rate, self._request_charge(count)
+            now += pace
+            now += charge
+            stamps.append(now)
+        log.append_requests(values, batch_size, stamps)
+        clock.advance_to(now)
+        self.records_sent += total
 
     def flush(self) -> None:
         """Append every queued batch to the broker."""
@@ -232,11 +287,7 @@ class Producer:
         number and dropped instead of re-appended.
         """
         base_sequence = self._sequences.get((topic, partition), 0)
-        costs = self.cluster.costs
-        per_record = costs.append_per_record
-        if self.acks == "all":
-            per_record *= costs.acks_all_factor
-        charge = (0.0 if self.acks == 0 else costs.request_overhead) + per_record * count
+        charge = self._request_charge(count)
 
         def attempt() -> None:
             self.cluster.guard_request(topic, partition)
@@ -271,6 +322,14 @@ class Producer:
         if self.idempotent:
             self._sequences[(topic, partition)] = base_sequence + count
         self.records_sent += count
+
+    def _request_charge(self, count: int) -> float:
+        """Simulated seconds one produce request of ``count`` records costs."""
+        costs = self.cluster.costs
+        per_record = costs.append_per_record
+        if self.acks == "all":
+            per_record *= costs.acks_all_factor
+        return (0.0 if self.acks == 0 else costs.request_overhead) + per_record * count
 
     def _count_retry(self, _err: Exception) -> None:
         self.retries_performed += 1

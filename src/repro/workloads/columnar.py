@@ -485,11 +485,14 @@ def _iter_columns_native(num_records: int, seed: int, chunk_records: int):
     result = _GenResult()
     record = 0
     match_index = 0
+    # One output buffer serves every chunk, and each chunk is copied out
+    # of it once: a buffer and an extra copy per chunk leave freed blocks
+    # on the heap, and their layout would set the peak resident memory.
+    chunk_out = bytearray(min(chunk_records, num_records) * MAX_LINE_BYTES)
     while record < num_records:
         n_chunk = min(chunk_records, num_records - record)
         starts = array("q", bytes(8 * n_chunk))
         starts_buf = (ctypes.c_int64 * n_chunk).from_buffer(starts)
-        chunk_out = bytearray(n_chunk * MAX_LINE_BYTES)
         out_buf = (ctypes.c_char * len(chunk_out)).from_buffer(chunk_out)
         chunk_offset = 0
         done = 0
@@ -535,7 +538,7 @@ def _iter_columns_native(num_records: int, seed: int, chunk_records: int):
         record += n_chunk
         # Every line ends with '\n'; strip the last so each chunk is
         # exactly "\n".join(chunk_lines).encode() — join-compatible.
-        yield bytes(chunk_out[: chunk_offset - 1]), starts
+        yield bytes(memoryview(chunk_out)[: chunk_offset - 1]), starts
 
 
 # ---------------------------------------------------------------------------

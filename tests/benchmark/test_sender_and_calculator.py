@@ -57,6 +57,15 @@ class TestDataSender:
         with pytest.raises(ValueError):
             DataSender(broker, "in", ingestion_rate=0)
 
+    def test_invalid_batch_size_leaves_the_topic_and_clock_alone(self, world):
+        sim, broker, admin = world
+        DataSender(broker, "in").send(["a", "b", "c"])
+        now = sim.now()
+        with pytest.raises(ValueError):
+            DataSender(broker, "in", batch_size=0).send(["x"])
+        assert broker.topic("in").partition(0).read_values(0) == ["a", "b", "c"]
+        assert sim.now() == now
+
     def test_acks_all_supported(self, world):
         sim, broker, admin = world
         report = DataSender(broker, "in", acks="all").send(["a", "b"])

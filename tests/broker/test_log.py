@@ -230,12 +230,18 @@ class TestRead:
 
 
 class TestTimestampSlab:
-    """The timestamp column is a compact ``array('d')``, bit-exact."""
+    """Timestamp reads are compact ``array('d')`` slabs, bit-exact."""
 
-    def test_column_is_a_double_array(self, log):
+    def test_column_is_a_double_array(self, clock, log):
+        clock.advance(0.1 + 0.2)
         log.append_batch(["a", "b"])
-        assert isinstance(log._timestamps, array)
-        assert log._timestamps.typecode == "d"
+        clock.advance(1.0 / 3.0)
+        log.append("c")
+        stamps = log.read_timestamps(0)
+        assert isinstance(stamps, array)
+        assert stamps.typecode == "d"
+        first, second = 0.1 + 0.2, 0.1 + 0.2 + 1.0 / 3.0
+        assert stamps.tobytes() == array("d", (first, first, second)).tobytes()
 
     def test_read_timestamps_matches_records(self, clock, log):
         for i in range(6):
@@ -270,7 +276,9 @@ class TestTimestampSlab:
         log.append_batch(["a", "b"])
         log.truncate()
         assert len(log) == 0
-        assert len(log._timestamps) == 0
+        stamps = log.read_timestamps(0)
+        assert stamps.typecode == "d"
+        assert stamps.tobytes() == b""
         assert log.first_timestamp() is None
         assert log.last_timestamp() is None
 

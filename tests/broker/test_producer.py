@@ -72,6 +72,15 @@ class TestProducerBasics:
         assert "ct" in str(excinfo.value)
         assert "LogAppendTime" in str(excinfo.value)
 
+    def test_paced_send_values_requires_log_append_time(self, cluster):
+        cluster.create_topic(
+            "ct", TopicConfig(timestamp_type=TimestampType.CREATE_TIME)
+        )
+        with Producer(cluster) as producer:
+            with pytest.raises(TimestampTypeError):
+                producer.send_values("ct", ["a", "b"], rate=1_000.0)
+        assert cluster.topic("ct").total_records() == 0
+
     def test_send_after_close_raises(self, cluster):
         producer = Producer(cluster)
         producer.close()
