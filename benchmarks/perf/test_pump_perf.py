@@ -18,10 +18,11 @@ across hardware, unlike absolute records/sec.  Checks:
 * the keyed Nexmark queries (Q3/Q4/Q5 over encoded events — the
   wire-fused kernels the plan compiler emits) each keep the ≥3× keyed
   floor, times the same tolerance.  Stateful ``wordcount`` carries no
-  absolute floor: it is emit-bound (the fresh ``(word, count)`` tuple
-  per word dominates every tier), so it is gated by the
-  baseline-regression family only — see docs/architecture.md — and so
-  is the ``windowed`` pane count over the AOL slab column;
+  absolute floor: its timed kernel runs are mostly the builds of a
+  fresh slab's query field and word ids, which a campaign builds once
+  per slab, so it is gated by the baseline-regression family only — see
+  docs/architecture.md — and so is the ``windowed`` pane count over the
+  AOL slab column;
 * no scenario may regress more than 30% below the checked-in
   kernel/tuple baseline ratios in ``baseline.json`` (``speedups``);
 * a warm mmap load of the workload cache's columnar entry must stay ≥5×
@@ -93,9 +94,11 @@ REGRESSION_FLOOR = 0.7
 KERNEL_FLOORS = {"grep": 3.0, "projection": 3.0, "sample": 3.0, "chained": 5.0}
 #: Keyed-query floors (kernel vs tuple) for the stateful kernel tier: the
 #: Nexmark queries pump encoded events through the compiler's fused
-#: decode|query wire kernels.  Stateful wordcount is deliberately absent —
-#: it is emit-bound (fresh (word, count) tuple per word in every tier) and
-#: is gated by the baseline-regression family instead.
+#: decode|query wire kernels.  Stateful wordcount is absent: each timed
+#: kernel run builds a fresh slab's query field and word ids, which take
+#: about 95% of it (1.1x-1.7x over the tuple path at 60k-200k records,
+#: under the 3x floor times the tolerance), so it is gated by the
+#: baseline-regression family instead.
 KEYED_FLOORS = {"nexmark-q3": 3.0, "nexmark-q4": 3.0, "nexmark-q5": 3.0}
 #: CI noise / reduced-scale allowance on the absolute kernel floors.
 FLOOR_TOLERANCE = float(os.environ.get("REPRO_PERF_FLOOR_TOLERANCE", "0.75"))

@@ -10,8 +10,33 @@ import numpy as _np
 
 from repro.broker.errors import OffsetOutOfRangeError, QueueFullError
 from repro.broker.records import ConsumerRecord, RecordSlice, TimestampType
-from repro.dataflow.kernels import SlabColumn
+from repro.dataflow.kernels import FieldColumn, SlabColumn
 from repro.simtime import SimClock
+
+
+def _append_items(buffers: tuple, start: int, stop: int, items: tuple) -> tuple:
+    """Write ``items[k]`` past ``buffers[k][start:stop]`` for every ``k``;
+    returns the buffers and their new ``(start, stop)``.
+
+    Equal-length buffers with spare capacity past ``stop`` are written in
+    place.  When they run out, each doubles into a fresh buffer that
+    keeps only ``[start, stop)``, dropping a trimmed prefix.  Columns
+    handed out by reads share the old buffers but never read past their
+    own ``stop``, so writing beyond it changes none of them.
+    """
+    count = len(items[0])
+    if stop + count > len(buffers[0]):
+        kept = stop - start
+        size = max(2 * kept, kept + count)
+        grown = []
+        for buffer in buffers:
+            fresh = _np.empty(size, buffer.dtype)
+            fresh[:kept] = buffer[start:stop]
+            grown.append(fresh)
+        buffers, start, stop = tuple(grown), 0, kept
+    for buffer, item in zip(buffers, items):
+        buffer[stop : stop + count] = item
+    return buffers, start, stop + count
 
 
 class PartitionLog:
@@ -37,26 +62,33 @@ class PartitionLog:
     :meth:`last_timestamp`) read the runs directly.  Values read out are
     exact C doubles, i.e. bit-identical to the floats that went in.
 
-    **Slab adoption** (the columnar data plane's zero-copy ingest and
+    **Column adoption** (the columnar data plane's zero-copy ingest and
     emit): when a batch arrives as a keyless
     :class:`~repro.dataflow.kernels.SlabColumn` — a window from the
-    sender, or a window or row selection a query emitted — the value
-    column *becomes* a log-private copy of it over the same shared slab.
-    A window contiguous with an adopted window widens it; a selection
-    over the slab of an adopted selection appends its rows (amortised
-    O(rows): the row buffer grows by doubling).  So ingesting a
-    million-record workload, or emitting its identity, sample, grep or
-    projection output, appends no per-record objects at all, and the log
-    never retains the caller's object.  Every other semantic is
-    unchanged: timestamps are still stamped per batch with the broker
-    clock, idempotent-produce sequencing is untouched (the sequence check
-    runs before append, so a replayed batch never widens the column), and
-    any operation the column cannot serve — a keyed or plain-list append,
-    a non-contiguous or foreign-slab window, a window after a selection —
-    first *degrades* the column back to an ordinary list (materialising
-    the records once) and proceeds exactly as before.  While adopted, the
-    key column stays empty (adopted batches carry no keys); readers treat
-    missing keys as ``None``.  Reads hand out columns over the same slab.
+    sender, or a window or row selection a query emitted — or as a
+    keyless :class:`~repro.dataflow.kernels.FieldColumn` — wordcount's
+    word ids and counts, statistics' minima, maxima and means — an empty
+    log's value column *becomes* a log-private copy of it: a column over
+    the same shared slab, or copies of the field arrays sharing the
+    lookup.  A window contiguous with an adopted window widens it; a
+    selection over the slab of an adopted selection appends its rows; a
+    field column with the same lookup object and field dtypes appends
+    its items (both amortised O(rows): the buffers grow by doubling).
+    So ingesting a million-record workload, or emitting its identity,
+    sample, grep, projection, wordcount or statistics output, appends no
+    per-record objects at all, and the log never retains the caller's
+    object.  Every other semantic is unchanged: timestamps are still
+    stamped per batch with the broker clock, idempotent-produce
+    sequencing is untouched (the sequence check runs before append, so a
+    replayed batch never widens the column), and any operation the
+    column cannot serve — a keyed or plain-list append, a non-contiguous
+    or foreign-slab window, a window after a selection, a field column
+    with another lookup or other dtypes — first *degrades* the column
+    back to an ordinary list (materialising the records once) and
+    proceeds exactly as before.  While adopted, the key column stays
+    empty (adopted batches carry no keys); readers treat missing keys as
+    ``None``.  Reads hand out columns over the same slab or arrays;
+    trims and :meth:`truncate` narrow or drop the adopted column.
 
     **Bounded queues** (flow control): ``max_queue`` caps the number of
     *in-flight* records — appended but not yet acknowledged as consumed
@@ -64,7 +96,7 @@ class PartitionLog:
     raises the retryable :class:`QueueFullError` before touching any
     state; producers back off on simulated time and re-offer.  Bounded
     logs additionally *trim* consumed records (list storage and adopted
-    windows and selections alike), so broker-resident memory stays
+    columns alike), so broker-resident memory stays
     O(bound) no matter the offered load; ``start_offset`` then advances
     past the trimmed prefix and reads below it raise
     :class:`OffsetOutOfRangeError`, as in Kafka after retention kicks in.
@@ -210,8 +242,9 @@ class PartitionLog:
         Only valid for ``LogAppendTime`` topics (batch appends share one
         broker arrival instant, as a Kafka produce request does).  The
         sequences are copied into the log's column storage, never retained
-        (a keyless :class:`~repro.dataflow.kernels.SlabColumn` is adopted
-        as a private copy of the column, not of its records).  A rejected
+        (a keyless :class:`~repro.dataflow.kernels.SlabColumn` or
+        :class:`~repro.dataflow.kernels.FieldColumn` is adopted as a
+        private copy of the column, not of its records).  A rejected
         batch (key count mismatch, full queue) changes no column.
         """
         if self.timestamp_type is not TimestampType.LOG_APPEND_TIME:
@@ -260,68 +293,68 @@ class PartitionLog:
         return first
 
     def _store(self, values: Sequence[Any], keys: Sequence[Any] | None, count: int) -> None:
-        """Extend the value and key columns (adopting a keyless slab column)."""
-        if keys is None and type(values) is SlabColumn:
-            self._adopt_column(values)
-            return
+        """Extend the value and key columns (adopting a keyless column)."""
+        kind = type(values)
+        if keys is None and (kind is SlabColumn or kind is FieldColumn):
+            current = self._values
+            if type(current) is kind and self._widen(current, values):
+                return
+            if not current:
+                self._values = self._private_copy(values)
+                return
         if type(self._values) is not list:
             self._degrade()
         self._values.extend(values)
         self._keys.extend([None] * count if keys is None else keys)
 
-    def _adopt_column(self, column: SlabColumn) -> None:
-        """Take a slab column as (part of) the value column, zero-copy.
+    @staticmethod
+    def _widen(current, column) -> bool:
+        """Append ``column`` in place to ``current``, the adopted column of
+        the same type; ``False``, changing nothing, where it cannot.
 
-        A window contiguous with the current adopted window widens it in
-        place, and a selection over the current adopted selection's slab
-        appends its rows; a column arriving on an empty log becomes the
-        value column as a log-private copy, so the caller's object is
-        never aliased.  Anything else materialises.
+        A window contiguous with an adopted window widens it, and a
+        selection over the slab of an adopted selection appends its rows.
+        A field column appends its items to an adopted field column with
+        the same lookup object and field dtypes.
         """
-        current = self._values
-        if type(current) is SlabColumn:
-            if current.slab is column.slab:
-                if current.rows is None and column.rows is None:
-                    if column.start == current.stop:
-                        current.stop = column.stop
-                        return
-                elif current.rows is not None and column.rows is not None:
-                    self._append_rows(column)
-                    return
-            self._degrade()
-            current = self._values
-        if not current:
-            self._values = self._private_copy(column)
-            return
-        current.extend(column)
-        self._keys.extend([None] * len(column))
+        if type(column) is FieldColumn:
+            dtypes = [field.dtype for field in column.fields]
+            if column.lookup is not current.lookup or dtypes != [
+                field.dtype for field in current.fields
+            ]:
+                return False
+            items = tuple(field[column.start : column.stop] for field in column.fields)
+            current.fields, current.start, current.stop = _append_items(
+                current.fields, current.start, current.stop, items
+            )
+            return True
+        if current.slab is not column.slab:
+            return False
+        if current.rows is None and column.rows is None:
+            if column.start != current.stop:
+                return False
+            current.stop = column.stop
+            return True
+        if current.rows is None or column.rows is None:
+            return False
+        (current.rows,), current.start, current.stop = _append_items(
+            (current.rows,), current.start, current.stop,
+            (column.rows[column.start : column.stop],),
+        )
+        return True
 
     @staticmethod
-    def _private_copy(column: SlabColumn) -> SlabColumn:
-        """A column of the log's own over the same slab and rows."""
+    def _private_copy(column):
+        """A column of the log's own over the same slab, rows or items, so
+        the caller's object is never aliased."""
+        if type(column) is FieldColumn:
+            return FieldColumn(
+                tuple(field[column.start : column.stop].copy() for field in column.fields),
+                column.lookup,
+            )
         if column.rows is None:
             return SlabColumn(column.slab, column.start, column.stop)
         return SlabColumn(column.slab, rows=column.rows[column.start : column.stop].copy())
-
-    def _append_rows(self, column: SlabColumn) -> None:
-        """Append a selection's rows to the adopted selection, in place.
-
-        The row buffer has spare capacity past ``stop`` and doubles when
-        it runs out, dropping the trimmed prefix as it moves.  Columns
-        handed out by reads share the old buffer but never read past
-        their own ``stop``, so writing beyond it changes none of them.
-        """
-        current = self._values
-        rows = column.rows[column.start : column.stop]
-        stop = current.stop + len(rows)
-        if stop > len(current.rows):
-            kept = current.rows[current.start : current.stop]
-            grown = _np.empty(max(2 * len(kept), len(kept) + len(rows)), _np.int64)
-            grown[: len(kept)] = kept
-            current.rows, current.start, current.stop = grown, 0, len(kept)
-            stop = len(kept) + len(rows)
-        current.rows[current.stop : stop] = rows
-        current.stop = stop
 
     def _degrade(self) -> None:
         """Convert an adopted column back to plain list storage."""
@@ -397,8 +430,9 @@ class PartitionLog:
         """Like :meth:`read` but returns bare values (fast path).
 
         A slice of the value column: a ``list``, or, while the column is
-        an adopted :class:`~repro.dataflow.kernels.SlabColumn`, a column
-        over the same slab (no record is copied or decoded).
+        an adopted :class:`~repro.dataflow.kernels.SlabColumn` or
+        :class:`~repro.dataflow.kernels.FieldColumn`, a column over the
+        same slab or arrays (no record is copied or decoded).
         ``copy=False`` is a zero-copy full read: for ``offset == 0`` with
         no record cap it returns the live value column itself instead of
         a slice.  Callers requesting it must treat it as immutable (it

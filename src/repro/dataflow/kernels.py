@@ -90,6 +90,10 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   StreamBench queries as bulk column extraction plus one hoisted
   accumulation loop (statistics additionally uses NumPy's sequential
   accumulates, exact because every quantity is an integer-valued double).
+  Wordcount's slab path and statistics' bulk fold emit a
+  :class:`FieldColumn` — word ids and counts, or minima, maxima and
+  means — instead of one tuple per output record, and the output log
+  adopts it.
 - **AOL slab paths**: on a slab window, wordcount, distinct-count,
   statistics and the AOL windowed count read the slab's memoised
   fields, never its records.  One shared field locator (one tab scan
@@ -97,11 +101,13 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   offsets; a second helper decodes ragged byte spans into one
   newline-joined ``str``.  The query field (every query column as one
   newline-terminated ``str`` plus line offsets) serves three kernels:
-  wordcount counts the window's slice, distinct-count splits it on
-  newlines for its membership loop, and statistics folds offset
-  differences without reading a string.  Windowed counts the window's
-  rows of the slab's pane codes, one integer per row from the first
-  word and the ``QueryTime`` digit bytes.
+  distinct-count splits the window's slice on newlines for its
+  membership loop, statistics folds offset differences without reading
+  a string, and wordcount reads the field's words, interned once per
+  slab as ids with each word's occurrence rank and links, so a window's
+  running counts are NumPy arithmetic over its ids.  Windowed counts the
+  window's rows of the slab's pane codes, one integer per row from the
+  first word and the ``QueryTime`` digit bytes.
 - ``keyed_reduce`` / ``update_state`` / ``group_by_key``: the engines'
   keyed operators (Flink ``KeyedStream.reduce``, Spark
   ``updateStateByKey``, Beam GroupByKey) as hoisted per-chunk loops over
@@ -127,7 +133,7 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -165,10 +171,11 @@ class WorkloadSlab:
     likewise decodes on first access.
 
     The slab paths' whole-slab results — grep's hit rows, the projected
-    column, the query field and the windowed pane codes — are pure
-    functions of the bytes and a spec's parameters, so :meth:`derived`
-    builds each at most once per slab: every kernel, pool shard and
-    campaign cell over the slab reads a window of the same result.
+    column, the query field, its word ids and the windowed pane codes —
+    are pure functions of the bytes and a spec's parameters, so
+    :meth:`derived` builds each at most once per slab: every kernel,
+    pool shard and campaign cell over the slab reads a window of the
+    same result.
     """
 
     __slots__ = ("records", "_text", "data", "arr", "starts", "size", "_derived")
@@ -232,7 +239,31 @@ def slab_from_columns(data, starts) -> WorkloadSlab:
     return WorkloadSlab(data, arr, starts)
 
 
-class SlabColumn(Sequence):
+class _ValueColumn(Sequence):
+    """A read-only column that acts as the list of its elements: it
+    compares equal, by value, to a list or another column with equal
+    elements, in either operand order; ``+`` with a list or a column
+    gives a list; it is unhashable, like a list."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _ValueColumn)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __add__(self, other):
+        if not isinstance(other, (list, _ValueColumn)):
+            return NotImplemented
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return other + list(self)
+
+
+class SlabColumn(_ValueColumn):
     """Rows of one :class:`WorkloadSlab` as a read-only sequence of records.
 
     The columnar plane's stand-in for a ``list`` of record strings, in one
@@ -331,27 +362,12 @@ class SlabColumn(Sequence):
             return slab.records[row]
         return str(slab.data[int(slab.starts[row]) : _line_end(slab, row)], "ascii")
 
-    def __eq__(self, other):
-        if not isinstance(other, (list, SlabColumn)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __add__(self, other):
-        if not isinstance(other, (list, SlabColumn)):
-            return NotImplemented
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        if not isinstance(other, list):
-            return NotImplemented
-        return other + list(self)
-
     def view(self, start: int, stop: int) -> "SlabColumn":
         """A window at absolute rows ``[start, stop)`` of the slab."""
         return SlabColumn(self.slab, start, stop)
 
 
-class KvColumn(Sequence):
+class KvColumn(_ValueColumn):
     """``(None, value)`` pairs over a :class:`SlabColumn` of values.
 
     The columnar plane's stand-in for the list of keyless KV pairs that
@@ -387,26 +403,71 @@ class KvColumn(Sequence):
             return [(None, value) for value in values]
         return (None, self.values[index])
 
-    def __eq__(self, other):
-        if not isinstance(other, (list, SlabColumn, KvColumn)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
 
-    def __add__(self, other):
-        if not isinstance(other, (list, SlabColumn, KvColumn)):
-            return NotImplemented
-        return list(self) + list(other)
 
-    def __radd__(self, other):
-        if not isinstance(other, (list, SlabColumn)):
-            return NotImplemented
-        return list(other) + list(self)
+class FieldColumn(_ValueColumn):
+    """Tuples stored as equal-length NumPy field arrays.
+
+    Element ``i`` is the tuple of every field's item ``start + i``, as
+    Python scalars.  With a ``lookup`` array, field 0 holds integer codes
+    and the element carries ``lookup[code]`` in their place.  Wordcount
+    emits its ``(word, count)`` pairs this way (word ids that the slab's
+    memoised word list decodes) and statistics its ``(min, max, mean)``
+    triples, so neither builds a tuple per output record, and the output
+    log adopts the column (:class:`~repro.broker.log.PartitionLog`).
+
+    Like :class:`SlabColumn` it compares equal, by value, to a list or
+    another column with equal elements, in either operand order; ``+``
+    with a list or a column gives a list; a step-1 slice is a field
+    column over the same arrays; it is unhashable.  Iteration, indexing
+    and comparison build the tuples.  A column must be treated as
+    immutable; only the log grows its own private copy.
+    """
+
+    __slots__ = ("fields", "lookup", "start", "stop")
+
+    def __init__(
+        self, fields: tuple, lookup=None, start: int = 0, stop: int | None = None
+    ) -> None:
+        self.fields = fields
+        self.lookup = lookup
+        self.start = start
+        self.stop = len(fields[0]) if stop is None else stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def _items(self, start: int, stop: int) -> list:
+        """Rows ``[start, stop)`` of every field as lists of Python scalars."""
+        items = [field[start:stop] for field in self.fields]
+        if self.lookup is not None:
+            items[0] = self.lookup[items[0]]
+        return [item.tolist() for item in items]
+
+    def __iter__(self):
+        return zip(*self._items(self.start, self.stop))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            span = range(self.start, self.stop)[index]
+            if span.step == 1:
+                stop = max(span.start, span.stop)
+                return FieldColumn(self.fields, self.lookup, span.start, stop)
+            return list(self)[index]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("field column index out of range")
+        row = self.start + index
+        return next(zip(*self._items(row, row + 1)))
 
 
 def as_output(values: Sequence[Any]) -> Sequence[Any]:
-    """``values`` as a kernel output: a ``list``, a :class:`SlabColumn` or
-    a :class:`KvColumn`."""
-    return values if isinstance(values, (list, SlabColumn, KvColumn)) else list(values)
+    """``values`` as a kernel output: a ``list``, a :class:`SlabColumn`, a
+    :class:`KvColumn` or a :class:`FieldColumn`."""
+    if isinstance(values, (list, SlabColumn, KvColumn, FieldColumn)):
+        return values
+    return list(values)
 
 
 class RecordColumn(Sequence):
@@ -580,8 +641,9 @@ class Kernel:
     """A compiled chunk-at-a-time operator: a sequence in, a sequence out.
 
     The output is a ``list``, a :class:`SlabColumn` over the input's
-    slab (or, for projection, over the input slab's column slab) or a
-    :class:`KvColumn` over such a column.
+    slab (or, for projection, over the input slab's column slab), a
+    :class:`KvColumn` over such a column or, from wordcount and
+    statistics, a :class:`FieldColumn`.
     """
 
     #: Whether :meth:`call_slab` beats :meth:`__call__` for this kernel.
@@ -628,15 +690,15 @@ def run_kernel(kernel: Kernel, values: Sequence[Any]) -> Sequence[Any]:
 class IdentityKernel(Kernel):
     """Zero-copy passthrough (the pump's chunks are private slices).
 
-    :class:`SlabColumn` and :class:`KvColumn` chunks also pass through
-    unchanged, so a window keeps a downstream kernel's slab path and
-    reaches the output log as a column; so do :class:`RecordColumn`
-    chunks, which a downstream ``record_kv`` kernel reads without
-    building their records.
+    :class:`SlabColumn`, :class:`KvColumn` and :class:`FieldColumn`
+    chunks also pass through unchanged, so a window keeps a downstream
+    kernel's slab path and a column reaches the output log as a column;
+    so do :class:`RecordColumn` chunks, which a downstream ``record_kv``
+    kernel reads without building their records.
     """
 
     def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
-        if isinstance(values, (list, SlabColumn, KvColumn, RecordColumn)):
+        if isinstance(values, (list, SlabColumn, KvColumn, FieldColumn, RecordColumn)):
             return values
         return list(values)
 
@@ -1196,6 +1258,78 @@ def _query_field(slab: WorkloadSlab) -> tuple:
     return "".join(pieces), offsets
 
 
+#: :meth:`WorkloadSlab.derived` key of :func:`_query_words`.
+_QUERY_WORDS = ("words",)
+
+#: The bytes ``str.split()`` splits an ASCII text on.
+_WHITESPACE = _np.array([chr(byte).isspace() for byte in range(128)] + [False] * 128)
+
+
+def _query_words(slab: WorkloadSlab) -> tuple:
+    """Every word of the query field (:func:`_query_field`) as an id, as
+    ``(codes, lines, ranks, prev, following, lookup)``.
+
+    ``codes`` holds the id of each word of the field's text, in order,
+    with ids numbered in first-occurrence order, and the object
+    array ``lookup`` maps an id back to its word; the ``n + 1`` int64
+    ``lines`` place line ``i``'s words at
+    ``codes[lines[i] : lines[i + 1]]``.  For the word at index ``j``,
+    ``ranks[j]`` counts the earlier occurrences of the same word, and
+    ``prev[j]`` and ``following[j]`` are the indices of its previous and
+    next occurrence (``-1`` and ``len(codes)`` where there is none), so
+    a window ``[lo, hi)`` of words finds each word's first and last
+    occurrence in it without a sort.  Words are split, as the reference
+    splits them, and interned in blocks of :data:`_DERIVE_BLOCK` lines;
+    one stable sort of the ids gives the occurrence links.  Ids are
+    uint16 up to 2**16 distinct words; ids past that, ranks and links are
+    int32, or int64 for 2**31 words or more.
+    """
+    text, offsets = slab.derived(_QUERY_FIELD, _query_field)
+    n = len(offsets) - 1
+    lines = _np.zeros(n + 1, _np.int64)
+    parts = [_np.empty(0, _np.int64)]
+    ids: defaultdict = defaultdict()  # word -> id
+    ids.default_factory = ids.__len__  # a new word gets the next id
+    total = 0
+    for base in range(0, n, _DERIVE_BLOCK):
+        stop = min(base + _DERIVE_BLOCK, n)
+        begin = int(offsets[base])
+        block = text[begin : int(offsets[stop])]
+        space = _WHITESPACE[_np.frombuffer(block.encode("ascii"), _np.uint8)]
+        # A word starts at a non-space byte after a space; the block
+        # starts at a line start, so its first byte follows a newline.
+        after_space = _np.ones(len(space), bool)
+        after_space[1:] = space[:-1]
+        starts = _np.flatnonzero(~space & after_space)
+        lines[base:stop] = starts.searchsorted(offsets[base:stop] - begin) + total
+        words = block.split()
+        parts.append(_np.fromiter(map(ids.__getitem__, words), _np.int64, len(words)))
+        total += len(words)
+    lines[n] = total
+    index = _np.int32 if total < 1 << 31 else _np.int64
+    # uint16 ids while they fit: NumPy's stable sort of them is a radix sort.
+    codes = _np.concatenate(parts).astype(_np.uint16 if len(ids) <= 1 << 16 else index)
+    order = _np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    # ``order`` lists each word's occurrences consecutively, in order.
+    same = ordered[1:] == ordered[:-1]  # entry k + 1 repeats entry k's word
+    group = _np.zeros(total, _np.int64)
+    group[1:] = _np.where(same, 0, _np.arange(1, total))
+    _np.maximum.accumulate(group, out=group)  # each entry's word's first entry
+    ranks = _np.empty(total, index)
+    ranks[order] = _np.arange(total) - group
+    prev = _np.full(total, -1, index)
+    prev[order[1:][same]] = order[:-1][same]
+    following = _np.full(total, total, index)
+    following[order[:-1][same]] = order[1:][same]
+    return codes, lines, ranks, prev, following, _np.array(list(ids), dtype=object)
+
+
+#: Prior counts the wordcount slab path adds to in int64: well inside its
+#: range, so that a prior plus a window's occurrence rank cannot wrap.
+_COUNT_LIMIT = 1 << 62
+
+
 class WordCountKernel(StatefulKernel):
     """Running word count: bulk column extraction + one hoisted loop.
 
@@ -1203,9 +1337,22 @@ class WordCountKernel(StatefulKernel):
     extracts the query column of the whole chunk, splits all columns as
     one newline-joined text — newline is whitespace, so per-line word
     order is preserved — and updates ``owner.counts`` in one hoisted loop
-    emitting the identical ``(word, count)`` stream.  On a slab window
-    it counts the window's slice of the slab's memoised query field
-    (:func:`_query_field`), which is already newline-joined text.
+    emitting the identical ``(word, count)`` stream.
+
+    On a slab window it builds no word and no pair: it reads the window's
+    words as ids from the slab's memoised word codes
+    (:func:`_query_words`).  Each word's running count is the owner's
+    prior count of it, plus one, plus its occurrences in the window
+    before it: its slab rank less the rank of its first occurrence in the
+    window.  Only the window's distinct words touch ``owner.counts``:
+    one lookup each for the prior and one update each, in
+    first-occurrence order, with the count at the word's last occurrence
+    in the window.  The output is a :class:`FieldColumn` of the word ids,
+    decoded by the slab's word lookup, and the counts.  A prior count
+    that is not an ``int``, or not far inside int64's range, sends the
+    whole window through the hoisted loop over its slice of the memoised
+    query field, so a restored float count is added to one word at a
+    time, as the reference adds it.
 
     A malformed record stops the extraction; the columns extracted before
     it are counted and its error re-raised, which leaves the owner
@@ -1226,9 +1373,34 @@ class WordCountKernel(StatefulKernel):
             raise
         return self._count("\n".join(columns))
 
-    def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
-        text, offsets = slab.derived(_QUERY_FIELD, _query_field)
-        return self._count(text[offsets[base] : offsets[base + len(values)]])
+    def call_slab(
+        self, slab: WorkloadSlab, base: int, values: Sequence[Any]
+    ) -> Sequence[Any]:
+        codes, lines, ranks, prev, following, lookup = slab.derived(
+            _QUERY_WORDS, _query_words
+        )
+        lo, hi = int(lines[base]), int(lines[base + len(values)])
+        if lo == hi:
+            return []
+        window, window_ranks = codes[lo:hi], ranks[lo:hi]
+        first = prev[lo:hi] < lo
+        distinct = window[first]  # ids in first-occurrence order
+        words = lookup[distinct].tolist()
+        counts = self._fn.counts
+        priors = list(map(counts.get, words, repeat(0)))
+        if {*map(type, priors)} != {int} or not (
+            -_COUNT_LIMIT < min(priors) and max(priors) < _COUNT_LIMIT
+        ):
+            text, offsets = slab.derived(_QUERY_FIELD, _query_field)
+            return self._count(text[offsets[base] : offsets[base + len(values)]])
+        # Per id: what a window rank adds up to the word's running count.
+        shift = _np.empty(len(lookup), _np.int64)
+        shift[distinct] = _np.array(priors, _np.int64) + 1 - window_ranks[first]
+        running = window_ranks + shift[window]
+        last = following[lo:hi] >= hi
+        shift[window[last]] = running[last]  # each id has one last occurrence
+        counts.update(zip(words, shift[distinct].tolist()))
+        return FieldColumn((window, running), lookup)
 
     def _count(self, text: str) -> list:
         counts = self._fn.counts
@@ -1294,7 +1466,10 @@ class StatisticsKernel(StatefulKernel):
     Every accumulated quantity is an integer-valued double far below
     2**53, so NumPy's sequential accumulates are exact and folding the
     prior totals in after the fact equals the reference's running fold.
-    Small chunks take a hoisted reference-shaped loop.
+    The bulk fold returns its minima, maxima and means arrays as a
+    :class:`FieldColumn` of ``(min, max, mean)`` triples, which the
+    output log adopts; small chunks take a hoisted reference-shaped loop
+    that returns a list.
 
     The chunk's query lengths are parsed first and folded second.  A
     malformed record stops the parse; the lengths parsed before it are
@@ -1307,7 +1482,7 @@ class StatisticsKernel(StatefulKernel):
 
     supports_slab = True
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         lengths: list = []
         append = lengths.append
         try:
@@ -1319,14 +1494,16 @@ class StatisticsKernel(StatefulKernel):
             raise
         return self._fold(lengths)
 
-    def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
+    def call_slab(
+        self, slab: WorkloadSlab, base: int, values: Sequence[Any]
+    ) -> Sequence[Any]:
         if not values:
             return []
         _, offsets = slab.derived(_QUERY_FIELD, _query_field)
         lengths = _np.diff(offsets[base : base + len(values) + 1]) - 1
         return self._fold(lengths.astype(_np.float64))
 
-    def _fold(self, lengths) -> list:
+    def _fold(self, lengths) -> Sequence[Any]:
         """Fold parsed lengths, a list or a float64 array, into the owner
         state (reference order)."""
         fn = self._fn
@@ -1351,17 +1528,16 @@ class StatisticsKernel(StatefulKernel):
             )
             return out
         arr = _np.asarray(lengths, _np.float64)
-        minima = _np.minimum(_np.minimum.accumulate(arr), fn.minimum).tolist()
-        maxima = _np.maximum(_np.maximum.accumulate(arr), fn.maximum).tolist()
+        minima = _np.minimum(_np.minimum.accumulate(arr), fn.minimum)
+        maxima = _np.maximum(_np.maximum.accumulate(arr), fn.maximum)
         totals = _np.cumsum(arr)
         totals += fn.total
         counts = _np.arange(fn.count + 1, fn.count + n + 1, dtype=_np.float64)
-        means = (totals / counts).tolist()
-        fn.minimum = minima[-1]
-        fn.maximum = maxima[-1]
+        fn.minimum = float(minima[-1])
+        fn.maximum = float(maxima[-1])
         fn.total = float(totals[-1])
         fn.count += n
-        return list(zip(minima, maxima, means))
+        return FieldColumn((minima, maxima, totals / counts))
 
 
 class KeyedReduceKernel(StatefulKernel):

@@ -1,5 +1,6 @@
 """Bounded partitions: queue bounds, consumption watermarks, trimming."""
 
+import numpy as np
 import pytest
 
 from repro.broker import (
@@ -12,6 +13,7 @@ from repro.broker import (
 )
 from repro.broker.errors import OffsetOutOfRangeError, RetriableBrokerError
 from repro.broker.log import PartitionLog
+from repro.dataflow.kernels import FieldColumn
 from repro.simtime import SimClock, Simulator
 
 
@@ -115,6 +117,29 @@ class TestTrimming:
         log.mark_consumed(100)
         assert log.start_offset == 0
         assert log.read_values(0) == list(range(100))
+
+    def test_adopted_field_column_is_trimmed(self, clock):
+        """An adopted field column narrows as records are acknowledged
+        and stays adopted; its buffers stay O(bound) across doublings."""
+        bound = 10
+        log = PartitionLog("t", 0, clock, max_queue=bound)
+        triples = []
+        for step in range(40):
+            values = np.arange(3, dtype=np.float64) + 3 * step
+            column = FieldColumn((values, values + 0.5, values + 0.25))
+            clock.advance(1.0)
+            log.append_batch(column)
+            triples.extend(column)
+            log.mark_consumed(log.end_offset - 2)
+            assert log.start_offset == log.end_offset - 2
+            assert log.read_values(log.start_offset) == triples[-2:]
+            assert list(log.read_timestamps(log.start_offset)) == [clock.now()] * 2
+            with pytest.raises(OffsetOutOfRangeError):
+                log.read_values(log.start_offset - 1)
+        assert type(log._values) is FieldColumn
+        assert all(len(field) <= 2 * bound for field in log._values.fields)
+        log.mark_consumed(log.end_offset)
+        assert len(log) == 0 and log.read_values(log.end_offset) == []
 
     def test_timestamps_follow_values_through_trim(self, clock, log):
         for i in range(5):

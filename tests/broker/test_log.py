@@ -2,12 +2,13 @@
 
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.broker.errors import OffsetOutOfRangeError
 from repro.broker.log import PartitionLog
 from repro.broker.records import TimestampType
-from repro.dataflow.kernels import SlabColumn, slab_from_columns
+from repro.dataflow.kernels import FieldColumn, SlabColumn, slab_from_columns
 from repro.simtime import SimClock
 from repro.workloads.columnar import generate_columns
 
@@ -142,6 +143,32 @@ def trimmed_then_readopted(log, append):
     return SlabColumn
 
 
+#: The word lookup of the wordcount-shaped field columns below.
+WORDS = np.array(["alpha", "beta", "gamma", "delta"], dtype=object)
+
+
+def word_counts(codes, counts, lookup=WORDS) -> FieldColumn:
+    """``(word, count)`` pairs as a field column of word ids and counts."""
+    return FieldColumn((np.array(codes, np.int32), np.array(counts, np.int64)), lookup)
+
+
+def first_adopted_fields(log, append):
+    append(word_counts([0, 1, 0], [1, 1, 2]))
+    return FieldColumn
+
+
+def fields_widen(log, append):
+    for codes in ([0, 1], [2, 0, 3], [1], [3, 3, 2, 0]):
+        append(word_counts(codes, range(len(codes))))
+    return FieldColumn
+
+
+def foreign_lookup_degrade(log, append):
+    append(word_counts([0, 1], [1, 1]))
+    append(word_counts([0, 1], [1, 1], WORDS.copy()))
+    return list
+
+
 class TestBatchStamps:
     """Every ``append_batch`` path stores the batch's one LogAppendTime per
     record, bit for bit as a per-record ``[now] * count`` reference."""
@@ -158,6 +185,9 @@ class TestBatchStamps:
             contiguous_widen,
             foreign_window_degrade,
             trimmed_then_readopted,
+            first_adopted_fields,
+            fields_widen,
+            foreign_lookup_degrade,
         ],
     )
     def test_stamps_match_per_record_reference(self, clock, scenario):
@@ -329,3 +359,99 @@ class TestTimestampsAndTruncate:
         log.truncate()
         assert len(log) == 0
         assert log.first_timestamp() is None
+
+
+class TestFieldColumnAdoption:
+    """A keyless :class:`FieldColumn` becomes the value column and widens
+    in place; everything the log hands out equals what the same records
+    appended as a list of tuples give."""
+
+    #: Batches of word ids; each batch's counts are its positions.
+    BATCHES = ([0, 1, 0], [2], [3, 1, 1, 0, 2], [0, 3], [1, 2, 3, 0, 1, 2, 3])
+
+    def batches(self):
+        return [word_counts(codes, range(len(codes))) for codes in self.BATCHES]
+
+    def twin_logs(self, clock, columns, max_queue=None):
+        """A log fed ``columns`` and a log fed the same records as lists."""
+        log = PartitionLog("t", 0, clock, max_queue=max_queue)
+        reference = PartitionLog("t", 0, clock, max_queue=max_queue)
+        for step, column in enumerate(columns):
+            clock.advance(0.1 + step)
+            log.append_batch(column)
+            reference.append_batch(list(column))
+        return log, reference
+
+    def test_empty_log_copies_the_callers_arrays(self, log):
+        column = word_counts([0, 1, 2], [1, 1, 1])
+        expected = list(column)
+        log.append_batch(column)
+        adopted = log._values
+        assert type(adopted) is FieldColumn and adopted is not column
+        assert adopted.lookup is WORDS
+        for mine, theirs in zip(adopted.fields, column.fields):
+            assert not np.shares_memory(mine, theirs)
+            theirs[:] = 3  # the caller reuses its arrays
+        assert log.read_values(0) == expected
+
+    def test_same_lookup_widens_in_place_across_a_doubling(self, clock):
+        log, reference = self.twin_logs(clock, self.batches()[:1])
+        adopted = log._values
+        early = log.read_values(0)
+        grown = kept = 0
+        for column in self.batches()[1:]:
+            buffer = adopted.fields[0]
+            log.append_batch(column)
+            reference.append_batch(list(column))
+            if adopted.fields[0] is buffer:
+                kept += 1
+            else:
+                grown += 1
+        assert log._values is adopted  # widened, never replaced
+        assert grown and kept  # appends both doubled and wrote in place
+        assert len(adopted.fields[0]) >= len(log)
+        assert log.read_values(0) == reference.read_values(0)
+        assert early == reference.read_values(0, max_records=len(early))
+
+    @pytest.mark.parametrize(
+        "values, keys",
+        [
+            (["plain"], None),
+            ([("alpha", 9)], ["k"]),
+            (word_counts([1], [5], WORDS.copy()), None),
+            (FieldColumn((np.array([1], np.int64), np.array([5], np.int64)), WORDS), None),
+            (FieldColumn((np.array([1.0]), np.array([2.0]), np.array([3.0]))), None),
+        ],
+        ids=["list", "keyed", "foreign-lookup", "other-dtype", "other-fields"],
+    )
+    def test_degrades_to_the_per_tuple_list(self, clock, values, keys):
+        log, reference = self.twin_logs(clock, self.batches())
+        log.append_batch(values, keys=keys)
+        reference.append_batch(list(values), keys=keys)
+        assert type(log._values) is list
+        assert repr(log._values) == repr(reference._values)
+        assert log._keys == reference._keys
+
+    def test_reads_match_the_list_path(self, clock):
+        log, reference = self.twin_logs(clock, self.batches())
+        end = log.end_offset
+        for offset in range(end + 1):
+            for cap in (None, 1, 3, end):
+                mine = log.read_values(offset, cap)
+                assert type(mine) is FieldColumn
+                assert repr(list(mine)) == repr(reference.read_values(offset, cap))
+                columns = log.read_columns(offset, cap)
+                theirs = reference.read_columns(offset, cap)
+                assert list(columns.values) == theirs.values
+                assert columns.keys is None and theirs.keys == [None] * len(theirs)
+                assert columns.timestamps == theirs.timestamps
+        for offset in range(end):
+            assert log.record_at(offset) == reference.record_at(offset)
+        log.truncate()
+        reference.truncate()
+        assert log.read_values(0) == reference.read_values(0) == []
+        assert log.read(0) == reference.read(0) == []
+        column = word_counts([2, 3], [1, 1])
+        log.append_batch(column)
+        assert type(log._values) is FieldColumn
+        assert log.read_values(0) == list(column)

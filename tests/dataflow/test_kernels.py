@@ -492,6 +492,84 @@ def test_pair_column_behaves_like_its_list(data):
         hash(column)
 
 
+_WORDS = np.array(["a", "b", "a b", ""], dtype=object)
+
+
+@st.composite
+def field_columns(draw):
+    """A field column, ``(word, count)`` pairs over a word lookup or
+    ``(min, max, mean)``-shaped float triples, over part of its arrays,
+    with its tuples as a list built from Python values."""
+    n = draw(st.integers(0, 12))
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, n))
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, len(_WORDS) - 1), min_size=n, max_size=n))
+        counts = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        fields = (np.array(codes, np.int32), np.array(counts, np.int64))
+        rows = [(_WORDS[code], count) for code, count in zip(codes, counts)]
+        column = kernels.FieldColumn(fields, _WORDS, start, stop)
+    else:
+        floats = [
+            draw(st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=n, max_size=n))
+            for _ in range(3)
+        ]
+        column = kernels.FieldColumn(tuple(map(np.array, floats)), None, start, stop)
+        rows = list(zip(*floats))
+    return column, rows[start:stop]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_field_column_behaves_like_its_list(data):
+    """Every ``Sequence`` operation of a field column gives what the same
+    operation gives on its tuples as a list, element types included."""
+    column, rows = data.draw(field_columns())
+    for index in range(-len(rows) - 2, len(rows) + 2):
+        if -len(rows) <= index < len(rows):
+            assert repr(column[index]) == repr(rows[index])
+        else:
+            with pytest.raises(IndexError):
+                column[index]
+    assert len(column) == len(rows)
+    assert bool(column) is bool(rows)
+    assert repr(list(column)) == repr(rows)
+    assert list(reversed(column)) == rows[::-1]
+    for _ in range(8):
+        index = slice(data.draw(_bounds), data.draw(_bounds), data.draw(_steps))
+        piece = column[index]
+        assert repr(list(piece)) == repr(rows[index]), index
+        if index.step in (None, 1):
+            assert type(piece) is kernels.FieldColumn, index
+    for probe in (("a", 1), ("a b", -3), (0.5, 0.5, 0.5), "a"):
+        assert (probe in column) is (probe in rows)
+        assert column.count(probe) == rows.count(probe)
+    other, other_rows = data.draw(field_columns())
+    pairs, pair_rows = data.draw(pair_columns())
+    extra = [("x", 1)]
+    for candidate, expected_rows in (
+        (rows, rows), (rows + extra, rows + extra), (rows[:-1], rows[:-1]),
+        (tuple(rows), None), (other, other_rows), (other_rows, other_rows),
+        (pairs, pair_rows),
+    ):
+        expected = rows == expected_rows
+        assert (column == candidate) is expected
+        assert (candidate == column) is expected
+        assert (column != candidate) is (not expected)
+        assert (candidate != column) is (not expected)
+    assert column + extra == rows + extra
+    assert extra + column == extra + rows
+    assert column + other == rows + other_rows
+    assert pairs + column == pair_rows + rows
+    assert column + pairs == rows + pair_rows
+    with pytest.raises(TypeError):
+        column + tuple(extra)
+    with pytest.raises(TypeError):
+        tuple(extra) + column
+    with pytest.raises(TypeError):
+        hash(column)
+
+
 class TestFusionAndChains:
     def test_composed_all_spec_compiles(self):
         rng = random.Random(5)

@@ -1,14 +1,19 @@
 """The slab paths that cut their windows from memoised slab derivations.
 
-Grep (hit rows), projection (the column slab), wordcount, statistics and
-distinct-count (the query field) and windowed (the pane codes) each read
+Grep (hit rows), projection (the column slab), statistics and
+distinct-count (the query field), wordcount (the query field's word ids)
+and windowed (the pane codes) each read
 a window of one whole-slab result that ``WorkloadSlab.derived`` builds at
 most once per slab.  The property below feeds two owners' kernels
 windows of two slabs alternately, in random chunkings with list chunks
 interleaved, and checks after every flush that each owner's outputs and
-state equal a reference ``process`` loop over the same records.  The
-unit tests pin the memo itself: one build per key, read-only arrays, and
-a full stateful cell that never decodes the workload slab.
+state equal a reference ``process`` loop over the same records, also
+after ``restore()`` set both to one edited state mid-walk: wordcount
+counts that the slab path must not add to in int64 (floats, a bool, an
+int past its guard) and another statistics state.  The unit tests pin
+the memo itself: one build per key, read-only arrays, and a full
+stateful cell that never decodes the workload slab and hands its
+wordcount and statistics outputs to the log as field columns.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from repro.benchmark import BenchmarkConfig, StreamBenchHarness
 from repro.benchmark.queries import get_query
 from repro.dataflow.compiler import lower_stage
 from repro.dataflow import kernels
-from repro.dataflow.kernels import SlabColumn, run_kernel
-from tests.dataflow.test_aol_slab_paths import aol_lines, malformed_lines
+from repro.dataflow.kernels import FieldColumn, SlabColumn, run_kernel
+from tests.dataflow.test_aol_slab_paths import WORDS, aol_lines, malformed_lines
 from tests.slabs import slab_of
 
 MEMOISED_QUERIES = (
@@ -52,7 +57,7 @@ def slab_lines(draw) -> list:
 def walks(draw, sizes):
     """One owner's walk over two slabs: chunks of each slab in order,
     alternating between the slabs, each a window or a list, each
-    optionally followed by a flush."""
+    optionally followed by a flush and by a restore."""
     queues = []
     for slab_index, size in enumerate(sizes):
         cuts = draw(st.sets(st.integers(1, size), max_size=5))
@@ -62,8 +67,27 @@ def walks(draw, sizes):
     while any(queues):
         for queue in queues:
             if queue:
-                steps.append((*queue.pop(0), draw(st.booleans()), draw(st.booleans())))
+                steps.append((*queue.pop(0), *(draw(st.booleans()) for _ in range(3))))
     return steps
+
+
+#: Restored wordcount counts: ints the slab path adds to, and counts it
+#: must leave to the hoisted loop, one addition at a time: floats, a bool
+#: and an int past the int64 guard.
+PRIORS = (0, 7, -3, 0.1, 1e16, True, 2**63 - 1)
+
+
+@st.composite
+def restored_states(draw, query, state):
+    """A state to ``restore()`` mid-walk: the reference's snapshot
+    ``state``, with a few wordcount counts replaced, or another
+    statistics state."""
+    if query == "wordcount":
+        edits = st.dictionaries(st.sampled_from(WORDS), st.sampled_from(PRIORS), max_size=3)
+        return {**state, **draw(edits)}
+    if query == "statistics":
+        return draw(st.sampled_from((state, (3.0, 40.0, 120.0, 9), (7.0, 7.0, 7.0, 1))))
+    return state
 
 
 def _owner_state(function):
@@ -95,7 +119,8 @@ def _reference(function, lines):
 @given(query=st.sampled_from(MEMOISED_QUERIES), data=st.data())
 def test_memoised_slab_paths_equal_the_reference(query, data):
     """Two owners walk windows of two slabs alternately; after every
-    flush their outputs so far and their state equal the reference's."""
+    flush their outputs so far and their state equal the reference's,
+    also across restores of both to one edited state."""
     line_lists = [data.draw(slab_lines()) for _ in range(2)]
     columns = [SlabColumn(slab_of(lines)) for lines in line_lists]
     owners = []
@@ -112,7 +137,7 @@ def test_memoised_slab_paths_equal_the_reference(query, data):
         for function, reference, kernel, walk, out, ref_out in owners:
             if index >= len(walk):
                 continue
-            slab_index, lo, hi, as_list, flush = walk[index]
+            slab_index, lo, hi, as_list, flush, restore = walk[index]
             chunk = columns[slab_index][lo:hi]
             error = None
             try:
@@ -128,6 +153,11 @@ def test_memoised_slab_paths_equal_the_reference(query, data):
                 assert _owner_state(function) == _owner_state(reference)
             if error is not None:
                 return
+            if restore:
+                kernel.flush()  # as the recovery path flushes before a restore
+                state = data.draw(restored_states(query, reference.snapshot()))
+                function.restore(state)
+                reference.restore(state)
     for function, reference, kernel, _, out, ref_out in owners:
         kernel.flush()
         assert out == ref_out
@@ -173,25 +203,31 @@ def test_derived_builds_once_per_key():
 
 @pytest.mark.parametrize("query", MEMOISED_QUERIES)
 def test_memo_arrays_are_read_only(query):
-    """Every array a derivation holds, and the projected column's bytes
-    and offsets, refuse writes, so no kernel output can corrupt them."""
+    """Every array every derivation holds, and the projected column's
+    bytes and offsets, refuse writes, so no kernel output can corrupt
+    them.  Wordcount memoises two derivations, the query field and the
+    word codes built from it."""
     lines = [f"{100000 + i}\tq test {i % 7}\t2006-03-0{i % 9 + 1} 10:00:00" for i in range(200)]
     slab = slab_of(lines)
     kernel = lower_stage(get_query(query).make_function(random.Random(0)))
     out = run_kernel(kernel, SlabColumn(slab)[0:100])
     kernel.flush()
-    (value,) = slab._derived.values()
-    arrays = [item for item in (value if type(value) is tuple else (value,))
-              if isinstance(item, np.ndarray)]
-    if type(value) is SlabColumn:  # the projected column slab
-        arrays += [value.slab.arr, value.slab.starts]
-    assert arrays
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[:1] = 0
+    values = list(slab._derived.values())
+    assert len(values) == (2 if query == "wordcount" else 1)
+    for value in values:
+        arrays = [item for item in (value if type(value) is tuple else (value,))
+                  if isinstance(item, np.ndarray)]
+        if type(value) is SlabColumn:  # the projected column slab
+            arrays += [value.slab.arr, value.slab.starts]
+        assert arrays
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
     if query == "grep":
         assert not out.rows.flags.writeable
+    if query == "wordcount":  # the output's word ids are a view of the memo
+        assert not out.fields[0].flags.writeable
 
 
 def test_windowed_word_limit_applies_per_slab(monkeypatch):
@@ -227,10 +263,37 @@ STATEFUL_SEED = 7141
 
 def test_stateful_cells_decode_nothing():
     """A full native cell of every memoised stateful query reads only the
-    slab's derivations: the workload slab is never decoded."""
+    slab's derivations: the workload slab is never decoded.  Wordcount's
+    and statistics' outputs reach the output log as field columns, which
+    it adopts for the whole run on every system."""
     harness = StreamBenchHarness(BenchmarkConfig(records=20_000, runs=2, seed=STATEFUL_SEED))
     harness.ingest()
     slab = harness.workload.columnar().to_slab()
-    for query in ("wordcount", "distinct-count", "statistics", "windowed"):
-        harness.run_setup("flink", query, "native", 1)
-        assert slab.records is None, query
+    for system in ("flink", "spark", "apex"):
+        for query in ("wordcount", "distinct-count", "statistics", "windowed"):
+            harness.run_setup(system, query, "native", 1)
+            assert slab.records is None, (system, query)
+            log = harness.broker.partition_log(harness.config.output_topic, 0)
+            if query in ("wordcount", "statistics"):
+                assert type(log._values) is FieldColumn, (system, query)
+                assert len(log._values) == len(log) > 0
+
+
+def test_wordcount_restored_float_count_takes_the_hoisted_loop():
+    """A window whose words include one with a restored non-``int`` count
+    runs the hoisted loop and returns a list; any other window returns a
+    field column.  Both equal the reference."""
+    lines = ["7\tmaps a\t2006-03-01 00:00:00", "7\ttest maps\t2006-03-01 00:00:01"] * 40
+    function = get_query("wordcount").make_function(random.Random(0))
+    reference = get_query("wordcount").make_function(random.Random(0))
+    for owner in (function, reference):
+        owner.restore({"test": 0.1, "maps": 3})
+    kernel = lower_stage(function)
+    column = SlabColumn(slab_of(lines))
+    out = run_kernel(kernel, column[0:1])  # "maps a": int priors only
+    assert type(out) is FieldColumn
+    floated = run_kernel(kernel, column[1:80])  # reaches "test"
+    assert type(floated) is list
+    assert repr(list(out) + floated) == repr(_reference(reference, lines)[0])
+    assert _owner_state(function) == _owner_state(reference)
+    assert type(function.counts["test"]) is float
