@@ -25,6 +25,12 @@ across hardware, unlike absolute records/sec.  Checks:
   AOL slab column;
 * no scenario may regress more than 30% below the checked-in
   kernel/tuple baseline ratios in ``baseline.json`` (``speedups``);
+* the four stateful slab paths (wordcount, distinct-count, statistics,
+  windowed), timed over a slab whose derivations are already built
+  (``run_warm_slab_bench``), may not regress more than 30% below
+  ``baseline.json``'s ``warm_slab_speedups`` either: that is the
+  per-window path every campaign cell after a slab's first repeats,
+  which the fresh-slab scenarios hide behind the derivation builds;
 * a warm mmap load of the workload cache's columnar entry must stay ≥5×
   faster than cold slab-direct generation of the same workload (the
   cache's reason to exist);
@@ -70,6 +76,7 @@ from pump_bench import (
     run_generation_bench,
     run_microbenchmark,
     run_scalability_bench,
+    run_warm_slab_bench,
     run_workload_cache_bench,
     write_bench,
 )
@@ -98,7 +105,8 @@ KERNEL_FLOORS = {"grep": 3.0, "projection": 3.0, "sample": 3.0, "chained": 5.0}
 #: kernel run builds a fresh slab's query field and word ids, which take
 #: about 95% of it (1.1x-1.7x over the tuple path at 60k-200k records,
 #: under the 3x floor times the tolerance), so it is gated by the
-#: baseline-regression family instead.
+#: baseline-regression family instead, and its per-window path by the
+#: warm-slab family.
 KEYED_FLOORS = {"nexmark-q3": 3.0, "nexmark-q4": 3.0, "nexmark-q5": 3.0}
 #: CI noise / reduced-scale allowance on the absolute kernel floors.
 FLOOR_TOLERANCE = float(os.environ.get("REPRO_PERF_FLOOR_TOLERANCE", "0.75"))
@@ -121,6 +129,13 @@ def payload() -> dict:
 def micro(payload: dict) -> dict:
     result = run_microbenchmark(num_records=RECORDS, repeats=3)
     payload["microbenchmark"] = result
+    return result
+
+
+@pytest.fixture(scope="module")
+def warm_slab(payload: dict) -> dict:
+    result = run_warm_slab_bench(num_records=RECORDS, repeats=3)
+    payload["warm_slab"] = result
     return result
 
 
@@ -184,18 +199,33 @@ def test_keyed_kernel_floors(micro: dict) -> None:
     assert not failures, "keyed kernel floor violations:\n" + "\n".join(failures)
 
 
-def test_no_regression_vs_baseline(micro: dict) -> None:
-    """Every kernel speedup stays within 30% of its checked-in baseline."""
+def _regressions(scenarios: dict, baselines: dict) -> list[str]:
+    """The scenarios whose speedup fell more than 30% below baseline."""
     failures = []
-    for name, expected in BASELINE["speedups"].items():
-        measured = micro["scenarios"][name]["speedup"]
+    for name, expected in baselines.items():
+        measured = scenarios[name]["speedup"]
         floor = REGRESSION_FLOOR * expected
         if measured < floor:
             failures.append(
                 f"{name}: {measured:.2f}x < {floor:.2f}x "
                 f"(baseline {expected:.2f}x, -30% allowed)"
             )
+    return failures
+
+
+def test_no_regression_vs_baseline(micro: dict) -> None:
+    """Every kernel speedup stays within 30% of its checked-in baseline."""
+    failures = _regressions(micro["scenarios"], BASELINE["speedups"])
     assert not failures, "speedup regressions:\n" + "\n".join(failures)
+
+
+def test_warm_slab_paths_vs_baseline(warm_slab: dict) -> None:
+    """Each stateful slab path over a warm slab stays within 30% of its
+    checked-in ``warm_slab_speedups`` baseline."""
+    baselines = BASELINE["warm_slab_speedups"]
+    assert set(warm_slab["scenarios"]) == set(baselines)
+    failures = _regressions(warm_slab["scenarios"], baselines)
+    assert not failures, "warm-slab regressions:\n" + "\n".join(failures)
 
 
 def test_workload_cache_load_speedup(cache_bench: dict) -> None:

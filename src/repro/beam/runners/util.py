@@ -6,7 +6,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.beam.transforms.core import DoFn
 from repro.dataflow.functions import StreamFunction
-from repro.dataflow.kernels import KernelSpec, KvColumn
+from repro.dataflow.kernels import KvColumn
 
 
 class DoFnAdapter(StreamFunction):
@@ -76,7 +76,6 @@ class GroupByKeyFunction(StreamFunction):
 
     def __init__(self) -> None:
         self.groups: dict[Any, list[Any]] = {}
-        self.kernel_spec = KernelSpec.group_by_key(self)
 
     def open(self) -> None:
         self.groups.clear()

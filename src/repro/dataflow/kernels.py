@@ -18,15 +18,21 @@ guards and falls back to a plain comprehension — and the pump falls back
 to ``process_batch`` — whenever the data or the function shape is not
 provably uniform.
 
+Kernels are column fast paths.  A kernel keeps a fast path only for the
+containers the pump hands it in practice: slab windows and selections,
+pair columns, encoded Nexmark lines.  A list chunk of a stateful or keyed
+function runs that function's own ``process_batch``, and grep's list
+chunk runs the reference comprehension; no second copy of a query's
+semantics is kept for a container nothing delivers.
+
 Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
 
-- ``contains`` (grep): a whole-chunk scan.  The chunk is joined into one
-  newline-separated blob and scanned for the needle's first two bytes as
-  aligned ``uint16`` lanes (two phases cover every offset); the remaining
-  needle bytes are verified by sparse gathers at the candidate positions.
-  Exactness guards: the blob must be ASCII and contain exactly ``n - 1``
-  newlines (i.e. no line embeds one), and a match can never span lines
-  because the needle contains no newline.
+- ``contains`` (grep): on a slab window, a selection of the slab's hit
+  rows.  One scan of the whole slab finds them: the needle's first two
+  bytes are compared as aligned ``uint16`` lanes (two phases cover every
+  offset), and the remaining needle bytes are verified by sparse gathers
+  at the candidate positions.  A match can never span lines because the
+  needle contains no newline.
 - ``column`` (projection): ``v.partition(sep)[0]`` per line — exact by
   construction for column 0 (``partition`` and ``split`` agree on the
   prefix before the first separator, including separator-free lines).
@@ -45,7 +51,8 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   window of a fixed-width column slab built by one NumPy row take, when
   every line has the separator at the same verified offset.  No record
   string is built on these paths.  A plain records list takes the
-  kernels' list paths.
+  kernels' list paths: the reference comprehension for grep, per-chunk
+  ``partition`` for projection, the same mask for sample.
 - ``bernoulli`` (sample): a pre-drawn Bernoulli mask.  The seeded
   ``random.Random`` state is transplanted into a NumPy ``RandomState``
   (both are MT19937 with the same double recipe), the whole chunk's mask
@@ -67,14 +74,13 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   log without a pair or a string being built.
 - ``item`` / ``kv_value`` otherwise: closure-free generated
   comprehensions.
-- chains (``ComposedFunction``): consecutive comprehension-shaped parts
-  are fused into one generated comprehension (filters short-circuit
-  before maps, preserving draw order and side-effect counts); bulk-shaped
-  parts run as their dedicated kernels in sequence, each through
+- chains (``ComposedFunction``): consecutive ``item`` / ``kv_value``
+  maps are fused into one generated comprehension; every other part
+  runs as its dedicated kernel in sequence, each through
   :func:`run_kernel` — the same window dispatch the pump applies to each
   stage.
 
-Keyed & stateful kernels (the Table-2/Nexmark path; see
+Stateful kernels (the Table-2/Nexmark path; see
 ``repro.dataflow.compiler`` for how stages are lowered):
 
 - Stateful kernels never *own* state.  Each holds a reference to the
@@ -87,13 +93,16 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   them into the owner's panes on ``flush``, which the pump calls before
   any of those observers reads them.
 - ``wordcount`` / ``distinct_count`` / ``statistics``: the stateful
-  StreamBench queries as bulk column extraction plus one hoisted
-  accumulation loop (statistics additionally uses NumPy's sequential
-  accumulates, exact because every quantity is an integer-valued double).
-  Wordcount's slab path and statistics' bulk fold emit a
-  :class:`FieldColumn` — word ids and counts, or minima, maxima and
-  means — instead of one tuple per output record, and the output log
-  adopts it.
+  StreamBench queries, served on slab windows (below); a list chunk
+  runs the owner's ``process_batch``.  Statistics folds with NumPy's
+  sequential accumulates, exact because every quantity is an
+  integer-valued double.  Wordcount's slab path and statistics' bulk
+  fold emit a :class:`FieldColumn` — word ids and counts, or minima,
+  maxima and means — instead of one tuple per output record, and the
+  output log adopts it.
+- The engines' keyed operators (Flink ``KeyedStream.reduce``, Spark
+  ``updateStateByKey``, Beam GroupByKey) declare no spec: their chunks
+  are lists of pairs, and they run ``process_batch`` on the kernel tier.
 - **AOL slab paths**: on a slab window, wordcount, distinct-count,
   statistics and the AOL windowed count read the slab's memoised
   fields, never its records.  One shared field locator (one tab scan
@@ -108,10 +117,6 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   running counts are NumPy arithmetic over its ids.  Windowed counts the
   window's rows of the slab's pane codes, one integer per row from the
   first word and the ``QueryTime`` digit bytes.
-- ``keyed_reduce`` / ``update_state`` / ``group_by_key``: the engines'
-  keyed operators (Flink ``KeyedStream.reduce``, Spark
-  ``updateStateByKey``, Beam GroupByKey) as hoisted per-chunk loops over
-  the owner's keyed-state dict.
 - ``nexmark_q3`` / ``nexmark_q4`` / ``nexmark_q5``: running-state kernels
   for the stateful Nexmark queries over decoded events; when composed
   directly after ``nexmark_decode`` the plan compiler fuses the pair into
@@ -122,12 +127,13 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   takes the exact reference path (decode then process) and raises
   identically.
 - ``windowed_aggregate``: trigger-less windowed panes
-  (``repro.dataflow.windowing``) with the ``FixedWindows`` assignment
-  arithmetic inlined; ``AfterCount`` triggers deliberately declare no
-  spec and run ``process_batch`` (a documented fallback edge).  The slab path
-  serves only owners that count per ``first_word`` over ``event_time``
-  (:mod:`repro.workloads.aol`); a chunk with a line it cannot prove the
-  reference parses the same way takes the hoisted loop whole.
+  (``repro.dataflow.windowing``); ``AfterCount`` triggers deliberately
+  declare no spec and run ``process_batch`` (a documented fallback
+  edge).  The slab path serves only owners that count per
+  ``first_word`` over ``event_time`` (:mod:`repro.workloads.aol`); a
+  window with a line it cannot prove the reference parses the same way,
+  and any list chunk, flushes the tally and runs the owner's
+  ``process_batch``.
 """
 
 from __future__ import annotations
@@ -143,7 +149,7 @@ import numpy as _np
 from numpy.lib.stride_tricks import sliding_window_view as _sliding_window_view
 
 _NL = 10  # ord("\n")
-_MIN_BULK = 32  # below this, comprehension fallbacks win
+_MIN_BULK = 32  # below this, statistics folds Python floats, not arrays
 #: Rows a whole-slab derivation (:meth:`WorkloadSlab.derived`) parses at
 #: once: about 1 MB of AOL lines, so its temporaries stay near that size.
 _DERIVE_BLOCK = 1 << 14
@@ -505,8 +511,7 @@ class KernelSpec:
     ``bernoulli``, ``column``, ``identity``, ``item``, ``kv_value``,
     ``record_kv``, ``ensure_kv``, ``nexmark_decode``.  Stateful kinds
     (which carry the declaring function as ``owner``): ``wordcount``,
-    ``distinct_count``, ``statistics``, ``keyed_reduce``,
-    ``update_state``, ``group_by_key``, ``nexmark_q3``, ``nexmark_q4``,
+    ``distinct_count``, ``statistics``, ``nexmark_q3``, ``nexmark_q4``,
     ``nexmark_q5``, ``windowed_aggregate``.
     """
 
@@ -584,24 +589,6 @@ class KernelSpec:
         """Running ``(min, max, mean)`` of the query-column length, state
         in ``owner.minimum``/``maximum``/``total``/``count``."""
         return cls("statistics", owner=owner)
-
-    @classmethod
-    def keyed_reduce(cls, owner: Any) -> "KernelSpec":
-        """Flink ``KeyedStream.reduce`` semantics over ``owner.state``
-        with ``owner.key_selector``/``value_selector``/``reducer``."""
-        return cls("keyed_reduce", owner=owner)
-
-    @classmethod
-    def update_state(cls, owner: Any) -> "KernelSpec":
-        """Spark ``updateStateByKey`` semantics over ``owner.state`` with
-        ``owner.update_fn`` on ``(key, value)`` pairs."""
-        return cls("update_state", owner=owner)
-
-    @classmethod
-    def group_by_key(cls, owner: Any) -> "KernelSpec":
-        """Beam GroupByKey buffering into ``owner.groups`` (bounded,
-        globally-windowed: pairs surface from ``owner.finish()``)."""
-        return cls("group_by_key", owner=owner)
 
     @classmethod
     def nexmark_q3(cls, owner: Any) -> "KernelSpec":
@@ -795,33 +782,32 @@ class PairValueKernel(Kernel):
 
 
 class GrepKernel(Kernel):
-    """``contains`` as a two-phase ``uint16`` lane scan with gather verify.
+    """``contains`` over a slab as a memoised selection of its hit rows.
 
-    The first two needle bytes are compared as aligned little-endian
-    ``uint16`` lanes at both phases (covering every byte offset); the
-    remaining needle bytes are checked by sparse gathers at the candidate
-    positions only.  On a slab window the hits come back as a
-    :class:`SlabColumn` selection of the slab, cut from the slab's
-    memoised hit rows (:meth:`WorkloadSlab.derived`), which one scan of
-    the whole slab builds in blocks of :data:`_DERIVE_BLOCK` rows: no
-    string is built, and every grep over the slab after the first scans
-    nothing.
+    On a slab window the hits come back as a :class:`SlabColumn`
+    selection of the slab, cut from the slab's memoised hit rows
+    (:meth:`WorkloadSlab.derived`): no string is built, and every grep
+    over the slab after the first scans nothing.  One scan of the whole
+    slab, in blocks of :data:`_DERIVE_BLOCK` rows, builds them: the first
+    two needle bytes are compared as aligned little-endian ``uint16``
+    lanes at both phases (covering every byte offset), and the remaining
+    needle bytes are checked by sparse gathers at the candidate positions
+    only.  Any other chunk runs the reference comprehension.
     """
 
     def __init__(self, needle: str) -> None:
         self.needle = needle
-        self._bulk = len(needle) >= 2 and needle.isascii() and "\n" not in needle
-        if self._bulk:
+        self.supports_slab = len(needle) >= 2 and needle.isascii() and "\n" not in needle
+        if self.supports_slab:
             encoded = needle.encode("ascii")
             self._word = int.from_bytes(encoded[:2], "little")
             self._tail = _np.frombuffer(encoded[2:], _np.uint8)
             self._u2 = _np.dtype("<u2")
             self._key = ("contains", needle)
-        self.supports_slab = self._bulk
 
     def _scan(self, data, size: int):
-        """Sorted byte positions of every needle occurrence in ``data``
-        (a ``bytes``-like buffer or a ``uint8`` array)."""
+        """Sorted byte positions of every needle occurrence in ``data``, a
+        ``uint8`` array of ``size`` bytes, or ``None``."""
         word = self._word
         candidates = []
         for phase in range(2):
@@ -839,10 +825,9 @@ class GrepKernel(Kernel):
         if len(tail):
             pos = pos[pos <= size - (len(tail) + 2)]
             if len(pos):
-                arr = _np.frombuffer(data, _np.uint8)
-                ok = arr[pos + 2] == tail[0]
+                ok = data[pos + 2] == tail[0]
                 for j in range(1, len(tail)):
-                    ok &= arr[pos + 2 + j] == tail[j]
+                    ok &= data[pos + 2 + j] == tail[j]
                 pos = pos[ok]
         if not len(pos):
             return None
@@ -851,36 +836,7 @@ class GrepKernel(Kernel):
 
     def __call__(self, values: Sequence[Any]) -> list:
         needle = self.needle
-        if not self._bulk or len(values) < _MIN_BULK:
-            return [v for v in values if needle in v]
-        try:
-            blob = "\n".join(values)
-        except TypeError:  # non-str values: the reference semantics decide
-            return [v for v in values if needle in v]
-        if not blob.isascii():
-            return [v for v in values if needle in v]
-        data = blob.encode("ascii")
-        arr = _np.frombuffer(data, _np.uint8)
-        if int(_np.count_nonzero(arr == _NL)) != len(values) - 1:
-            # some line embeds a newline: blob offsets are ambiguous
-            return [v for v in values if needle in v]
-        positions = self._scan(data, len(data))
-        if positions is None:
-            return []
-        # A match never spans lines (the needle contains no newline), so
-        # each hit lies inside exactly one line of the blob.
-        out: list = []
-        find, rfind = blob.find, blob.rfind
-        line_end = -1
-        for p in positions.tolist():
-            if p < line_end:
-                continue  # another hit in a line already emitted
-            start = rfind("\n", 0, p) + 1
-            line_end = find("\n", p)
-            if line_end == -1:
-                line_end = len(blob)
-            out.append(blob[start:line_end])
-        return out
+        return [v for v in values if needle in v]
 
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
@@ -907,7 +863,7 @@ class GrepKernel(Kernel):
         return _np.concatenate(parts)
 
     def describe(self) -> str:
-        return f"grep[u2-scan {self.needle!r}]" if self._bulk else (
+        return f"grep[u2-scan {self.needle!r}]" if self.supports_slab else (
             f"grep[comprehension {self.needle!r}]"
         )
 
@@ -1088,13 +1044,12 @@ class ColumnKernel(Kernel):
 class FusedKernel(Kernel):
     """A generated single-comprehension kernel (closure-free)."""
 
-    def __init__(self, fn: Callable, args: tuple, source: str) -> None:
+    def __init__(self, fn: Callable, source: str) -> None:
         self._fn = fn
-        self._args = args
         self.source = source
 
     def __call__(self, values: Sequence[Any]) -> list:
-        return self._fn(values, *self._args)
+        return self._fn(values)
 
     def describe(self) -> str:
         return f"fused[{self.source.splitlines()[1].strip()}]"
@@ -1126,21 +1081,30 @@ class ChainKernel(Kernel):
 
 
 # ---------------------------------------------------------------------------
-# Keyed & stateful kernels
+# Stateful kernels
 #
-# Each kernel below compiles one keyed/stateful operator shape.  None of
-# them owns state: they mutate the owner function's containers in place and
+# Each kernel below compiles one stateful operator shape.  None of them
+# owns state: they mutate the owner function's containers in place and
 # re-fetch them on every call (restore() rebinds them), so snapshots,
 # recovery and drain always observe reference-identical state.  Only the
 # windowed slab path adopts state, a pane tally that flush() writes into
-# the owner's panes; the pump flushes before any of those observers.
+# the owner's panes; the pump flushes before any of those observers.  The
+# AOL query kernels serve slab windows; a list chunk runs the owner's own
+# process_batch.
 
 
 class StatefulKernel(Kernel):
-    """Base for kernels that mutate their owner function's state in place."""
+    """Base for kernels that mutate their owner function's state in place.
+
+    A chunk the kernel has no fast path for runs the owner's own
+    ``process_batch``.
+    """
 
     def __init__(self, fn: Any) -> None:
         self._fn = fn
+
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
+        return self._fn.process_batch(values)
 
     def describe(self) -> str:
         label = getattr(self._fn, "name", type(self._fn).__name__)
@@ -1331,13 +1295,7 @@ _COUNT_LIMIT = 1 << 62
 
 
 class WordCountKernel(StatefulKernel):
-    """Running word count: bulk column extraction + one hoisted loop.
-
-    The reference splits, counts and emits record by record; the kernel
-    extracts the query column of the whole chunk, splits all columns as
-    one newline-joined text — newline is whitespace, so per-line word
-    order is preserved — and updates ``owner.counts`` in one hoisted loop
-    emitting the identical ``(word, count)`` stream.
+    """Running word count over slab windows, as NumPy arithmetic on ids.
 
     On a slab window it builds no word and no pair: it reads the window's
     words as ids from the slab's memoised word codes
@@ -1351,27 +1309,13 @@ class WordCountKernel(StatefulKernel):
     decoded by the slab's word lookup, and the counts.  A prior count
     that is not an ``int``, or not far inside int64's range, sends the
     whole window through the hoisted loop over its slice of the memoised
-    query field, so a restored float count is added to one word at a
-    time, as the reference adds it.
-
-    A malformed record stops the extraction; the columns extracted before
-    it are counted and its error re-raised, which leaves the owner
-    exactly where the reference loop leaves it.
+    query field (newline is whitespace, so per-line word order is
+    preserved), so a restored float count is added to one word at a
+    time, as the reference adds it.  Any other chunk runs the owner's
+    ``process_batch``.
     """
 
     supports_slab = True
-
-    def __call__(self, values: Sequence[Any]) -> list:
-        columns = []
-        append = columns.append
-        try:
-            for line in values:
-                parts = line.split("\t", 2)
-                append(parts[1] if len(parts) > 1 else line)
-        except Exception:
-            self._count("\n".join(columns))
-            raise
-        return self._count("\n".join(columns))
 
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
@@ -1415,28 +1359,15 @@ class WordCountKernel(StatefulKernel):
 
 
 class DistinctCountKernel(StatefulKernel):
-    """Running distinct-query count as one hoisted membership loop.
+    """Running distinct-query count over slab windows.
 
-    The loop reads query columns: split from each record, or, on a slab
-    window, split on newlines from the window's slice of the slab's
-    memoised query field (:func:`_query_field`).  A malformed record
-    stops the extraction; the columns extracted before it are counted
-    and its error re-raised, as the reference loop leaves the owner.
+    One hoisted membership loop reads a slab window's query columns,
+    split on newlines from the window's slice of the slab's memoised
+    query field (:func:`_query_field`).  Any other chunk runs the owner's
+    ``process_batch``.
     """
 
     supports_slab = True
-
-    def __call__(self, values: Sequence[Any]) -> list:
-        columns = []
-        append = columns.append
-        try:
-            for line in values:
-                parts = line.split("\t", 2)
-                append(parts[1] if len(parts) > 1 else line)
-        except Exception:
-            self._count(columns)
-            raise
-        return self._count(columns)
 
     def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
         if not values:
@@ -1461,38 +1392,21 @@ class DistinctCountKernel(StatefulKernel):
 
 
 class StatisticsKernel(StatefulKernel):
-    """Running ``(min, max, mean)`` of the query length, in bulk.
+    """Running ``(min, max, mean)`` of the query length over slab windows.
 
-    Every accumulated quantity is an integer-valued double far below
-    2**53, so NumPy's sequential accumulates are exact and folding the
-    prior totals in after the fact equals the reference's running fold.
-    The bulk fold returns its minima, maxima and means arrays as a
-    :class:`FieldColumn` of ``(min, max, mean)`` triples, which the
-    output log adopts; small chunks take a hoisted reference-shaped loop
-    that returns a list.
-
-    The chunk's query lengths are parsed first and folded second.  A
-    malformed record stops the parse; the lengths parsed before it are
-    folded and its error re-raised, which leaves the owner exactly where
-    the reference loop leaves it.  On a slab window the lengths are the
-    differences of the slab's memoised query-field offsets
-    (:func:`_query_field`), less each column's newline; no string is
-    read.
+    A slab window's lengths are the differences of the slab's memoised
+    query-field offsets (:func:`_query_field`), less each column's
+    newline; no string is read.  Every accumulated quantity is an
+    integer-valued double far below 2**53, so NumPy's sequential
+    accumulates are exact and folding the prior totals in after the fact
+    equals the reference's running fold.  The bulk fold returns its
+    minima, maxima and means arrays as a :class:`FieldColumn` of ``(min,
+    max, mean)`` triples, which the output log adopts; a window shorter
+    than :data:`_MIN_BULK` takes a hoisted reference-shaped loop that
+    returns a list.  Any other chunk runs the owner's ``process_batch``.
     """
 
     supports_slab = True
-
-    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
-        lengths: list = []
-        append = lengths.append
-        try:
-            for line in values:
-                parts = line.split("\t", 2)
-                append(float(len(parts[1] if len(parts) > 1 else line)))
-        except Exception:
-            self._fold(lengths)
-            raise
-        return self._fold(lengths)
 
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
@@ -1504,15 +1418,14 @@ class StatisticsKernel(StatefulKernel):
         return self._fold(lengths.astype(_np.float64))
 
     def _fold(self, lengths) -> Sequence[Any]:
-        """Fold parsed lengths, a list or a float64 array, into the owner
-        state (reference order)."""
+        """Fold a float64 array of lengths into the owner state (reference
+        order)."""
         fn = self._fn
         n = len(lengths)
         if n < _MIN_BULK:
-            if type(lengths) is not list:
-                # Python floats, like the reference's ``float(len(...))``:
-                # no NumPy scalar may reach the owner state.
-                lengths = lengths.tolist()
+            # Python floats, like the reference's ``float(len(...))``: no
+            # NumPy scalar may reach the owner state.
+            lengths = lengths.tolist()
             out: list = []
             emit = out.append
             minimum, maximum = fn.minimum, fn.maximum
@@ -1527,10 +1440,9 @@ class StatisticsKernel(StatefulKernel):
                 minimum, maximum, total, count,
             )
             return out
-        arr = _np.asarray(lengths, _np.float64)
-        minima = _np.minimum(_np.minimum.accumulate(arr), fn.minimum)
-        maxima = _np.maximum(_np.maximum.accumulate(arr), fn.maximum)
-        totals = _np.cumsum(arr)
+        minima = _np.minimum(_np.minimum.accumulate(lengths), fn.minimum)
+        maxima = _np.maximum(_np.maximum.accumulate(lengths), fn.maximum)
+        totals = _np.cumsum(lengths)
         totals += fn.total
         counts = _np.arange(fn.count + 1, fn.count + n + 1, dtype=_np.float64)
         fn.minimum = float(minima[-1])
@@ -1538,67 +1450,6 @@ class StatisticsKernel(StatefulKernel):
         fn.total = float(totals[-1])
         fn.count += n
         return FieldColumn((minima, maxima, totals / counts))
-
-
-class KeyedReduceKernel(StatefulKernel):
-    """Flink ``KeyedStream.reduce``: one hoisted loop over the chunk."""
-
-    def __call__(self, values: Sequence[Any]) -> list:
-        fn = self._fn
-        key_of = fn.key_selector
-        value_of = fn.value_selector
-        reduce = fn.reducer
-        state = fn.state
-        out: list = []
-        append = out.append
-        for value in values:
-            key = key_of(value)
-            incoming = value_of(value)
-            if key in state:
-                incoming = reduce(state[key], incoming)
-            state[key] = incoming
-            append((key, incoming))
-        return out
-
-
-class UpdateStateKernel(StatefulKernel):
-    """Spark ``updateStateByKey``: one hoisted loop over the chunk."""
-
-    def __call__(self, values: Sequence[Any]) -> list:
-        fn = self._fn
-        update = fn.update_fn
-        state = fn.state
-        get = state.get
-        out: list = []
-        append = out.append
-        for value in values:
-            key, payload = value
-            new_state = update(payload, get(key))
-            state[key] = new_state
-            append((key, new_state))
-        return out
-
-
-class GroupByKeyKernel(StatefulKernel):
-    """Beam GroupByKey (bounded, global window): bulk buffering.
-
-    Emits nothing per chunk — grouped pairs surface from the owner's
-    ``finish()`` during the pump's drain, reading the same ``groups``
-    dict this kernel fills.  Non-pair inputs raise the identical
-    ``BeamError`` the reference raises.
-    """
-
-    def __call__(self, values: Sequence[Any]) -> list:
-        setdefault = self._fn.groups.setdefault
-        for value in values:
-            if not (isinstance(value, tuple) and len(value) == 2):
-                from repro.beam.errors import BeamError
-
-                raise BeamError(
-                    f"GroupByKey expects (key, value) pairs, got {value!r}"
-                )
-            setdefault(value[0], []).append(value[1])
-        return []
 
 
 class NexmarkDecodeKernel(Kernel):
@@ -1733,38 +1584,32 @@ def _pane_codes(slab: WorkloadSlab, size: float, offset: float) -> tuple:
 
 
 class WindowedAggregateKernel(StatefulKernel):
-    """Trigger-less windowed panes as one hoisted loop.
+    """Trigger-less windowed panes over slab windows, as a pane-code tally.
 
-    Inlines the ``FixedWindows`` assignment arithmetic (identical double
-    operations, with degenerate results delegated back to ``assign`` so
-    its validation raises identically); other window functions call
-    ``assign`` per element.  Only trigger-less owners declare the spec —
-    ``AfterCount`` runs ``process_batch``.
-
-    The slab path serves owners that count per
+    Only trigger-less owners declare the spec — ``AfterCount`` runs
+    ``process_batch``.  The slab path serves owners that count per
     :func:`~repro.workloads.aol.first_word` over
     :func:`~repro.workloads.aol.event_time` in ``FixedWindows`` from an
     ``int`` initial value (no filter, no reducer).  A slab window reads
     its rows of the slab's memoised pane codes (:func:`_pane_codes`,
     keyed by the window size and offset): the event time comes from the
     eight ``QueryTime`` digits in integer arithmetic, the window index
-    from the same double operations as the loop below, and each first
-    word from the query span up to its first space; each row's int64
-    code holds the window index above the first word's id in the slab's
-    word list.  The kernel counts the window's codes in one ``Counter``
+    from the same double operations as ``FixedWindows.assign``, and each
+    first word from the query span up to its first space; each row's
+    int64 code holds the window index above the first word's id in the
+    slab's word list.  The kernel counts the window's codes in one ``Counter``
     whose insertion order is the panes' first occurrence.  The tally is
     adopted state, like the sample kernel's RNG, and belongs to one slab:
     ``flush`` writes it into ``owner.panes`` once per distinct pane,
     mapping ids through that slab's words and computing the window
     bounds with the same double operations, and the kernel flushes
-    before it tallies a window of another slab.  ``__call__`` flushes
-    before it folds anything.  A window with any line the reference
-    would parse differently or reject — fewer than two tabs, a time
-    field shorter than 19 bytes, a non-digit at a digit position, a
-    window with ``end <= start`` — takes the hoisted loop whole, so
-    values, pane order and the state at a raise stay the reference's; so
-    do window indices of 2**42 or more and first words past the slab's
-    2**20th.
+    before it tallies a window of another slab.  Any other chunk, and a
+    window with any line the reference would parse differently or reject
+    — fewer than two tabs, a time field shorter than 19 bytes, a
+    non-digit at a digit position, a window with ``end <= start``, a
+    window index of 2**42 or more, a first word past the slab's 2**20th
+    — flushes the tally and runs the owner's ``process_batch`` whole, so
+    values, pane order and the state at a raise stay the reference's.
     """
 
     def __init__(self, fn: Any) -> None:
@@ -1772,16 +1617,16 @@ class WindowedAggregateKernel(StatefulKernel):
         from repro.beam.window import FixedWindows
         from repro.workloads.aol import event_time, first_word
 
-        self._fixed = type(fn.window_fn) is FixedWindows
+        fixed = type(fn.window_fn) is FixedWindows
         self.supports_slab = (
-            self._fixed
+            fixed
             and fn.filter_fn is None
             and fn.reducer is None
             and fn.key_fn is first_word
             and fn.timestamp_fn is event_time
             and type(fn.initial) is int
         )
-        if self._fixed:
+        if fixed:
             self._key = ("panes", fn.window_fn.size, fn.window_fn.offset)
         self._tally: Counter = Counter()
         self._words: list = []  # the tally's slab's id -> first word list
@@ -1837,38 +1682,9 @@ class WindowedAggregateKernel(StatefulKernel):
                     value = value + 1
             panes[key] = value
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
         self.flush()
-        fn = self._fn
-        panes = fn.panes
-        get = panes.get
-        keep = fn.filter_fn
-        key_of = fn.key_fn
-        ts_of = fn.timestamp_fn
-        reducer = fn.reducer
-        initial = fn.initial
-        window_fn = fn.window_fn
-        fixed = self._fixed
-        if fixed:
-            size, offset = window_fn.size, window_fn.offset
-        for value in values:
-            if keep is not None and not keep(value):
-                continue
-            timestamp = ts_of(value)
-            if fixed:
-                start = ((timestamp - offset) // size) * size + offset
-                end = start + size
-                if not end > start:  # inf/NaN timestamps: validate exactly
-                    window_fn.assign(timestamp)
-            else:
-                window = window_fn.assign(timestamp)
-                start, end = window.start, window.end
-            key = (key_of(value), start, end)
-            if reducer is None:
-                panes[key] = get(key, initial) + 1
-            else:
-                panes[key] = reducer(get(key, initial), value)
-        return []
+        return super().__call__(values)
 
 
 class NexmarkQ3WireKernel(StatefulKernel):
@@ -2068,9 +1884,6 @@ _STATEFUL_KINDS: dict[str, Callable[[KernelSpec], Kernel]] = {
     "wordcount": lambda spec: WordCountKernel(spec.owner),
     "distinct_count": lambda spec: DistinctCountKernel(spec.owner),
     "statistics": lambda spec: StatisticsKernel(spec.owner),
-    "keyed_reduce": lambda spec: KeyedReduceKernel(spec.owner),
-    "update_state": lambda spec: UpdateStateKernel(spec.owner),
-    "group_by_key": lambda spec: GroupByKeyKernel(spec.owner),
     "nexmark_q3": lambda spec: NexmarkQ3Kernel(spec.owner),
     "nexmark_q4": lambda spec: NexmarkQ4Kernel(spec.owner),
     "nexmark_q5": lambda spec: WindowedAggregateKernel(spec.owner),
@@ -2089,9 +1902,8 @@ _WIRE_FUSED_KINDS: dict[str, Callable[[Any], Kernel]] = {
 # ---------------------------------------------------------------------------
 # Fused-comprehension codegen
 
-# Comprehension fragments per spec kind: (role, template, args).  Filter
-# templates always test the raw loop variable (fusion breaks a segment at
-# a filter-after-map); map templates nest into each other textually.
+# Comprehension fragments per spec kind: map templates over ``{v}`` that
+# nest into each other textually.
 #
 # The compiled-function memo is bounded like the slab cache: long matrix
 # runs over many distinct operator chains evict oldest-first instead of
@@ -2100,58 +1912,28 @@ _FUSE_CACHE: dict = {}
 _FUSE_CACHE_MAX = 128
 
 
-def _fragment(spec: KernelSpec):
-    if spec.kind == "contains":
-        return ("filter", "{0} in {v}", (spec.needle,))
-    if spec.kind == "bernoulli":
-        # A bound-method draw per surviving record, in record order —
-        # identical stream to the reference loop.
-        return ("filter", "{0}() < {1}", (spec.rng.random, spec.fraction))
-    if spec.kind == "column":
-        return ("map", "{v}.split({0})[%d]" % spec.index, (spec.sep,))
+def _fragment(spec: KernelSpec) -> str:
     if spec.kind == "item":
-        return ("map", "{v}[%d]" % spec.index, ())
+        return "{v}[%d]" % spec.index
     if spec.kind == "kv_value":
-        return (
-            "map",
-            "({v}[1] if isinstance({v}, tuple) and len({v}) == 2 else {v})",
-            (),
-        )
+        return "({v}[1] if isinstance({v}, tuple) and len({v}) == 2 else {v})"
     raise ValueError(f"spec kind {spec.kind!r} has no comprehension fragment")
 
 
-def _fuse(frags: list) -> FusedKernel:
-    """Generate one comprehension for filters-then-maps fragments."""
-    names: list[str] = []
-    args: list = []
-    conds: list[str] = []
+def _fuse(templates: list) -> FusedKernel:
+    """Generate one comprehension that applies the map templates in order."""
     expr = "v"
-    for role, template, frag_args in frags:
-        frag_names = []
-        for value in frag_args:
-            frag_names.append(f"_a{len(args)}")
-            args.append(value)
-        names.extend(frag_names)
-        rendered = template.format(*frag_names, v=expr)
-        if role == "filter":
-            conds.append(rendered)
-        else:
-            expr = rendered
-    key = tuple((role, template, len(frag_args)) for role, template, frag_args in frags)
-    fn = _FUSE_CACHE.get(key)
-    params = "".join(f", {name}" for name in names)
-    suffix = f" if {' and '.join(conds)}" if conds else ""
-    source = (
-        f"def _fused(values{params}):\n"
-        f"    return [{expr} for v in values{suffix}]"
-    )
+    for template in templates:
+        expr = template.format(v=expr)
+    source = f"def _fused(values):\n    return [{expr} for v in values]"
+    fn = _FUSE_CACHE.get(source)
     if fn is None:
         namespace: dict = {}
         exec(compile(source, "<repro.dataflow.kernels>", "exec"), namespace)
         while len(_FUSE_CACHE) >= _FUSE_CACHE_MAX:
             _FUSE_CACHE.pop(next(iter(_FUSE_CACHE)))
-        fn = _FUSE_CACHE[key] = namespace["_fused"]
-    return FusedKernel(fn, tuple(args), source)
+        fn = _FUSE_CACHE[source] = namespace["_fused"]
+    return FusedKernel(fn, source)
 
 
 # ---------------------------------------------------------------------------
@@ -2170,15 +1952,12 @@ _BULK_KINDS = {
 
 def _build_chain(specs: list) -> Kernel:
     ops: list[Kernel] = []
-    pending: list = []  # comprehension fragments awaiting fusion
-    pending_mapped = False
+    pending: list = []  # map templates awaiting fusion
 
     def flush_pending() -> None:
-        nonlocal pending_mapped
         if pending:
             ops.append(_fuse(pending))
             pending.clear()
-        pending_mapped = False
 
     for spec in specs:
         if spec.kind == "identity":
@@ -2195,34 +1974,10 @@ def _build_chain(specs: list) -> Kernel:
             # kernel can hand a pair column's value column on.
             ops.append(PairValueKernel(_fuse([_fragment(spec)])))
             continue
-        role, template, frag_args = _fragment(spec)
-        if role == "filter" and pending_mapped:
-            flush_pending()  # filters must test the raw loop variable
-        pending.append((role, template, frag_args))
-        if role == "map":
-            pending_mapped = True
+        pending.append(_fragment(spec))
     flush_pending()
     if not ops:
         return IdentityKernel()
     if len(ops) == 1:
         return ops[0]
     return ChainKernel(ops)
-
-
-def compile_function(function: Any) -> Kernel | None:
-    """Compile a :class:`StreamFunction` into a kernel, or ``None``.
-
-    ``ComposedFunction`` chains compile only when *every* part declares a
-    spec; anything unspecced keeps the ``process_batch`` tier.
-    """
-    from repro.dataflow.functions import ComposedFunction
-
-    if isinstance(function, ComposedFunction):
-        specs = [getattr(part, "kernel_spec", None) for part in function.parts]
-        if not specs or any(spec is None for spec in specs):
-            return None
-        return _build_chain(specs)
-    spec = getattr(function, "kernel_spec", None)
-    if spec is None:
-        return None
-    return _build_chain([spec])

@@ -11,7 +11,6 @@ from repro.dataflow.functions import (
     StreamFunction,
 )
 from repro.dataflow.graph import LogicalGraph, LogicalOperator, OperatorKind
-from repro.dataflow.kernels import KernelSpec
 from repro.engines.flink.cluster import FlinkCluster
 from repro.engines.flink.errors import JobGraphError
 from repro.engines.flink.executor import execute_job
@@ -44,7 +43,6 @@ class KeyedReduceFunction(StreamFunction):
         self.name = name
         self.cost_weight = cost_weight
         self.state: dict[Any, Any] = {}
-        self.kernel_spec = KernelSpec.keyed_reduce(self)
 
     def process(self, value: Any) -> list[tuple[Any, Any]]:
         key = self.key_selector(value)

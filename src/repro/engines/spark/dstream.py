@@ -11,7 +11,6 @@ from repro.dataflow.functions import (
     MapFunction,
     StreamFunction,
 )
-from repro.dataflow.kernels import KernelSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.spark.streaming import StreamingContext
@@ -38,7 +37,6 @@ class UpdateStateByKeyFunction(StreamFunction):
         self.name = name
         self.cost_weight = cost_weight
         self.state: dict[Any, Any] = {}
-        self.kernel_spec = KernelSpec.update_state(self)
 
     def process(self, value: Any) -> list[tuple[Any, Any]]:
         key, payload = value

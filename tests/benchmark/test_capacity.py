@@ -1,5 +1,6 @@
 """Tests for repro.benchmark.capacity: probes, knee search, determinism."""
 
+import itertools
 import random
 from array import array
 from dataclasses import fields
@@ -26,6 +27,8 @@ from repro.workloads.aol import AolWorkload
 
 
 SMALL = CapacitySettings(records=2_000, queue_bound=500, search_iterations=3)
+#: The queries of the repository benchmark's ``capacity-sweep`` workload.
+SWEEP_QUERIES = ("grep", "sample", "statistics", "windowed")
 
 
 def config(**overrides):
@@ -174,13 +177,26 @@ class TestProbeFlush:
         assert len(states[True]) == parallelism
         assert states[True] == states[False]
 
-    @pytest.mark.parametrize("query, seed", (("grep", 8202), ("sample", 8203)))
-    def test_parallel_probe_decodes_nothing(self, query, seed):
-        """The pool joins its shards' row selections without decoding the
-        probe's workload slab (each seed is used by no other test)."""
+    @pytest.mark.parametrize(
+        "query, seed, kind",
+        [
+            pytest.param(
+                query, seed, kind, id=f"{query}-{seed}" + ("-beam" if kind == "beam" else "")
+            )
+            for seed, (kind, query) in enumerate(
+                itertools.product(("native", "beam"), SWEEP_QUERIES), start=8202
+            )
+        ],
+    )
+    def test_parallel_probe_decodes_nothing(self, query, seed, kind):
+        """Every query of the benchmark's capacity sweep, on either kind,
+        hands its shards slab windows and joins their outputs without
+        decoding the probe's workload slab: a shard that fell onto a
+        kernel's list path would decode it (each seed is used by no other
+        test)."""
         cfg = BenchmarkConfig(seed=seed)
         workload = AolWorkload(cfg.capacity.records, seed=seed).columnar()
-        run_probe(cfg, "flink", query, 50_000.0, parallelism=2)
+        run_probe(cfg, "flink", query, 50_000.0, kind=kind, parallelism=2)
         assert workload.to_slab().records is None
 
 

@@ -248,7 +248,7 @@ def test_wordcount_slab_path_equals_reference(chunked):
 
 class _NoLoop(WindowedAggregateKernel):
     def __call__(self, values):
-        raise AssertionError("the chunk fell back to the hoisted loop")
+        raise AssertionError("the chunk fell back to process_batch")
 
 
 def test_windowed_slab_path_parses_clean_aol_chunks():

@@ -30,10 +30,11 @@ from repro.dataflow.kernels import (
     IdentityKernel,
     KernelSpec,
     SampleKernel,
+    SlabColumn,
     WorkloadSlab,
-    compile_function,
+    run_kernel,
 )
-from tests.slabs import slab_of
+from tests.slabs import slab_column, slab_of
 
 
 def ref_grep(needle, values):
@@ -49,54 +50,70 @@ def ref_column(index, sep, values):
 
 
 class TestGrepKernel:
+    """The u2 scan runs only inside the slab's hit-row derivation, so its
+    edge cases go through the slab path; any other chunk runs the
+    reference comprehension."""
+
+    def grep(self, needle, values):
+        """``needle``'s grep over ``values`` as one slab window, which
+        must come back as a selection of the slab's rows."""
+        out = run_kernel(GrepKernel(needle), slab_column(values))
+        assert type(out) is SlabColumn and out.rows is not None
+        return out
+
     def test_bulk_matches_reference(self):
         values = [f"row {i} of the test data" if i % 3 else f"row {i}" for i in range(500)]
-        kernel = GrepKernel("test")
-        assert kernel(values) == ref_grep("test", values)
+        assert self.grep("test", values) == ref_grep("test", values)
 
-    def test_needle_at_line_boundaries(self):
-        """Hits at line starts, line ends, and exact blob edges."""
-        values = ["abXY", "XYab", "XY", "aXYb", "noope", "xXY"]  # XY everywhere
-        kernel = GrepKernel("XY")
-        # force the bulk path despite the small chunk
-        values = values * 10
-        assert kernel(values) == ref_grep("XY", values)
+    def test_needle_at_line_boundaries(self, monkeypatch):
+        """Hits at line starts and ends, and at the first and last byte of
+        the buffer and of every derivation block."""
+        values = ["XYab", "abXY", "XY", "aXYb", "noope", "xXY"]
+        for block in (kernels._DERIVE_BLOCK, 1, 2, 4):
+            monkeypatch.setattr(kernels, "_DERIVE_BLOCK", block)
+            assert self.grep("XY", values) == ref_grep("XY", values)
+            assert self.grep("XYa", values) == ref_grep("XYa", values)
 
     def test_needle_spanning_lines_never_matches(self):
-        """'b\\na' appears in the joined blob but in no single record."""
-        values = ["xb", "ay"] * 40
-        kernel = GrepKernel("ba")
-        assert kernel(values) == []
+        """The needle's first two bytes end one line and its tail begins
+        the next; the newline between them fails the tail verify, also
+        where the buffer ends mid-needle."""
+        values = ["my te", "st", "te", "xtest", "a te"]
+        assert self.grep("test", values) == ["xtest"]
+        assert self.grep("test", values[:3]) == []
 
     def test_multiple_hits_in_one_line_dedup(self):
-        values = ["XY and XY and XY", "plain"] * 40
-        kernel = GrepKernel("XY")
-        assert kernel(values) == ref_grep("XY", values)
+        values = ["XY and XY and XY", "plain", "XYXY"] * 40
+        assert self.grep("XY", values) == ref_grep("XY", values)
+
+    def test_non_ascii_needle_falls_back(self):
+        values = ["héllo", "hello"] * 40
+        kernel = GrepKernel("é")
+        assert not kernel.supports_slab
+        assert kernel(values) == ref_grep("é", values)
+
+    def test_single_char_needle_falls_back(self):
+        """The u2 scan needs two needle bytes; a window under a one-byte
+        needle stays exact through the comprehension."""
+        values = ["abc", "xyz", "a"] * 40
+        kernel = GrepKernel("a")
+        assert not kernel.supports_slab
+        assert run_kernel(kernel, slab_column(values)) == ref_grep("a", values)
+
+    def test_needle_with_newline_falls_back(self):
+        values = ["one\ntwo", "three"] * 40
+        kernel = GrepKernel("e\nt")
+        assert not kernel.supports_slab
+        assert kernel(values) == ref_grep("e\nt", values)
+
+    # A list chunk runs the reference comprehension whatever it holds,
+    # including values that no slab can: non-ASCII lines, embedded
+    # newlines and non-str values.
 
     def test_non_ascii_values_fall_back(self):
         values = ["héllo test", "plain test", "nope"] * 20
         kernel = GrepKernel("test")
         assert kernel(values) == ref_grep("test", values)
-
-    def test_non_ascii_needle_falls_back(self):
-        values = ["héllo", "hello"] * 40
-        kernel = GrepKernel("é")
-        assert not kernel._bulk
-        assert kernel(values) == ref_grep("é", values)
-
-    def test_single_char_needle_falls_back(self):
-        """The u2 scan needs two needle bytes; one-byte needles stay exact
-        through the comprehension."""
-        values = ["abc", "xyz", "a"] * 40
-        kernel = GrepKernel("a")
-        assert not kernel._bulk
-        assert kernel(values) == ref_grep("a", values)
-
-    def test_needle_with_newline_falls_back(self):
-        values = ["one\ntwo", "three"] * 40
-        kernel = GrepKernel("e\nt")
-        assert not kernel._bulk
-        assert kernel(values) == ref_grep("e\nt", values)
 
     def test_values_with_embedded_newlines_fall_back(self):
         values = ["a\nXYb" if i % 5 == 0 else f"row{i}XY" for i in range(200)]
@@ -104,8 +121,8 @@ class TestGrepKernel:
         assert kernel(values) == ref_grep("XY", values)
 
     def test_non_str_values_fall_back_to_reference_semantics(self):
-        """Lists support ``in`` as membership: join fails, the fallback
-        comprehension applies the exact same (element) semantics."""
+        """Lists support ``in`` as membership, which the comprehension
+        applies exactly as the reference does."""
         values = [["xx", 2], [2, 3]] * 40
         kernel = GrepKernel("xx")
         assert kernel(values) == [v for v in values if "xx" in v]
@@ -118,8 +135,7 @@ class TestGrepKernel:
     def test_two_byte_needle_no_tail(self):
         """Needle of exactly two bytes skips the tail verify entirely."""
         values = [f"{i:04d}ab" if i % 2 else f"{i:04d}" for i in range(300)]
-        kernel = GrepKernel("ab")
-        assert kernel(values) == ref_grep("ab", values)
+        assert self.grep("ab", values) == ref_grep("ab", values)
 
     def test_describe_names_the_path(self):
         assert "u2-scan" in GrepKernel("test").describe()
@@ -585,7 +601,7 @@ class TestFusionAndChains:
                 IdentityFunction(),
             ]
         )
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert kernel is not None
         values = [f"a{i}\tb" for i in range(200)]
         ref_rng = random.Random(5)
@@ -596,21 +612,12 @@ class TestFusionAndChains:
         kernel.flush()
         assert out == expected
 
-    def test_composed_with_unspecced_part_does_not_compile(self):
-        fn = compose(
-            [
-                MapFunction(str.upper),  # no spec
-                IdentityFunction(),
-            ]
-        )
-        assert compile_function(fn) is None
-
     def test_unspecced_function_does_not_compile(self):
-        assert compile_function(MapFunction(str.upper)) is None
+        assert lower_stage(MapFunction(str.upper)) is None
 
     def test_identity_only_chain_is_identity(self):
         fn = compose([IdentityFunction(), IdentityFunction()])
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, IdentityKernel)
 
     def test_fused_comprehension_cache_reused(self):
@@ -622,8 +629,8 @@ class TestFusionAndChains:
         assert ka._fn is kb._fn  # compiled once, parameterized per instance
 
     def test_filter_after_map_breaks_fusion_segment(self):
-        """A filter must test the raw loop variable, so map→filter chains
-        split into sequential kernels rather than fusing wrongly."""
+        """Only maps fuse: a map→filter chain runs as sequential kernels,
+        the filter testing the mapped values."""
         fn = compose(
             [
                 MapFunction(lambda v: v[0], kernel_spec=KernelSpec.item(0)),
@@ -632,7 +639,8 @@ class TestFusionAndChains:
                 ),
             ]
         )
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
+        assert [type(op) for op in kernel.ops] == [FusedKernel, GrepKernel]
         values = [("xxab",), ("cd",)] * 40
         assert kernel(values) == [v[0] for v in values if "xx" in v[0]]
 
@@ -739,12 +747,21 @@ AOL_LIKE = [
 ] + ["no-separator-line", "user9\t\t3"]
 
 
+def slab_then_list(kernel, values, cut):
+    """``values`` through ``kernel``: rows before ``cut`` as a slab window
+    (the slab path), the rest as a list (the owner's ``process_batch``)."""
+    column = slab_column(values)
+    return list(run_kernel(kernel, column[:cut])) + run_kernel(
+        kernel, list(column[cut:])
+    )
+
+
 class TestWordCountKernel:
     def test_matches_reference_across_chunks(self):
         fn = make_wordcount()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.WordCountKernel)
-        out = kernel(AOL_LIKE[:101]) + kernel(AOL_LIKE[101:])
+        out = slab_then_list(kernel, AOL_LIKE, 101)
         ref = make_wordcount()
         assert out == ref_process(ref, AOL_LIKE)
         assert fn.counts == ref.counts
@@ -777,9 +794,9 @@ class TestWordCountKernel:
 class TestDistinctCountKernel:
     def test_matches_reference_across_chunks(self):
         fn = make_distinct()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.DistinctCountKernel)
-        out = kernel(AOL_LIKE[:77]) + kernel(AOL_LIKE[77:])
+        out = slab_then_list(kernel, AOL_LIKE, 77)
         ref = make_distinct()
         assert out == ref_process(ref, AOL_LIKE)
         assert fn.seen == ref.seen
@@ -788,90 +805,24 @@ class TestDistinctCountKernel:
 class TestStatisticsKernel:
     def test_bulk_matches_reference(self):
         fn = make_statistics()
-        kernel = compile_function(fn)
-        assert isinstance(kernel, kernels.StatisticsKernel)
-        out = kernel(AOL_LIKE[:150]) + kernel(AOL_LIKE[150:])
+        kernel = lower_stage(fn)
+        column = slab_column(AOL_LIKE)
+        first, second = run_kernel(kernel, column[:150]), run_kernel(kernel, column[150:])
+        assert type(first) is type(second) is kernels.FieldColumn
         ref = make_statistics()
-        assert out == ref_process(ref, AOL_LIKE)
+        assert list(first) + list(second) == ref_process(ref, AOL_LIKE)
         assert fn.snapshot() == ref.snapshot()
 
     def test_small_chunk_takes_hoisted_loop(self):
-        """Below _MIN_BULK the kernel's scalar loop must stay exact."""
+        """A window below _MIN_BULK rows folds Python floats into a list,
+        exactly as the reference does."""
         values = AOL_LIKE[: kernels._MIN_BULK - 1]
         fn = make_statistics()
-        out = kernels.StatisticsKernel(fn)(values)
+        out = run_kernel(kernels.StatisticsKernel(fn), slab_column(values))
+        assert type(out) is list
         ref = make_statistics()
-        assert out == ref_process(ref, values)
-        assert fn.snapshot() == ref.snapshot()
-
-
-class TestKeyedReduceKernel:
-    def test_matches_reference(self):
-        from repro.engines.flink.datastream import KeyedReduceFunction
-
-        def build():
-            return KeyedReduceFunction(
-                key_selector=lambda v: v[0],
-                reducer=lambda acc, new: acc + new,
-                value_selector=lambda v: v[1],
-            )
-
-        values = [(f"k{i % 5}", i) for i in range(100)]
-        fn = build()
-        kernel = compile_function(fn)
-        assert isinstance(kernel, kernels.KeyedReduceKernel)
-        out = kernel(values[:33]) + kernel(values[33:])
-        ref = build()
-        assert out == ref_process(ref, values)
-        assert fn.state == ref.state
-
-
-class TestUpdateStateKernel:
-    def test_matches_reference(self):
-        from repro.engines.spark.dstream import UpdateStateByKeyFunction
-
-        def build():
-            return UpdateStateByKeyFunction(
-                lambda new, old: (old or 0) + new
-            )
-
-        values = [(f"k{i % 4}", i) for i in range(80)]
-        fn = build()
-        kernel = compile_function(fn)
-        assert isinstance(kernel, kernels.UpdateStateKernel)
-        out = kernel(values[:41]) + kernel(values[41:])
-        ref = build()
-        assert out == ref_process(ref, values)
-        assert fn.state == ref.state
-
-
-class TestGroupByKeyKernel:
-    def test_buffers_and_emits_nothing(self):
-        from repro.beam.runners.util import GroupByKeyFunction
-
-        fn = GroupByKeyFunction()
-        kernel = compile_function(fn)
-        assert isinstance(kernel, kernels.GroupByKeyKernel)
-        assert kernel([("a", 1), ("b", 2), ("a", 3)]) == []
-        assert fn.groups == {"a": [1, 3], "b": [2]}
-        assert list(fn.finish()) == [("a", [1, 3]), ("b", [2])]
-
-    def test_non_pair_raises_beam_error_with_state_intact(self):
-        """The BeamError matches the reference, and records before the bad
-        one are already grouped — exactly the reference's state at raise."""
-        from repro.beam.errors import BeamError
-        from repro.beam.runners.util import GroupByKeyFunction
-
-        fn = GroupByKeyFunction()
-        kernel = kernels.GroupByKeyKernel(fn)
-        with pytest.raises(BeamError) as kernel_err:
-            kernel([("a", 1), "not-a-pair", ("b", 2)])
-        ref = GroupByKeyFunction()
-        with pytest.raises(BeamError) as ref_err:
-            for value in [("a", 1), "not-a-pair", ("b", 2)]:
-                ref.process(value)
-        assert str(kernel_err.value) == str(ref_err.value)
-        assert fn.groups == ref.groups == {"a": [1]}
+        assert repr(out) == repr(ref_process(ref, values))
+        assert repr(fn.snapshot()) == repr(ref.snapshot())
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1012,7 @@ class TestWindowedAggregateKernel:
     def test_fixed_windows_match_reference(self):
         values = [(f"k{i % 3}", float(i % 37)) for i in range(150)]
         fn = self.make()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.WindowedAggregateKernel)
         assert kernel(values[:70]) + kernel(values[70:]) == []
         ref = self.make()
@@ -1074,7 +1025,7 @@ class TestWindowedAggregateKernel:
 
         values = [(f"k{i % 2}", float(i)) for i in range(60)]
         fn = self.make(window_fn=SlidingWindows(10.0, 5.0))
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.WindowedAggregateKernel)
         kernel(values)
         ref = self.make(window_fn=SlidingWindows(10.0, 5.0))
@@ -1090,7 +1041,7 @@ class TestWindowedAggregateKernel:
             filter_fn=lambda v: v[2] % 3 != 0,
         )
         fn = make()
-        compile_function(fn)(values)
+        lower_stage(fn)(values)
         ref = make()
         ref_process(ref, values)
         assert list(fn.panes.items()) == list(ref.panes.items())
@@ -1108,7 +1059,6 @@ class TestWindowedAggregateKernel:
 
         fn = self.make(trigger=AfterCount(5))
         assert getattr(fn, "kernel_spec", None) is None
-        assert compile_function(fn) is None
         assert lower_stage(fn) is None
 
 
@@ -1191,12 +1141,12 @@ class TestFuseCacheEviction:
         kernels._FUSE_CACHE.clear()
         built = []
         for index in range(7):
-            kernel = kernels._fuse([("map", "{v}[%d]" % index, ())])
+            kernel = kernels._fuse(["{v}[%d]" % index])
             built.append(kernel)
             assert kernel([("a", "b", "c", "d", "e", "f", "g")]) == [
                 ("a", "b", "c", "d", "e", "f", "g")[index]
             ]
         assert len(kernels._FUSE_CACHE) <= 4
         # An evicted shape rebuilds transparently and still computes.
-        again = kernels._fuse([("map", "{v}[0]", ())])
+        again = kernels._fuse(["{v}[0]"])
         assert again([("x", "y")]) == ["x"]

@@ -232,9 +232,9 @@ def test_memo_arrays_are_read_only(query):
 
 def test_windowed_word_limit_applies_per_slab(monkeypatch):
     """With room for four first-word ids, a slab's rows past its fourth
-    distinct first word are invalid and their windows take the hoisted
-    loop; a second slab gets ids of its own, and the panes stay the
-    reference's."""
+    distinct first word are invalid and their windows run the owner's
+    ``process_batch``; a second slab gets ids of its own, and the panes
+    stay the reference's."""
     monkeypatch.setattr(kernels, "_WORD_BITS", 2)
     monkeypatch.setattr(kernels, "_WORD_MASK", 3)
     words = ("w0", "w1", "w2", "w3", "w4", "w5")
