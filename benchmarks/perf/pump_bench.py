@@ -466,30 +466,38 @@ def run_generation_bench(
 
 #: Slab derivations as ``name -> query``: a 1-row window of the query's
 #: kernel builds exactly that derivation on a fresh slab that holds the
-#: derivations listed before it (the word ids are built from the query
-#: field).
+#: derivations listed before it (the word and query ids are built from
+#: the query field).
 DERIVATIONS = {
     "grep_hits": "grep",
     "projection_column": "projection",
     "query_field": "statistics",
     "query_words": "wordcount",
-    "pane_codes": "windowed",
+    "query_ids": "distinct-count",
+    "pane_ids": "windowed",
 }
 
 
 def _retained_bytes(value: Any) -> int:
-    """Bytes a memoised derivation holds: array buffers, strings and
-    lists of strings, and a column slab's two columns."""
+    """Bytes a memoised derivation holds: array buffers, strings, the
+    lookups' strings, the pane keys (a tuple of ``(word, start, end)``
+    tuples, each counted with its two floats; the words are the first
+    words, counted once), and a column slab's two columns."""
     if isinstance(value, tuple):
+        if value and all(type(item) is tuple for item in value):  # pane keys
+            words = {id(key[0]): key[0] for key in value}
+            return (
+                sys.getsizeof(value)
+                + sum(sys.getsizeof(key) + 2 * sys.getsizeof(0.0) for key in value)
+                + sum(map(sys.getsizeof, words.values()))
+            )
         return sum(_retained_bytes(item) for item in value)
     if isinstance(value, SlabColumn):
         return value.slab.arr.nbytes + value.slab.starts.nbytes
-    if isinstance(value, list):
-        return sys.getsizeof(value) + sum(map(sys.getsizeof, value))
     if isinstance(value, str):
         return sys.getsizeof(value)
-    if value.dtype == object:  # the word lookup: its strings too
-        return value.nbytes + _retained_bytes(value.tolist())
+    if value.dtype == object:  # a word or query lookup: its strings too
+        return value.nbytes + sum(map(sys.getsizeof, value.tolist()))
     return value.nbytes
 
 

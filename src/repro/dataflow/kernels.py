@@ -89,17 +89,18 @@ Stateful kernels (the Table-2/Nexmark path; see
   call because ``restore()`` rebinds them.  Snapshots, recovery and the
   drain phase therefore observe exactly the state the reference loop
   would have produced.  The windowed slab path alone adopts state, as
-  the sample kernel adopts its RNG: it tallies pane codes and writes
+  the sample kernel adopts its RNG: it tallies pane ids and writes
   them into the owner's panes on ``flush``, which the pump calls before
   any of those observers reads them.
 - ``wordcount`` / ``distinct_count`` / ``statistics``: the stateful
   StreamBench queries, served on slab windows (below); a list chunk
   runs the owner's ``process_batch``.  Statistics folds with NumPy's
   sequential accumulates, exact because every quantity is an
-  integer-valued double.  Wordcount's slab path and statistics' bulk
-  fold emit a :class:`FieldColumn` — word ids and counts, or minima,
-  maxima and means — instead of one tuple per output record, and the
-  output log adopts it.
+  integer-valued double.  Wordcount's and distinct-count's slab paths
+  and statistics' bulk fold emit a :class:`FieldColumn` — word ids and
+  counts, running distinct counts, or minima, maxima and means —
+  instead of one object per output record, and the output log adopts
+  it.
 - The engines' keyed operators (Flink ``KeyedStream.reduce``, Spark
   ``updateStateByKey``, Beam GroupByKey) declare no spec: their chunks
   are lists of pairs, and they run ``process_batch`` on the kernel tier.
@@ -110,13 +111,14 @@ Stateful kernels (the Table-2/Nexmark path; see
   offsets; a second helper decodes ragged byte spans into one
   newline-joined ``str``.  The query field (every query column as one
   newline-terminated ``str`` plus line offsets) serves three kernels:
-  distinct-count splits the window's slice on newlines for its
-  membership loop, statistics folds offset differences without reading
-  a string, and wordcount reads the field's words, interned once per
-  slab as ids with each word's occurrence rank and links, so a window's
-  running counts are NumPy arithmetic over its ids.  Windowed counts the
-  window's rows of the slab's pane codes, one integer per row from the
-  first word and the ``QueryTime`` digit bytes.
+  statistics folds offset differences without reading a string,
+  wordcount reads the field's words and distinct-count its query
+  columns, each interned once per slab as ids in first-occurrence order
+  with links to their previous occurrence, so a window's running counts
+  are NumPy arithmetic over its ids and only its first occurrences
+  touch the owner's state.  Windowed tallies the window's rows of the
+  slab's pane ids, interned once per slab from the first word and the
+  ``QueryTime`` digit bytes, with each pane's key computed once.
 - ``nexmark_q3`` / ``nexmark_q4`` / ``nexmark_q5``: running-state kernels
   for the stateful Nexmark queries over decoded events; when composed
   directly after ``nexmark_decode`` the plan compiler fuses the pair into
@@ -139,7 +141,7 @@ Stateful kernels (the Table-2/Nexmark path; see
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -177,11 +179,14 @@ class WorkloadSlab:
     likewise decodes on first access.
 
     The slab paths' whole-slab results — grep's hit rows, the projected
-    column, the query field, its word ids and the windowed pane codes —
-    are pure functions of the bytes and a spec's parameters, so
+    column, the query field, its word and query ids and the windowed
+    pane ids — are pure functions of the bytes and a spec's parameters, so
     :meth:`derived` builds each at most once per slab: every kernel,
     pool shard and campaign cell over the slab reads a window of the
-    same result.
+    same result.  Distinct-count and windowed read each window's first
+    occurrences off the links to each line's previous occurrence, so
+    they touch a Python object once per distinct query or pane of a
+    window, not once per line.
     """
 
     __slots__ = ("records", "_text", "data", "arr", "starts", "size", "_derived")
@@ -412,21 +417,23 @@ class KvColumn(_ValueColumn):
 
 
 class FieldColumn(_ValueColumn):
-    """Tuples stored as equal-length NumPy field arrays.
+    """Tuples, or scalars, stored as equal-length NumPy field arrays.
 
     Element ``i`` is the tuple of every field's item ``start + i``, as
-    Python scalars.  With a ``lookup`` array, field 0 holds integer codes
+    Python scalars; a column of one field holds the scalars themselves,
+    not 1-tuples.  With a ``lookup`` array, field 0 holds integer codes
     and the element carries ``lookup[code]`` in their place.  Wordcount
     emits its ``(word, count)`` pairs this way (word ids that the slab's
-    memoised word list decodes) and statistics its ``(min, max, mean)``
-    triples, so neither builds a tuple per output record, and the output
-    log adopts the column (:class:`~repro.broker.log.PartitionLog`).
+    memoised word list decodes), statistics its ``(min, max, mean)``
+    triples and distinct-count its running counts, so none builds an
+    object per output record, and the output log adopts the column
+    (:class:`~repro.broker.log.PartitionLog`).
 
     Like :class:`SlabColumn` it compares equal, by value, to a list or
     another column with equal elements, in either operand order; ``+``
     with a list or a column gives a list; a step-1 slice is a field
     column over the same arrays; it is unhashable.  Iteration, indexing
-    and comparison build the tuples.  A column must be treated as
+    and comparison build the elements.  A column must be treated as
     immutable; only the log grows its own private copy.
     """
 
@@ -451,7 +458,8 @@ class FieldColumn(_ValueColumn):
         return [item.tolist() for item in items]
 
     def __iter__(self):
-        return zip(*self._items(self.start, self.stop))
+        items = self._items(self.start, self.stop)
+        return iter(items[0]) if len(items) == 1 else zip(*items)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -465,7 +473,7 @@ class FieldColumn(_ValueColumn):
         if not 0 <= index < len(self):
             raise IndexError("field column index out of range")
         row = self.start + index
-        return next(zip(*self._items(row, row + 1)))
+        return next(iter(FieldColumn(self.fields, self.lookup, row, row + 1)))
 
 
 def as_output(values: Sequence[Any]) -> Sequence[Any]:
@@ -629,8 +637,8 @@ class Kernel:
 
     The output is a ``list``, a :class:`SlabColumn` over the input's
     slab (or, for projection, over the input slab's column slab), a
-    :class:`KvColumn` over such a column or, from wordcount and
-    statistics, a :class:`FieldColumn`.
+    :class:`KvColumn` over such a column or, from wordcount,
+    distinct-count and statistics, a :class:`FieldColumn`.
     """
 
     #: Whether :meth:`call_slab` beats :meth:`__call__` for this kernel.
@@ -1222,6 +1230,26 @@ def _query_field(slab: WorkloadSlab) -> tuple:
     return "".join(pieces), offsets
 
 
+def _previous(ids, count: int, dtype):
+    """Each entry's previous occurrence: the index of the last earlier
+    entry with the same id, ``-1`` where there is none, from one stable
+    sort of the ``count`` distinct ``ids`` (as uint16 while they fit:
+    NumPy's stable sort of them is a radix sort)."""
+    if count <= 1 << 16:
+        ids = ids.astype(_np.uint16)
+    order = _np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    same = ordered[1:] == ordered[:-1]  # entry k + 1 repeats entry k's id
+    prev = _np.full(len(ids), -1, dtype)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _index_dtype(n: int):
+    """The integer type of indices into ``n`` entries."""
+    return _np.int32 if n < 1 << 31 else _np.int64
+
+
 #: :meth:`WorkloadSlab.derived` key of :func:`_query_words`.
 _QUERY_WORDS = ("words",)
 
@@ -1270,7 +1298,7 @@ def _query_words(slab: WorkloadSlab) -> tuple:
         parts.append(_np.fromiter(map(ids.__getitem__, words), _np.int64, len(words)))
         total += len(words)
     lines[n] = total
-    index = _np.int32 if total < 1 << 31 else _np.int64
+    index = _index_dtype(total)
     # uint16 ids while they fit: NumPy's stable sort of them is a radix sort.
     codes = _np.concatenate(parts).astype(_np.uint16 if len(ids) <= 1 << 16 else index)
     order = _np.argsort(codes, kind="stable")
@@ -1358,37 +1386,74 @@ class WordCountKernel(StatefulKernel):
         return out
 
 
-class DistinctCountKernel(StatefulKernel):
-    """Running distinct-query count over slab windows.
+#: :meth:`WorkloadSlab.derived` key of :func:`_query_ids`.
+_QUERY_IDS = ("query ids",)
 
-    One hoisted membership loop reads a slab window's query columns,
-    split on newlines from the window's slice of the slab's memoised
-    query field (:func:`_query_field`).  Any other chunk runs the owner's
-    ``process_batch``.
+
+def _query_ids(slab: WorkloadSlab) -> tuple:
+    """Every line's query column (:func:`_query_field`) as an id, as
+    ``(ids, prev, lookup)``.
+
+    ``ids`` numbers the distinct query columns in first-occurrence
+    order, the object array ``lookup`` maps an id back to its query
+    column, and ``prev[i]`` is the previous line with line ``i``'s query
+    column (``-1`` where there is none), so a window ``[b, b + n)``'s
+    first occurrences are its lines with ``prev < b``.  Interned in
+    blocks of :data:`_DERIVE_BLOCK` lines; ids and links are int32, or
+    int64 for 2**31 lines or more.
+    """
+    text, offsets = slab.derived(_QUERY_FIELD, _query_field)
+    n = len(offsets) - 1
+    index = _index_dtype(n)
+    ids = _np.empty(n, index)
+    interned: defaultdict = defaultdict()  # query column -> id
+    interned.default_factory = interned.__len__  # a new column gets the next id
+    for base in range(0, n, _DERIVE_BLOCK):
+        stop = min(base + _DERIVE_BLOCK, n)
+        columns = text[offsets[base] : offsets[stop]].split("\n")
+        columns.pop()  # the empty piece after the final newline
+        ids[base:stop] = _np.fromiter(map(interned.__getitem__, columns), index, stop - base)
+    lookup = _np.empty(len(interned), object)
+    lookup[:] = list(interned)
+    return ids, _previous(ids, len(lookup), index), lookup
+
+
+class DistinctCountKernel(StatefulKernel):
+    """Running distinct-query count over slab windows, as NumPy arithmetic
+    on ids.
+
+    On a slab window it reads the window's query columns as ids from the
+    slab's memoised query ids (:func:`_query_ids`).  Only the window's
+    first occurrences touch ``owner.seen``: one C-level membership pass
+    over their query columns, and one ``update`` with the new ones in
+    first-occurrence order, the reference's insertion order.  The running
+    count is the prior size of ``seen`` plus the cumulative sum of the
+    rows that added a column, returned as a one-field
+    :class:`FieldColumn` that the output log adopts.  Any other chunk
+    runs the owner's ``process_batch``.
     """
 
     supports_slab = True
 
-    def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
-        if not values:
+    def call_slab(
+        self, slab: WorkloadSlab, base: int, values: Sequence[Any]
+    ) -> Sequence[Any]:
+        n = len(values)
+        if not n:
             return []
-        text, offsets = slab.derived(_QUERY_FIELD, _query_field)
-        columns = text[offsets[base] : offsets[base + len(values)]].split("\n")
-        columns.pop()  # the empty piece after the final newline
-        return self._count(columns)
-
-    def _count(self, columns: list) -> list:
+        ids, prev, lookup = slab.derived(_QUERY_IDS, _query_ids)
+        window = ids[base : base + n]
+        firsts = _np.flatnonzero(prev[base : base + n] < base)
+        columns = lookup[window[firsts]].tolist()
         seen = self._fn.seen
-        add = seen.add
-        out: list = []
-        append = out.append
-        n = len(seen)
-        for column in columns:
-            if column not in seen:
-                add(column)
-                n += 1
-            append(n)
-        return out
+        known = _np.fromiter(map(seen.__contains__, columns), bool, len(columns))
+        new = firsts[~known]  # the rows that add their column
+        added = _np.zeros(n, _np.int64)
+        added[new] = 1
+        running = _np.cumsum(added)
+        running += len(seen)
+        seen.update(lookup[window[new]].tolist())
+        return FieldColumn((running,))
 
 
 class StatisticsKernel(StatefulKernel):
@@ -1531,25 +1596,34 @@ class NexmarkQ4Kernel(StatefulKernel):
         return out
 
 
-def _pane_codes(slab: WorkloadSlab, size: float, offset: float) -> tuple:
-    """Every line's pane code in ``FixedWindows(size, offset)`` panes per
-    first word, as ``(codes, valid, words)``.
+def _pane_ids(slab: WorkloadSlab, size: float, offset: float) -> tuple:
+    """Every line's pane in ``FixedWindows(size, offset)`` panes per first
+    word, as ``(ids, prev, valid, keys)``.
 
-    ``codes`` is int64, ``window index << _WORD_BITS | first-word id``,
-    with ids in first-occurrence order over the slab and ``words`` the
-    id -> first word list.  ``valid`` marks the lines the reference
-    parses the same way: at least two tabs, a time field of 19 bytes or
-    more with digits at the eight digit positions, a window with
-    ``end > start`` and an index below 2**42, and a first word among the
-    slab's first 2**20.  Built in blocks of :data:`_DERIVE_BLOCK` rows.
+    ``ids`` numbers the slab's distinct panes in first-occurrence order,
+    ``keys`` holds each pane's ``(first word, start, end)`` key, as the
+    reference computes it, and ``prev[i]`` is the previous line in line
+    ``i``'s pane (``-1`` where there is none), so a window ``[b, b + n)``'s
+    first occurrences are its lines with ``prev < b``.  ``valid`` marks
+    the lines the reference parses the same way: at least two tabs, a
+    time field of 19 bytes or more with digits at the eight digit
+    positions, a window with ``end > start`` and an index below 2**42,
+    and a first word among the slab's first 2**20; an invalid line's id
+    and link mean nothing.  Each line's pane is first an int64 code,
+    ``window index << _WORD_BITS | first-word id``, interned to its id in
+    blocks of :data:`_DERIVE_BLOCK` rows; ids and links are int32, or
+    int64 for 2**31 lines or more.
     """
     n = len(slab.starts)
     arr = slab.arr
-    codes = _np.zeros(n, _np.int64)
+    index = _index_dtype(n)
+    ids = _np.zeros(n, index)
     valid = _np.zeros(n, bool)
-    ids: dict = {}  # first word -> id
+    words: dict = {}  # first word -> id
+    panes: defaultdict = defaultdict()  # pane code -> id
+    panes.default_factory = panes.__len__  # a new pane gets the next id
     if not slab.size:  # no line has a tab
-        return codes, valid, []
+        return ids, _np.full(n, -1, index), valid, ()
     for base in range(0, n, _DERIVE_BLOCK):
         count = min(_DERIVE_BLOCK, n - base)
         begins, ends, (tab1, tab2, tab3) = _line_tabs(slab, base, count, 3)
@@ -1570,46 +1644,56 @@ def _pane_codes(slab: WorkloadSlab, size: float, offset: float) -> tuple:
         # An invalid row's span may run backwards: give it an empty word.
         word_begins = _np.where(ok, queries, begins)
         word_ends = _np.where(ok, _np.minimum(spaces, tab2), begins)
-        words = _gather_spans(arr, word_begins, word_ends).split("\n")
-        words.pop()  # the empty piece after the final newline
-        for word in dict.fromkeys(words):
-            ids.setdefault(word, len(ids))
-        word_ids = _np.fromiter(map(ids.__getitem__, words), _np.int64, count)
+        first_words = _gather_spans(arr, word_begins, word_ends).split("\n")
+        first_words.pop()  # the empty piece after the final newline
+        for word in dict.fromkeys(first_words):
+            words.setdefault(word, len(words))
+        word_ids = _np.fromiter(map(words.__getitem__, first_words), _np.int64, count)
         ok &= word_ids <= _WORD_MASK
-        windows[~ok] = 0
-        word_ids[~ok] = 0
-        codes[base : base + count] = windows.astype(_np.int64) << _WORD_BITS | word_ids
+        codes = (windows[ok].astype(_np.int64) << _WORD_BITS | word_ids[ok]).tolist()
+        block = ids[base : base + count]
+        block[ok] = _np.fromiter(map(panes.__getitem__, codes), index, len(codes))
         valid[base : base + count] = ok
-    return codes, valid, list(ids)
+    codes = _np.fromiter(panes, _np.int64, len(panes))
+    lows = (codes >> _WORD_BITS).astype(_np.float64) * size + offset
+    keys = tuple(
+        zip(
+            map(list(words).__getitem__, (codes & _WORD_MASK).tolist()),
+            lows.tolist(),
+            (lows + size).tolist(),
+        )
+    )
+    return ids, _previous(ids, len(keys), index), valid, keys
 
 
 class WindowedAggregateKernel(StatefulKernel):
-    """Trigger-less windowed panes over slab windows, as a pane-code tally.
+    """Trigger-less windowed panes over slab windows, as a pane-id tally.
 
     Only trigger-less owners declare the spec — ``AfterCount`` runs
     ``process_batch``.  The slab path serves owners that count per
     :func:`~repro.workloads.aol.first_word` over
     :func:`~repro.workloads.aol.event_time` in ``FixedWindows`` from an
     ``int`` initial value (no filter, no reducer).  A slab window reads
-    its rows of the slab's memoised pane codes (:func:`_pane_codes`,
-    keyed by the window size and offset): the event time comes from the
-    eight ``QueryTime`` digits in integer arithmetic, the window index
-    from the same double operations as ``FixedWindows.assign``, and each
-    first word from the query span up to its first space; each row's
-    int64 code holds the window index above the first word's id in the
-    slab's word list.  The kernel counts the window's codes in one ``Counter``
-    whose insertion order is the panes' first occurrence.  The tally is
-    adopted state, like the sample kernel's RNG, and belongs to one slab:
-    ``flush`` writes it into ``owner.panes`` once per distinct pane,
-    mapping ids through that slab's words and computing the window
-    bounds with the same double operations, and the kernel flushes
-    before it tallies a window of another slab.  Any other chunk, and a
-    window with any line the reference would parse differently or reject
-    — fewer than two tabs, a time field shorter than 19 bytes, a
-    non-digit at a digit position, a window with ``end <= start``, a
-    window index of 2**42 or more, a first word past the slab's 2**20th
-    — flushes the tally and runs the owner's ``process_batch`` whole, so
-    values, pane order and the state at a raise stay the reference's.
+    its rows of the slab's memoised pane ids (:func:`_pane_ids`, keyed
+    by the window size and offset): the event time comes from the eight
+    ``QueryTime`` digits in integer arithmetic, the window index from the
+    same double operations as ``FixedWindows.assign``, and each first
+    word from the query span up to its first space; each pane's key is
+    computed once per slab.  The tally is an int64 count per pane id of
+    the slab, which each window adds its ``bincount`` to, and the ids
+    each window added, in first-occurrence order: its first occurrences
+    whose count was 0.  It is adopted state, like the sample kernel's
+    RNG, and belongs to one slab: ``flush`` writes it into
+    ``owner.panes`` once per tallied pane, in that order, under the
+    slab's memoised keys, and zeroes the counts it wrote; the kernel
+    flushes before it tallies a window of another slab.  Any other
+    chunk, and a window with any line the reference would parse
+    differently or reject — fewer than two tabs, a time field shorter
+    than 19 bytes, a non-digit at a digit position, a window with
+    ``end <= start``, a window index of 2**42 or more, a first word past
+    the slab's 2**20th — flushes the tally and runs the owner's
+    ``process_batch`` whole, so values, pane order and the state at a
+    raise stay the reference's.
     """
 
     def __init__(self, fn: Any) -> None:
@@ -1628,52 +1712,52 @@ class WindowedAggregateKernel(StatefulKernel):
         )
         if fixed:
             self._key = ("panes", fn.window_fn.size, fn.window_fn.offset)
-        self._tally: Counter = Counter()
-        self._words: list = []  # the tally's slab's id -> first word list
+        self._keys = None  # the tally's slab's pane keys
+        self._counts = None  # the tally: an int64 count per pane id
+        self._added: list = []  # the tallied pane ids, per window
 
     def call_slab(self, slab: WorkloadSlab, base: int, values: Sequence[Any]) -> list:
         n = len(values)
         if not n:
             return []
-        codes, valid, words = slab.derived(self._key, self._panes)
+        ids, prev, valid, keys = slab.derived(self._key, self._panes)
         if not valid[base : base + n].all():
             return self(values)
-        if words is not self._words:  # a window of another slab
+        if keys is not self._keys:  # a window of another slab
             self.flush()
-            self._words = words
-        self._tally.update(codes[base : base + n].tolist())
+            self._keys = keys
+            self._counts = _np.zeros(len(keys), _np.int64)
+        window = ids[base : base + n]
+        counts = self._counts
+        firsts = window[prev[base : base + n] < base]
+        self._added.append(firsts[counts[firsts] == 0])
+        counts += _np.bincount(window, minlength=len(counts))
         return []
 
     def _panes(self, slab: WorkloadSlab) -> tuple:
         _, size, offset = self._key
-        return _pane_codes(slab, size, offset)
+        return _pane_ids(slab, size, offset)
 
     def flush(self) -> None:
         """Write the tally into ``owner.panes``, one update per pane."""
-        tally = self._tally
-        if not tally:
+        if not self._added:
             return
-        self._tally = Counter()
+        added = _np.concatenate(self._added)
+        self._added = []
+        counts = self._counts
+        tally = counts[added].tolist()
+        counts[added] = 0
+        keys = list(map(self._keys.__getitem__, added.tolist()))
         fn = self._fn
-        size, offset = fn.window_fn.size, fn.window_fn.offset
-        codes = _np.fromiter(tally, _np.int64, len(tally))
-        lows = (codes >> _WORD_BITS).astype(_np.float64) * size + offset
-        keys = list(
-            zip(
-                map(self._words.__getitem__, (codes & _WORD_MASK).tolist()),
-                lows.tolist(),
-                (lows + size).tolist(),
-            )
-        )
         panes = fn.panes
         initial = fn.initial
         if not panes:
-            panes.update(zip(keys, map(initial.__add__, tally.values())))
+            panes.update(zip(keys, map(initial.__add__, tally)))
             if len(panes) == len(keys):
                 return
-            panes.clear()  # two codes share a float key: merge them below
+            panes.clear()  # two panes share a float key: merge them below
         get = panes.get
-        for key, count in zip(keys, tally.values()):
+        for key, count in zip(keys, tally):
             value = get(key, initial)
             if type(value) is int:
                 value += count

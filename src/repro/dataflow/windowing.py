@@ -94,17 +94,21 @@ class WindowedAggregateFunction(StreamFunction):
 
     def finish(self):
         trigger = self.trigger
+        panes = self.panes.items()
         if isinstance(trigger, AfterCount):
             # Final accumulating firing for panes with unfired elements.
-            return [
-                (key, IntervalWindow(start, end), accumulator)
-                for (key, start, end), accumulator in self.panes.items()
-                if self.pane_counts[(key, start, end)] % trigger.count != 0
-            ]
-        return [
-            (key, IntervalWindow(start, end), accumulator)
-            for (key, start, end), accumulator in self.panes.items()
-        ]
+            fired, every = self.pane_counts, trigger.count
+            panes = (pane for pane in panes if fired[pane[0]] % every != 0)
+        # One window object per interval, shared by its panes: windows are
+        # frozen and compare by value.
+        windows: dict = {}
+        out = []
+        for (key, start, end), accumulator in panes:
+            window = windows.get((start, end))
+            if window is None:
+                window = windows[start, end] = IntervalWindow(start, end)
+            out.append((key, window, accumulator))
+        return out
 
     def snapshot(self) -> tuple[dict, dict]:
         return (dict(self.panes), dict(self.pane_counts))

@@ -16,7 +16,9 @@ deterministically:
 * **outputs** concatenate in shard order (span order == record order):
   a lone non-empty output passes through unchanged, adjacent windows of
   one slab join into one window and other columns over one slab into
-  one row selection, without decoding it (:func:`join_outputs`);
+  one row selection, without decoding it, and field columns with one
+  lookup and one set of dtypes into one field column
+  (:func:`join_outputs`);
 * **lag samples** merge via :func:`~repro.engines.common.progress.
   merge_trackers` into one monotonic series, and the per-shard watchdogs
   share one :class:`~repro.engines.common.progress.ProgressGroup` so no
@@ -47,7 +49,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.dataflow.kernels import SlabColumn, joined_window
+from repro.dataflow.kernels import FieldColumn, SlabColumn, joined_window
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.progress import LagTracker, ProgressGroup, merge_trackers
 from repro.engines.common.pump import StreamPump
@@ -69,7 +71,10 @@ def join_outputs(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
     join into one window, which the output log widens; other columns
     over one slab join into one row selection by concatenating their
     rows, which stay ascending because the spans are in record order.
-    Neither decodes anything; any other mix is extended into a list.
+    Field columns with the same lookup object and field dtypes (the
+    shards' statistics, wordcount or distinct-count outputs) join into
+    one field column by concatenating their fields.  None of these
+    builds a record; any other mix is extended into a list.
     """
     if not parts:
         return []
@@ -89,6 +94,20 @@ def join_outputs(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
             ]
         )
         return SlabColumn(first.slab, rows=rows)
+    if all(
+        type(part) is FieldColumn
+        and part.lookup is first.lookup
+        and [field.dtype for field in part.fields]
+        == [field.dtype for field in first.fields]
+        for part in parts
+    ):
+        return FieldColumn(
+            tuple(
+                np.concatenate([part.fields[k][part.start : part.stop] for part in parts])
+                for k in range(len(first.fields))
+            ),
+            first.lookup,
+        )
     joined: list[Any] = []
     for part in parts:
         joined.extend(part)

@@ -432,6 +432,30 @@ class TestFieldColumnAdoption:
         assert repr(log._values) == repr(reference._values)
         assert log._keys == reference._keys
 
+    def test_one_field_columns_adopt_widen_and_degrade(self, clock):
+        """Distinct-count's one-field columns of running counts are
+        adopted and widened in place like any field column, every read
+        gives Python ints, and a list append degrades the log to the
+        list of ints."""
+        counts = ([1, 2, 2], [3], [3, 4, 5, 5])
+        columns = [FieldColumn((np.array(batch, np.int64),)) for batch in counts]
+        log, reference = self.twin_logs(clock, columns[:1])
+        adopted = log._values
+        assert type(adopted) is FieldColumn and len(adopted.fields) == 1
+        for column in columns[1:]:
+            log.append_batch(column)
+            reference.append_batch(list(column))
+        assert log._values is adopted
+        expected = [count for batch in counts for count in batch]
+        assert repr(list(log.read_values(0))) == repr(expected)
+        assert repr(list(log.read_values(2, 3))) == repr(expected[2:5])
+        assert log.record_at(4) == reference.record_at(4)
+        assert type(log.record_at(4).value) is int
+        log.append_batch(["plain"])
+        reference.append_batch(["plain"])
+        assert type(log._values) is list
+        assert repr(log._values) == repr(reference._values) == repr([*expected, "plain"])
+
     def test_reads_match_the_list_path(self, clock):
         log, reference = self.twin_logs(clock, self.batches())
         end = log.end_offset

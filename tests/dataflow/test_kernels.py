@@ -513,18 +513,23 @@ _WORDS = np.array(["a", "b", "a b", ""], dtype=object)
 
 @st.composite
 def field_columns(draw):
-    """A field column, ``(word, count)`` pairs over a word lookup or
-    ``(min, max, mean)``-shaped float triples, over part of its arrays,
-    with its tuples as a list built from Python values."""
+    """A field column, ``(word, count)`` pairs over a word lookup,
+    ``(min, max, mean)``-shaped float triples or one field of
+    distinct-count-shaped ints, over part of its arrays, with its
+    elements as a list built from Python values."""
     n = draw(st.integers(0, 12))
     start = draw(st.integers(0, n))
     stop = draw(st.integers(start, n))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(("pairs", "triples", "scalars")))
+    if shape == "pairs":
         codes = draw(st.lists(st.integers(0, len(_WORDS) - 1), min_size=n, max_size=n))
         counts = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         fields = (np.array(codes, np.int32), np.array(counts, np.int64))
         rows = [(_WORDS[code], count) for code, count in zip(codes, counts)]
         column = kernels.FieldColumn(fields, _WORDS, start, stop)
+    elif shape == "scalars":
+        rows = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        column = kernels.FieldColumn((np.array(rows, np.int64),), None, start, stop)
     else:
         floats = [
             draw(st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=n, max_size=n))
@@ -539,7 +544,8 @@ def field_columns(draw):
 @given(data=st.data())
 def test_field_column_behaves_like_its_list(data):
     """Every ``Sequence`` operation of a field column gives what the same
-    operation gives on its tuples as a list, element types included."""
+    operation gives on its elements as a list, element types included: a
+    one-field column's elements are Python scalars, not 1-tuples."""
     column, rows = data.draw(field_columns())
     for index in range(-len(rows) - 2, len(rows) + 2):
         if -len(rows) <= index < len(rows):
@@ -557,7 +563,7 @@ def test_field_column_behaves_like_its_list(data):
         assert repr(list(piece)) == repr(rows[index]), index
         if index.step in (None, 1):
             assert type(piece) is kernels.FieldColumn, index
-    for probe in (("a", 1), ("a b", -3), (0.5, 0.5, 0.5), "a"):
+    for probe in (("a", 1), ("a b", -3), (0.5, 0.5, 0.5), "a", 2, (2,)):
         assert (probe in column) is (probe in rows)
         assert column.count(probe) == rows.count(probe)
     other, other_rows = data.draw(field_columns())
@@ -800,6 +806,21 @@ class TestDistinctCountKernel:
         ref = make_distinct()
         assert out == ref_process(ref, AOL_LIKE)
         assert fn.seen == ref.seen
+
+    def test_slab_window_emits_a_one_field_column_of_ints(self):
+        """A slab window's running counts are a one-field field column of
+        Python ints, counted from a restored ``seen`` that holds one of
+        the window's queries and a foreign one; the new queries enter
+        ``seen`` in the reference's insertion order."""
+        state = {"some query words 3 here", "foreign"}
+        fn, ref = make_distinct(), make_distinct()
+        fn.restore(state)
+        ref.restore(state)
+        out = run_kernel(lower_stage(fn), slab_column(AOL_LIKE)[1:202])
+        assert type(out) is kernels.FieldColumn and len(out.fields) == 1
+        assert {type(count) for count in out} == {type(out[0])} == {int}
+        assert repr(list(out)) == repr(ref_process(ref, AOL_LIKE[1:202]))
+        assert list(fn.seen) == list(ref.seen)
 
 
 class TestStatisticsKernel:

@@ -1,19 +1,22 @@
 """The slab paths that cut their windows from memoised slab derivations.
 
-Grep (hit rows), projection (the column slab), statistics and
-distinct-count (the query field), wordcount (the query field's word ids)
-and windowed (the pane codes) each read
-a window of one whole-slab result that ``WorkloadSlab.derived`` builds at
-most once per slab.  The property below feeds two owners' kernels
-windows of two slabs alternately, in random chunkings with list chunks
-interleaved, and checks after every flush that each owner's outputs and
-state equal a reference ``process`` loop over the same records, also
-after ``restore()`` set both to one edited state mid-walk: wordcount
-counts that the slab path must not add to in int64 (floats, a bool, an
-int past its guard) and another statistics state.  The unit tests pin
-the memo itself: one build per key, read-only arrays, and a full
-stateful cell that never decodes the workload slab and hands its
-wordcount and statistics outputs to the log as field columns.
+Grep (hit rows), projection (the column slab), statistics (the query
+field), wordcount (the query field's word ids), distinct-count (the query
+field's query ids) and windowed (the pane ids) each read a window of one
+whole-slab result that ``WorkloadSlab.derived`` builds at most once per
+slab.  The property below feeds two owners' kernels windows of two slabs
+alternately, in random chunkings with list chunks interleaved, each
+slab's windows in order or shuffled, and checks after every flush that
+each owner's outputs and state equal a reference ``process`` loop over
+the same records, also after ``restore()`` set both to one edited state
+mid-walk: wordcount counts that the slab path must not add to in int64
+(floats, a bool, an int past its guard), another statistics state, a
+distinct-count ``seen`` holding queries of the slabs and foreign ones,
+and windowed panes with non-``int`` values and foreign keys.  The unit
+tests pin the memo itself: one build per key, read-only arrays, and a
+full stateful cell that never decodes the workload slab and hands its
+wordcount, statistics and distinct-count outputs to the log as field
+columns.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.beam.window import FixedWindows
 from repro.benchmark import BenchmarkConfig, StreamBenchHarness
 from repro.benchmark.queries import get_query
 from repro.dataflow.compiler import lower_stage
 from repro.dataflow import kernels
 from repro.dataflow.kernels import FieldColumn, SlabColumn, run_kernel
+from repro.workloads.aol import event_time, first_word, query_column
 from tests.dataflow.test_aol_slab_paths import WORDS, aol_lines, malformed_lines
 from tests.slabs import slab_of
 
@@ -42,10 +47,19 @@ MEMOISED_QUERIES = (
 EDGE_LINES = ("", "te\tst", "7\tte\tst", "7\tmy tes", "t\tx", "7\ttest\t", "test", "tes")
 
 
+#: A pool of up to four AOL lines that both slabs of a walk draw from.
+line_pools = st.lists(aol_lines(), min_size=1, max_size=4)
+
+
 @st.composite
-def slab_lines(draw) -> list:
-    """AOL lines with up to two malformed, empty or needle-straddling
-    lines spliced in (few, so that most windows take the slab path)."""
+def slab_lines(draw, pool=None) -> list:
+    """AOL lines drawn from ``pool``, so that queries, words and panes
+    repeat across windows and slabs and no line raises, or, without a
+    pool, fresh AOL lines with up to two malformed, empty or
+    needle-straddling lines spliced in (few, so that most windows take
+    the slab path)."""
+    if pool is not None:
+        return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
     lines = draw(st.lists(aol_lines(), max_size=30))
     for _ in range(draw(st.integers(0 if lines else 1, 2))):
         odd = draw(st.one_of(malformed_lines(), st.sampled_from(EDGE_LINES)))
@@ -55,14 +69,17 @@ def slab_lines(draw) -> list:
 
 @st.composite
 def walks(draw, sizes):
-    """One owner's walk over two slabs: chunks of each slab in order,
-    alternating between the slabs, each a window or a list, each
-    optionally followed by a flush and by a restore."""
+    """One owner's walk over two slabs: chunks of each slab in order or
+    shuffled, alternating between the slabs, each a window or a list,
+    each optionally followed by a flush and by a restore."""
     queues = []
     for slab_index, size in enumerate(sizes):
         cuts = draw(st.sets(st.integers(1, size), max_size=5))
         bounds = [0, *sorted(cuts | {size})]
-        queues.append([(slab_index, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        queue = [(slab_index, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        if draw(st.booleans()):
+            queue = draw(st.permutations(queue))
+        queues.append(queue)
     steps = []
     while any(queues):
         for queue in queues:
@@ -77,16 +94,41 @@ def walks(draw, sizes):
 PRIORS = (0, 7, -3, 0.1, 1e16, True, 2**63 - 1)
 
 
+#: Restored windowed pane values: ints the tally adds to, and values it
+#: must leave to one addition at a time: floats and a bool.
+PANE_VALUES = (0, 5, 0.5, 1e16, True)
+
+
+def _pane_key(line):
+    """``line``'s windowed pane key, or ``None`` where the reference
+    raises on it."""
+    try:
+        window = FixedWindows(3600.0).assign(event_time(line))
+    except (IndexError, ValueError):
+        return None
+    return first_word(line), window.start, window.end
+
+
 @st.composite
-def restored_states(draw, query, state):
+def restored_states(draw, query, state, lines):
     """A state to ``restore()`` mid-walk: the reference's snapshot
-    ``state``, with a few wordcount counts replaced, or another
-    statistics state."""
+    ``state``, with a few wordcount counts replaced, another statistics
+    state, a distinct-count ``seen`` with queries of ``lines`` and
+    foreign ones added, or windowed panes with a few values replaced by
+    non-``int`` ones and foreign or not yet seen keys added."""
     if query == "wordcount":
         edits = st.dictionaries(st.sampled_from(WORDS), st.sampled_from(PRIORS), max_size=3)
         return {**state, **draw(edits)}
     if query == "statistics":
         return draw(st.sampled_from((state, (3.0, 40.0, 120.0, 9), (7.0, 7.0, 7.0, 1))))
+    if query == "distinct-count":
+        queries = [query_column(line) for line in lines] + ["foreign", "also foreign"]
+        return state | draw(st.sets(st.sampled_from(queries), max_size=4))
+    if query == "windowed":
+        panes, pane_counts = state
+        keys = [*panes, ("foreign", 0.0, 3600.0), *filter(None, map(_pane_key, lines))]
+        edits = st.dictionaries(st.sampled_from(keys), st.sampled_from(PANE_VALUES), max_size=4)
+        return {**panes, **draw(edits)}, pane_counts
     return state
 
 
@@ -121,7 +163,8 @@ def test_memoised_slab_paths_equal_the_reference(query, data):
     """Two owners walk windows of two slabs alternately; after every
     flush their outputs so far and their state equal the reference's,
     also across restores of both to one edited state."""
-    line_lists = [data.draw(slab_lines()) for _ in range(2)]
+    pool = data.draw(st.one_of(st.none(), line_pools))
+    line_lists = [data.draw(slab_lines(pool)) for _ in range(2)]
     columns = [SlabColumn(slab_of(lines)) for lines in line_lists]
     owners = []
     for _ in range(2):
@@ -155,7 +198,8 @@ def test_memoised_slab_paths_equal_the_reference(query, data):
                 return
             if restore:
                 kernel.flush()  # as the recovery path flushes before a restore
-                state = data.draw(restored_states(query, reference.snapshot()))
+                lines = [line for lines in line_lists for line in lines]
+                state = data.draw(restored_states(query, reference.snapshot(), lines))
                 function.restore(state)
                 reference.restore(state)
     for function, reference, kernel, _, out, ref_out in owners:
@@ -205,15 +249,16 @@ def test_derived_builds_once_per_key():
 def test_memo_arrays_are_read_only(query):
     """Every array every derivation holds, and the projected column's
     bytes and offsets, refuse writes, so no kernel output can corrupt
-    them.  Wordcount memoises two derivations, the query field and the
-    word codes built from it."""
+    them; windowed's pane keys are a tuple of tuples.  Wordcount and
+    distinct-count memoise two derivations, the query field and the
+    word or query ids built from it."""
     lines = [f"{100000 + i}\tq test {i % 7}\t2006-03-0{i % 9 + 1} 10:00:00" for i in range(200)]
     slab = slab_of(lines)
     kernel = lower_stage(get_query(query).make_function(random.Random(0)))
     out = run_kernel(kernel, SlabColumn(slab)[0:100])
     kernel.flush()
     values = list(slab._derived.values())
-    assert len(values) == (2 if query == "wordcount" else 1)
+    assert len(values) == (2 if query in ("wordcount", "distinct-count") else 1)
     for value in values:
         arrays = [item for item in (value if type(value) is tuple else (value,))
                   if isinstance(item, np.ndarray)]
@@ -228,6 +273,10 @@ def test_memo_arrays_are_read_only(query):
         assert not out.rows.flags.writeable
     if query == "wordcount":  # the output's word ids are a view of the memo
         assert not out.fields[0].flags.writeable
+    if query == "windowed":
+        ids, prev, valid, keys = values[0]
+        assert type(keys) is tuple and {type(key) for key in keys} == {tuple}
+        assert len(keys) == 9 and ids.dtype == prev.dtype == np.int32  # 9 days of q
 
 
 def test_windowed_word_limit_applies_per_slab(monkeypatch):
@@ -244,9 +293,9 @@ def test_windowed_word_limit_applies_per_slab(monkeypatch):
     reference = get_query("windowed").make_function(random.Random(0))
     kernel = lower_stage(function)
     slab, other = slab_of(lines), slab_of(others)
-    _, valid, slab_words = slab.derived(kernel._key, kernel._panes)
+    _, _, valid, keys = slab.derived(kernel._key, kernel._panes)
     assert valid.tolist() == [i % 6 < 4 for i in range(24)]
-    assert slab_words[:4] == ["w0", "w1", "w2", "w3"]
+    assert [word for word, _, _ in keys] == ["w0", "w1", "w2", "w3"]
     for column, chunk in ((SlabColumn(slab), 3), (SlabColumn(other), 4)):
         for lo in range(0, len(column), chunk):
             run_kernel(kernel, column[lo : lo + chunk])
@@ -263,9 +312,9 @@ STATEFUL_SEED = 7141
 
 def test_stateful_cells_decode_nothing():
     """A full native cell of every memoised stateful query reads only the
-    slab's derivations: the workload slab is never decoded.  Wordcount's
-    and statistics' outputs reach the output log as field columns, which
-    it adopts for the whole run on every system."""
+    slab's derivations: the workload slab is never decoded.  Wordcount's,
+    statistics' and distinct-count's outputs reach the output log as
+    field columns, which it adopts for the whole run on every system."""
     harness = StreamBenchHarness(BenchmarkConfig(records=20_000, runs=2, seed=STATEFUL_SEED))
     harness.ingest()
     slab = harness.workload.columnar().to_slab()
@@ -274,7 +323,7 @@ def test_stateful_cells_decode_nothing():
             harness.run_setup(system, query, "native", 1)
             assert slab.records is None, (system, query)
             log = harness.broker.partition_log(harness.config.output_topic, 0)
-            if query in ("wordcount", "statistics"):
+            if query in ("wordcount", "statistics", "distinct-count"):
                 assert type(log._values) is FieldColumn, (system, query)
                 assert len(log._values) == len(log) > 0
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.benchmark.queries import get_query
 from repro.dataflow.functions import FilterFunction, MapFunction
-from repro.dataflow.kernels import SlabColumn
+from repro.dataflow.kernels import FieldColumn, SlabColumn
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
@@ -265,6 +265,33 @@ def test_join_outputs_shapes():
     assert type(mixed) is list
     assert mixed == list(window) + list(SlabColumn(other, 0, 2)) + ["x"]
     assert join_outputs([["a"], ["b", "c"]]) == ["a", "b", "c"]
+    # Field columns with one lookup object and one set of field dtypes
+    # (the shards' statistics, wordcount and distinct-count outputs) join
+    # into one field column over their [start, stop) items; any other
+    # field column joins into the list of its elements.
+    words = np.array(["a", "b", "c"], dtype=object)
+
+    def pairs(codes, counts, start=0, lookup=words):
+        fields = (np.array(codes, np.int32), np.array(counts, np.int64))
+        return FieldColumn(fields, lookup, start)
+
+    parts = [pairs([2, 0, 1], [5, 1, 1], start=1), pairs([1, 2], [2, 6])]
+    joined = join_outputs(parts)
+    assert type(joined) is FieldColumn and joined.lookup is words
+    assert [field.dtype for field in joined.fields] == [np.int32, np.int64]
+    assert list(joined) == [("a", 1), ("b", 1), ("b", 2), ("c", 6)]
+    counts = [FieldColumn((np.array([1, 2, 2]),), None, 2), FieldColumn((np.array([3, 3]),))]
+    scalars = join_outputs(counts)
+    assert type(scalars) is FieldColumn
+    assert list(scalars) == [2, 3, 3] and type(scalars[0]) is int
+    for odd in (
+        pairs([0], [1], lookup=words.copy()),
+        FieldColumn((np.array([0], np.int64), np.array([1], np.int64)), words),
+        FieldColumn((np.array([1.0]), np.array([1.0]), np.array([1.0]))),
+    ):
+        mixed = join_outputs([parts[0], odd])
+        assert type(mixed) is list
+        assert mixed == list(parts[0]) + list(odd)
 
 
 def test_join_outputs_widens_adjacent_windows():
