@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; raises on empty input."""
@@ -62,14 +64,27 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 def percentiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:
     """:func:`percentile` at each of ``qs``, sorting ``values`` once."""
-    if not values:
+    ranks = _nearest_ranks(len(values), qs)
+    ordered = sorted(values)
+    return [ordered[rank] for rank in ranks]
+
+
+def array_percentiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """:func:`percentiles` of a float array, as Python floats: the same
+    order statistics, placed by one ``np.partition`` instead of a sort."""
+    ranks = np.array(_nearest_ranks(len(values), qs), np.intp)
+    return np.partition(values, ranks)[ranks].tolist()
+
+
+def _nearest_ranks(count: int, qs: Sequence[float]) -> list[int]:
+    """The 0-based nearest-rank index of each of ``qs`` among ``count``
+    ordered values."""
+    if not count:
         raise ValueError("percentile of empty sequence")
     for q in qs:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    count = len(ordered)
-    return [ordered[max(1, math.ceil(q / 100.0 * count)) - 1] for q in qs]
+    return [max(1, math.ceil(q / 100.0 * count)) - 1 for q in qs]
 
 
 def slowdown_factor(

@@ -88,10 +88,12 @@ Stateful kernels (the Table-2/Nexmark path; see
   function's own state containers in place, re-fetching them on every
   call because ``restore()`` rebinds them.  Snapshots, recovery and the
   drain phase therefore observe exactly the state the reference loop
-  would have produced.  The windowed slab path alone adopts state, as
-  the sample kernel adopts its RNG: it tallies pane ids and writes
-  them into the owner's panes on ``flush``, which the pump calls before
-  any of those observers reads them.
+  would have produced.  The distinct-count and windowed slab paths
+  alone adopt state, as the sample kernel adopts its RNG: distinct-count
+  holds ``seen``'s membership per query id of one slab and writes the
+  queries it added into ``seen`` on ``flush``, and windowed tallies
+  pane ids and writes them into the owner's panes on ``flush``, which
+  the pump calls before any of those observers reads them.
 - ``wordcount`` / ``distinct_count`` / ``statistics``: the stateful
   StreamBench queries, served on slab windows (below); a list chunk
   runs the owner's ``process_batch``.  Statistics folds with NumPy's
@@ -115,10 +117,12 @@ Stateful kernels (the Table-2/Nexmark path; see
   wordcount reads the field's words and distinct-count its query
   columns, each interned once per slab as ids in first-occurrence order
   with links to their previous occurrence, so a window's running counts
-  are NumPy arithmetic over its ids and only its first occurrences
-  touch the owner's state.  Windowed tallies the window's rows of the
-  slab's pane ids, interned once per slab from the first word and the
-  ``QueryTime`` digit bytes, with each pane's key computed once.
+  are NumPy arithmetic over its ids: only wordcount's first occurrences
+  touch the owner's counts, and distinct-count's adopted membership
+  tests ``seen`` at most once per query of the slab.  Windowed tallies
+  the window's rows of the slab's pane ids, interned once per slab from
+  the first word and the ``QueryTime`` digit bytes, with each pane's
+  key computed once.
 - ``nexmark_q3`` / ``nexmark_q4`` / ``nexmark_q5``: running-state kernels
   for the stateful Nexmark queries over decoded events; when composed
   directly after ``nexmark_decode`` the plan compiler fuses the pair into
@@ -658,7 +662,8 @@ class Kernel:
 
     def flush(self) -> None:
         """Return adopted state to its owner: the sample kernel's RNG
-        state, the windowed kernel's pane tally.
+        state, the distinct-count kernel's ``seen`` membership, the
+        windowed kernel's pane tally.
 
         Idempotent.  The pump flushes at the end of a run and before its
         drain calls any ``finish()``, a capacity probe and its pump pool
@@ -1095,8 +1100,9 @@ class ChainKernel(Kernel):
 # owns state: they mutate the owner function's containers in place and
 # re-fetch them on every call (restore() rebinds them), so snapshots,
 # recovery and drain always observe reference-identical state.  Only the
-# windowed slab path adopts state, a pane tally that flush() writes into
-# the owner's panes; the pump flushes before any of those observers.  The
+# distinct-count and windowed slab paths adopt state, a membership and a
+# pane tally that flush() writes into the owner's seen and panes; the
+# pump flushes before any of those observers.  The
 # AOL query kernels serve slab windows; a list chunk runs the owner's own
 # process_batch.
 
@@ -1423,17 +1429,32 @@ class DistinctCountKernel(StatefulKernel):
     on ids.
 
     On a slab window it reads the window's query columns as ids from the
-    slab's memoised query ids (:func:`_query_ids`).  Only the window's
-    first occurrences touch ``owner.seen``: one C-level membership pass
-    over their query columns, and one ``update`` with the new ones in
-    first-occurrence order, the reference's insertion order.  The running
-    count is the prior size of ``seen`` plus the cumulative sum of the
-    rows that added a column, returned as a one-field
-    :class:`FieldColumn` that the output log adopts.  Any other chunk
-    runs the owner's ``process_batch``.
+    slab's memoised query ids (:func:`_query_ids`).  The kernel adopts
+    ``owner.seen``'s membership for one slab, as the sample kernel adopts
+    its RNG: per query id of the slab whether it is decided and whether
+    it is a member, the running size of ``seen``, and the ids the
+    windows added, in first-occurrence order.  A window tests
+    ``owner.seen`` only for its first occurrences whose id is still
+    undecided: in an in-order walk the slab's own first occurrences, and
+    none when ``seen`` was empty at adoption.  The running count is the
+    size before the window plus the cumulative sum of the rows that added
+    a query, returned as a one-field :class:`FieldColumn` that the output
+    log adopts.  ``flush`` writes the added queries with one
+    ``seen.update`` in the reference's insertion order and drops the
+    adoption (``open()`` clears ``seen`` in place, so nothing of it may
+    outlive a flush); the kernel flushes before a window of another slab
+    and before any other chunk runs the owner's ``process_batch``.
     """
 
     supports_slab = True
+
+    def __init__(self, fn: Any) -> None:
+        super().__init__(fn)
+        self._lookup = None  # the adopted slab's id -> query lookup
+        self._decided = None  # per query id: its membership is known
+        self._member = None  # per query id: it is in ``seen``
+        self._size = 0  # the running size of ``seen``
+        self._added: list = []  # the ids each window added
 
     def call_slab(
         self, slab: WorkloadSlab, base: int, values: Sequence[Any]
@@ -1442,18 +1463,48 @@ class DistinctCountKernel(StatefulKernel):
         if not n:
             return []
         ids, prev, lookup = slab.derived(_QUERY_IDS, _query_ids)
+        if lookup is not self._lookup:  # a window of another slab
+            self.flush()
+            seen = self._fn.seen
+            self._lookup = lookup
+            self._decided = _np.full(len(lookup), not seen)
+            self._member = _np.zeros(len(lookup), bool)
+            self._size = len(seen)
         window = ids[base : base + n]
         firsts = _np.flatnonzero(prev[base : base + n] < base)
-        columns = lookup[window[firsts]].tolist()
-        seen = self._fn.seen
-        known = _np.fromiter(map(seen.__contains__, columns), bool, len(columns))
-        new = firsts[~known]  # the rows that add their column
-        added = _np.zeros(n, _np.int64)
-        added[new] = 1
-        running = _np.cumsum(added)
-        running += len(seen)
-        seen.update(lookup[window[new]].tolist())
+        first_ids = window[firsts]
+        member = self._member
+        decided = self._decided
+        open_ids = first_ids[~decided[first_ids]]
+        if len(open_ids):
+            contains = self._fn.seen.__contains__
+            queries = lookup[open_ids].tolist()
+            member[open_ids] = _np.fromiter(map(contains, queries), bool, len(queries))
+            decided[open_ids] = True
+        fresh = ~member[first_ids]
+        new = first_ids[fresh]
+        member[new] = True
+        self._added.append(new)
+        running = _np.zeros(n, _np.int64)
+        running[firsts[fresh]] = 1  # the rows that add their query
+        _np.cumsum(running, out=running)
+        running += self._size
+        self._size += len(new)
         return FieldColumn((running,))
+
+    def flush(self) -> None:
+        """Write the added queries into ``owner.seen`` and drop the adoption."""
+        lookup = self._lookup
+        if lookup is None:
+            return
+        added = _np.concatenate(self._added)
+        self._lookup = self._decided = self._member = None
+        self._added = []
+        self._fn.seen.update(lookup[added].tolist())
+
+    def __call__(self, values: Sequence[Any]) -> Sequence[Any]:
+        self.flush()
+        return super().__call__(values)
 
 
 class StatisticsKernel(StatefulKernel):
@@ -1739,20 +1790,32 @@ class WindowedAggregateKernel(StatefulKernel):
         return _pane_ids(slab, size, offset)
 
     def flush(self) -> None:
-        """Write the tally into ``owner.panes``, one update per pane."""
+        """Write the tally into ``owner.panes``, one update per pane.
+
+        When the tallied ids are exactly ``0 .. k - 1``, as in any
+        in-order walk from the slab's first row, the keys are one slice
+        of the slab's memoised keys; an ``initial`` of 0 adds nothing to
+        the counts.
+        """
         if not self._added:
             return
         added = _np.concatenate(self._added)
         self._added = []
         counts = self._counts
-        tally = counts[added].tolist()
-        counts[added] = 0
-        keys = list(map(self._keys.__getitem__, added.tolist()))
+        k = len(added)
+        if _np.array_equal(added, _np.arange(k)):
+            keys = self._keys[:k]
+            tally = counts[:k].tolist()
+            counts[:k] = 0
+        else:
+            keys = list(map(self._keys.__getitem__, added.tolist()))
+            tally = counts[added].tolist()
+            counts[added] = 0
         fn = self._fn
         panes = fn.panes
         initial = fn.initial
         if not panes:
-            panes.update(zip(keys, map(initial.__add__, tally)))
+            panes.update(zip(keys, map(initial.__add__, tally) if initial else tally))
             if len(panes) == len(keys):
                 return
             panes.clear()  # two panes share a float key: merge them below

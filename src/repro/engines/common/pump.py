@@ -305,7 +305,7 @@ class StreamPump:
 
     def _flush_kernels(self) -> None:
         """Return state adopted by any compiled kernel (the sample RNG,
-        the pane tally) to its owner."""
+        the distinct-count membership, the pane tally) to its owner."""
         for stage in self.stages:
             kernel = stage.cached_kernel()
             if kernel is not None:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,6 +90,28 @@ class TestPercentiles:
         ranks = [max(1, math.ceil(q / 100.0 * len(values))) for q in qs]
         assert picked == [sorted(values)[rank - 1] for rank in ranks]
         assert all(type(value) is float for value in picked)
+
+    @given(
+        st.integers(min_value=1, max_value=80),
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=4),
+        st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=6),
+        st.data(),
+    )
+    def test_array_percentiles_match_the_sort(self, count, pool, qs, data):
+        """On a float array of any length from 1 up, drawn from a few
+        values so that ties are common, one ``np.partition`` picks the
+        order statistics ``percentiles`` picks after ``sorted``, as
+        Python floats."""
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+        picked = stats.array_percentiles(np.array(values), qs)
+        assert picked == stats.percentiles(values, qs)
+        assert all(type(value) is float for value in picked)
+
+    def test_array_percentiles_validation(self):
+        with pytest.raises(ValueError):
+            stats.array_percentiles(np.array([]), (50,))
+        with pytest.raises(ValueError):
+            stats.array_percentiles(np.array([1.0]), (50, 101))
 
 
 class TestProperties:

@@ -811,15 +811,17 @@ class TestDistinctCountKernel:
         """A slab window's running counts are a one-field field column of
         Python ints, counted from a restored ``seen`` that holds one of
         the window's queries and a foreign one; the new queries enter
-        ``seen`` in the reference's insertion order."""
+        ``seen`` at the flush, in the reference's insertion order."""
         state = {"some query words 3 here", "foreign"}
         fn, ref = make_distinct(), make_distinct()
         fn.restore(state)
         ref.restore(state)
-        out = run_kernel(lower_stage(fn), slab_column(AOL_LIKE)[1:202])
+        kernel = lower_stage(fn)
+        out = run_kernel(kernel, slab_column(AOL_LIKE)[1:202])
         assert type(out) is kernels.FieldColumn and len(out.fields) == 1
         assert {type(count) for count in out} == {type(out[0])} == {int}
         assert repr(list(out)) == repr(ref_process(ref, AOL_LIKE[1:202]))
+        kernel.flush()
         assert list(fn.seen) == list(ref.seen)
 
 

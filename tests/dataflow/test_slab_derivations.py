@@ -16,7 +16,9 @@ and windowed panes with non-``int`` values and foreign keys.  The unit
 tests pin the memo itself: one build per key, read-only arrays, and a
 full stateful cell that never decodes the workload slab and hands its
 wordcount, statistics and distinct-count outputs to the log as field
-columns.
+columns.  Two more pin distinct-count's adopted membership: it ends at
+every flush, so a pump run after ``open()`` counts afresh, and a
+restored ``seen`` is tested once per query of the slab.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from repro.benchmark.queries import get_query
 from repro.dataflow.compiler import lower_stage
 from repro.dataflow import kernels
 from repro.dataflow.kernels import FieldColumn, SlabColumn, run_kernel
+from repro.engines.common.costs import RunVariance, StageCosts
+from repro.engines.common.pump import StreamPump
+from repro.engines.common.stages import PhysicalStage, StageKind
+from repro.simtime import Simulator
 from repro.workloads.aol import event_time, first_word, query_column
 from tests.dataflow.test_aol_slab_paths import WORDS, aol_lines, malformed_lines
 from tests.slabs import slab_of
@@ -137,7 +143,7 @@ def _owner_state(function):
     if hasattr(function, "counts"):
         return repr(list(function.counts.items()))
     if hasattr(function, "seen"):
-        return sorted(function.seen), len(function.seen)
+        return list(function.seen), len(function.seen)
     if hasattr(function, "panes"):
         return [
             (repr(key), repr(value), type(value)) for key, value in function.panes.items()
@@ -346,3 +352,70 @@ def test_wordcount_restored_float_count_takes_the_hoisted_loop():
     assert repr(list(out) + floated) == repr(_reference(reference, lines)[0])
     assert _owner_state(function) == _owner_state(reference)
     assert type(function.counts["test"]) is float
+
+
+class CountingSet(set):
+    """A ``set`` that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, item) -> bool:
+        self.tests += 1
+        return super().__contains__(item)
+
+
+def _distinct_owner(state=()):
+    """A distinct-count owner restored to ``state``, held in a
+    :class:`CountingSet`."""
+    function = get_query("distinct-count").make_function(random.Random(0))
+    function.restore(set(state))
+    function.seen = CountingSet(function.seen)
+    return function
+
+
+def test_distinct_count_pump_runs_readopt_after_open():
+    """Two pump runs of one owner over one slab, with ``open()`` between
+    them, each equal the reference: the first run's flush drops the
+    adopted membership, so the second run counts from the cleared ``seen``
+    again, and a run that starts from an empty ``seen`` never tests it."""
+    lines = [f"7\tq{i % 13} test\t2006-03-01 00:00:00" for i in range(300)]
+    column = SlabColumn(slab_of(lines))
+    function = _distinct_owner()
+    stages = [
+        PhysicalStage("source", StageKind.SOURCE, StageCosts(per_record_in=1e-6)),
+        PhysicalStage("op", StageKind.OPERATOR, StageCosts(per_weight=1e-6), function=function),
+        PhysicalStage("sink", StageKind.SINK, StageCosts(per_record_out=1e-6)),
+    ]
+    emitted: list = []
+    pump = StreamPump(
+        Simulator(seed=5), stages, RunVariance(), random.Random(0),
+        emit=emitted.extend, chunk_size=40,
+    )
+    for _ in range(2):
+        function.open()
+        emitted.clear()
+        pump.run(column)
+        reference = _distinct_owner()
+        assert emitted == _reference(reference, lines)[0]
+        assert _owner_state(function) == _owner_state(reference)
+    assert function.seen.tests == 0
+
+
+def test_distinct_count_restored_seen_holds_later_queries():
+    """A restored ``seen`` holding queries that the walk reaches only in
+    later windows: ``seen`` itself changes only at the flush, each query
+    of the slab is tested against it once, when a window first reaches
+    it, and the counts and the flushed ``seen`` equal the reference's."""
+    lines = [f"7\tq{i // 10}\t2006-03-01 00:00:00" for i in range(200)]
+    state = {"q15", "q19", "foreign"}
+    function, reference = _distinct_owner(state), _distinct_owner(state)
+    kernel = lower_stage(function)
+    column = SlabColumn(slab_of(lines))
+    out: list = []
+    for lo in range(0, 200, 25):
+        out.extend(run_kernel(kernel, column[lo : lo + 25]))
+    assert set(function.seen) == state
+    kernel.flush()
+    assert out == _reference(reference, lines)[0]
+    assert _owner_state(function) == _owner_state(reference)
+    assert function.seen.tests == 20  # q0 .. q19, once each
