@@ -53,7 +53,10 @@ The measurements:
 * **Workload cache** — cold generation vs a warm mmap load of the
   cache's columnar entry.
 * **Capacity** — the simulated sustainable-throughput knee of one cell
-  and an overload probe at twice the knee.
+  and an overload probe at twice the knee, plus the host time of the
+  probe loop: milliseconds per probe and per drain (poll, stage walk,
+  acknowledge) of one P=1 and one P=2 scalability sweep point of each
+  sweep query.
 * **Scalability curves** — the *simulated* capacity knee swept over
   pipeline parallelism per system × SDK kind
   (:meth:`~repro.benchmark.capacity.CapacityRunner.run_scalability`).
@@ -83,6 +86,7 @@ Run directly for the full-scale campaign::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import multiprocessing
 import os
@@ -746,14 +750,91 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: The scalability sweep point settings whose probe loop
+#: :func:`run_probe_loop_bench` times: the sweep's queries, its 3,000-record
+#: probes and the seed the repository benchmark defaults to.
+PROBE_LOOP_SEED = 3972
+PROBE_LOOP_RECORDS = 3_000
+PROBE_LOOP_QUERIES = ("grep", "sample", "statistics", "windowed")
+
+
+def run_probe_loop_bench(repeats: int = 5) -> dict[str, Any]:
+    """Host time of the capacity probe loop, per probe and per drain.
+
+    For one P=1 and one P=2 sweep point (flink, native) of each sweep
+    query: one untimed knee search (``find_capacity``) counts its probes
+    and drains (``Consumer.poll_values`` calls), then the fastest of
+    ``repeats`` searches, timed with the collector off, is divided by
+    each.  A drain polls one chunk, walks it through the pump (or the
+    pump pool) and acknowledges it; the per-probe figure adds the
+    probe's set-up, its admits and its end-of-probe flush and
+    percentiles.
+    """
+    from repro.benchmark.capacity import find_capacity
+    from repro.benchmark.config import CapacitySettings
+    from repro.broker.consumer import Consumer
+
+    config = BenchmarkConfig(
+        seed=PROBE_LOOP_SEED,
+        capacity=CapacitySettings(records=PROBE_LOOP_RECORDS),
+    )
+    points: dict[str, Any] = {}
+    for query in PROBE_LOOP_QUERIES:
+        for parallelism in (1, 2):
+
+            def search():
+                return find_capacity(
+                    config, "flink", query, kind="native", parallelism=parallelism
+                )
+
+            drains = 0
+            poll_values = Consumer.poll_values
+
+            def counted(self, *args, **kwargs):
+                nonlocal drains
+                drains += 1
+                return poll_values(self, *args, **kwargs)
+
+            Consumer.poll_values = counted
+            try:
+                probes = search().probes
+            finally:
+                Consumer.poll_values = poll_values
+            best = float("inf")
+            for _ in range(repeats):
+                gc.collect()
+                gc.disable()
+                try:
+                    started = time.perf_counter()
+                    search()
+                    best = min(best, time.perf_counter() - started)
+                finally:
+                    gc.enable()
+            points[f"{query}/p{parallelism}"] = {
+                "probes": probes,
+                "drains": drains,
+                "search_ms": round(best * 1e3, 3),
+                "ms_per_probe": round(best * 1e3 / probes, 4),
+                "ms_per_drain": round(best * 1e3 / drains, 4),
+            }
+    return {
+        "seed": PROBE_LOOP_SEED,
+        "records_per_probe": PROBE_LOOP_RECORDS,
+        "system": "flink",
+        "kind": "native",
+        "repeats": repeats,
+        "points": points,
+    }
+
+
 def run_capacity_bench(num_records: int = 4_000) -> dict[str, Any]:
     """Sustainable-throughput scenario: the knee and its latency tails.
 
     Runs the open-loop capacity search for one representative cell
     (flink × grep), then an overload probe at twice the knee to record
     the bounded-queue safety margins.  Everything here is simulated-time
-    measurement (deterministic under the seed); only ``wall_seconds`` is
-    host-dependent.
+    measurement (deterministic under the seed) except ``wall_seconds``
+    and the probe loop's host milliseconds (:func:`run_probe_loop_bench`).
     """
     from repro.benchmark.capacity import find_capacity, run_probe
     from repro.benchmark.config import CapacitySettings
@@ -787,6 +868,7 @@ def run_capacity_bench(num_records: int = 4_000) -> dict[str, Any]:
             "shed": overload.shed,
         },
         "wall_seconds": round(wall, 3),
+        "probe_loop": run_probe_loop_bench(),
     }
 
 

@@ -502,10 +502,11 @@ def run_probe(
         )
         if not values:
             return 0
+        # A probe charges each chunk's cost and discards its outputs.
         if sharded is None:
-            cost, _outputs = pump._run_stages(values, metrics, 0)
+            cost = pump._run_stages(values, metrics, 0)[0]
         else:
-            cost, _outputs = sharded.process_chunk(values)
+            cost = sharded.process_chunk(values)[0]
         simulator.charge(cost)
         consumer.acknowledge()
         done = simulator.now()

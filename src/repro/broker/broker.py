@@ -238,28 +238,49 @@ class BrokerCluster:
         if self.chaos is not None:
             self.chaos.after_append(topic, partition)
 
-    def reliable_log(self, topic: str, partition: int) -> "PartitionLog | None":
-        """The partition's log when no produce request to it can fail.
+    def direct_log(
+        self,
+        topic: str,
+        partition: int,
+        retry_policy: "RetryPolicy | None" = None,
+        idempotent: bool = False,
+    ) -> "PartitionLog | None":
+        """The partition's log when a single request to it cannot branch.
 
-        A produce request fails only through :meth:`guard_request` (chaos
+        A request branches only through :meth:`guard_request` (chaos
         transitions, jitter and transient errors, a leader that is down),
-        :meth:`post_append` (a lost acknowledgement) and a bounded log's
-        flow control (:meth:`PartitionLog.ensure_capacity`).  With no chaos
-        attached, the leader up and an unbounded log none of them can
-        fire, and nodes never go down on their own, so a run of requests
-        can skip those checks.  ``None`` otherwise, and for an unknown
-        topic or partition, whose error the guarded path raises.  A new
-        failure mode of the guarded path must be ruled out here too.
+        :meth:`post_append` (a lost acknowledgement), the client's
+        ``retry_policy`` (which re-attempts a retriable error, a full
+        queue's included) and an ``idempotent`` producer's sequence
+        check.  With no chaos attached, the leader up, no retry policy and
+        a non-idempotent client none of them can fire, and nodes never go
+        down on their own, so the request can go straight to the log.  A
+        bounded log's flow control stays in the log's own capacity check.
+        ``None`` otherwise, and for an unknown topic or partition, whose
+        error the guarded path raises.  A new failure mode of the guarded
+        path must be ruled out here too.
         """
-        state = self._topics.get(topic)
-        if self.chaos is not None or state is None:
+        if self.chaos is not None or retry_policy is not None or idempotent:
             return None
-        if not 0 <= partition < state.topic.num_partitions:
+        state = self._topics.get(topic)
+        if state is None:
+            return None
+        partitions = state.topic.partitions
+        if not 0 <= partition < len(partitions):
             return None
         if state.leaders[partition].node_id in self._down:
             return None
-        log = state.topic.partition(partition)
-        return log if log.max_queue is None else None
+        return partitions[partition]
+
+    def reliable_log(self, topic: str, partition: int) -> "PartitionLog | None":
+        """The partition's log when no produce request to it can fail.
+
+        :meth:`direct_log`'s rule on an unbounded log: without flow
+        control no request can raise, so a run of requests can skip the
+        per-request checks, whatever the client's retry policy.
+        """
+        log = self.direct_log(topic, partition)
+        return log if log is not None and log.max_queue is None else None
 
     # ------------------------------------------------------------------
     # chaos attachment and client registration

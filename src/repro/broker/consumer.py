@@ -121,13 +121,10 @@ class Consumer:
         self.retry_policy = (
             retry_policy if retry_policy is not None else cluster.default_retry_policy
         )
-        self._retry_rng = (
-            retry_rng
-            if retry_rng is not None
-            else cluster.simulator.random.stream(
-                f"broker/retry/consumer-{cluster.register_client()}"
-            )
-        )
+        # The client id is registered now, keeping the id sequence; the
+        # stream it names is derived when a retry policy first runs.
+        self._retry_rng = retry_rng
+        self._client_id = None if retry_rng is not None else cluster.register_client()
         self.retries_performed = 0
 
     # ------------------------------------------------------------------
@@ -213,7 +210,15 @@ class Consumer:
         capacity on bounded partitions (and letting them trim, keeping
         broker memory O(bound)).  A no-op on unbounded partitions beyond
         bookkeeping — the closed-loop measurement path never calls this.
+        A single partition that :meth:`BrokerCluster.direct_log` resolves
+        is marked without the per-partition lookups.
         """
+        if len(self._assignment) == 1:
+            tp = self._assignment[0]
+            log = self.cluster.direct_log(tp.topic, tp.partition, self.retry_policy)
+            if log is not None:
+                log.mark_consumed(self._positions[tp])
+                return
         for tp in self._assignment:
             log = self.cluster.partition_log(tp.topic, tp.partition)
             log.mark_consumed(self._positions[tp])
@@ -283,7 +288,9 @@ class Consumer:
         identical to :meth:`poll` for the same fetched count: one request
         overhead per call plus the per-record fetch cost.  This is the
         pump's ingest fast path — the per-record object layer exists only
-        for callers that need offsets and keys.
+        for callers that need offsets and keys.  A single partition whose
+        fetch cannot branch (:meth:`BrokerCluster.direct_log`) is read
+        without the guarded request's closure.
         """
         self._ensure_open()
         if max_records is not None and max_records < 1:
@@ -297,6 +304,13 @@ class Consumer:
             and len(self._assignment) == 1
             and self._positions.get(self._assignment[0]) == 0
         )
+        if len(self._assignment) == 1:
+            tp = self._assignment[0]
+            log = self.cluster.direct_log(tp.topic, tp.partition, self.retry_policy)
+            if log is not None:
+                return self._poll_direct(
+                    tp, log, max_records, with_timestamps, not zero_copy
+                )
         parts = []
         timestamps = array("d") if with_timestamps else None
         budget = max_records
@@ -334,6 +348,28 @@ class Consumer:
             return values, timestamps
         return values
 
+    def _poll_direct(self, tp, log, max_records, with_timestamps, copy):
+        """:meth:`poll_values` from one partition whose fetch cannot branch
+        (:meth:`BrokerCluster.direct_log`): the same read, position,
+        charge and count as the guarded request, without its closure."""
+        position = self._positions[tp]
+        values = log.read_values(position, max_records, copy=copy)
+        count = len(values)
+        if count:
+            self._positions[tp] = position + count
+            if with_timestamps:
+                stamps = log.read_timestamps(position, count)
+        else:
+            values, stamps = [], array("d")
+        costs = self.cluster.costs
+        self.cluster.simulator.charge(
+            costs.request_overhead + costs.fetch_per_record * count
+        )
+        self.records_fetched += count
+        if with_timestamps:
+            return values, stamps
+        return values
+
     def close(self) -> None:
         """Leave the group (if any) and mark the consumer closed."""
         if self._closed:
@@ -364,6 +400,10 @@ class Consumer:
 
         if self.retry_policy is None:
             return attempt()
+        if self._retry_rng is None:
+            self._retry_rng = self.cluster.simulator.random.stream(
+                f"broker/retry/consumer-{self._client_id}"
+            )
         return run_with_retries(
             self.cluster.simulator,
             self.retry_policy,

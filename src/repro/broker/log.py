@@ -131,6 +131,10 @@ class PartitionLog:
         #: Offset of the first *retained* record (> 0 once a bounded log
         #: has trimmed its consumed prefix).
         self._base = 0
+        #: Offset the next appended record receives: ``_base`` plus the
+        #: value column's length, kept as a count so that reading it
+        #: never asks an adopted column for its length.
+        self._end = 0
         #: Consumption watermark: offsets below it are acknowledged.
         self._consumed = 0
         #: Idempotent-produce state: highest sequence number appended per
@@ -149,7 +153,7 @@ class PartitionLog:
     @property
     def end_offset(self) -> int:
         """Offset that the *next* appended record will receive."""
-        return self._base + len(self._values)
+        return self._end
 
     @property
     def consumed_offset(self) -> int:
@@ -158,13 +162,13 @@ class PartitionLog:
 
     def queue_depth(self) -> int:
         """Records in flight: appended but not yet marked consumed."""
-        return self.end_offset - self._consumed
+        return self._end - self._consumed
 
     def remaining_capacity(self) -> int | None:
         """How many more records fit under the bound (``None``: unbounded)."""
         if self.max_queue is None:
             return None
-        return max(0, self.max_queue - self.queue_depth())
+        return max(0, self.max_queue - (self._end - self._consumed))
 
     def ensure_capacity(self, count: int) -> None:
         """Raise :class:`QueueFullError` unless ``count`` records fit.
@@ -172,10 +176,9 @@ class PartitionLog:
         Producers call this before registering idempotent sequences, so a
         rejected batch stays replayable verbatim.
         """
-        if self.max_queue is not None and self.queue_depth() + count > self.max_queue:
-            raise QueueFullError(
-                self.topic, self.partition, self.queue_depth(), self.max_queue, count
-            )
+        depth = self._end - self._consumed
+        if self.max_queue is not None and depth + count > self.max_queue:
+            raise QueueFullError(self.topic, self.partition, depth, self.max_queue, count)
 
     def mark_consumed(self, offset: int) -> None:
         """Advance the consumption watermark to ``offset`` (monotonic).
@@ -185,7 +188,7 @@ class PartitionLog:
         Acknowledging beyond the log end raises
         :class:`OffsetOutOfRangeError`.
         """
-        if offset > self.end_offset:
+        if offset > self._end:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
         if offset > self._consumed:
             self._consumed = offset
@@ -206,7 +209,7 @@ class PartitionLog:
         self._base += count
         # Keep the run holding the new start offset, unless nothing is left.
         drop = len(self._run_starts)
-        if self.end_offset > self._base:
+        if self._end > self._base:
             drop = bisect_right(self._run_starts, self._base) - 1
         del self._run_starts[:drop]
         del self._run_stamps[:drop]
@@ -226,8 +229,9 @@ class PartitionLog:
             timestamp = create_time if create_time is not None else self._clock.now()
         if type(self._values) is not list:
             self._degrade()
-        offset = self.end_offset
+        offset = self._end
         self._values.append(value)
+        self._end = offset + 1
         self._keys.append(key)
         self._run_starts.append(offset)
         self._run_stamps.append(timestamp)
@@ -249,7 +253,7 @@ class PartitionLog:
         """
         if self.timestamp_type is not TimestampType.LOG_APPEND_TIME:
             raise ValueError("append_batch requires LogAppendTime")
-        first = self.end_offset
+        first = self._end
         count = len(values)
         if keys is not None and len(keys) != count:
             raise ValueError("keys and values must have equal length")
@@ -257,6 +261,7 @@ class PartitionLog:
             return first
         self.ensure_capacity(count)
         self._store(values, keys, count)
+        self._end = first + count
         # One LogAppendTime per batch, as in Kafka's batch header.
         self._run_starts.append(first)
         self._run_stamps.append(self._clock.now())
@@ -280,7 +285,7 @@ class PartitionLog:
         """
         if self.timestamp_type is not TimestampType.LOG_APPEND_TIME:
             raise ValueError("append_requests requires LogAppendTime")
-        first = self.end_offset
+        first = self._end
         count = len(values)
         if batch_size < 1 or len(stamps) != -(-count // batch_size):
             raise ValueError("append_requests needs batch_size >= 1 and one stamp per request")
@@ -288,6 +293,7 @@ class PartitionLog:
             return first
         self.ensure_capacity(count)
         self._store(values, None, count)
+        self._end = first + count
         self._run_starts.extend(range(first, first + count, batch_size))
         self._run_stamps.extend(stamps)
         return first
@@ -402,10 +408,10 @@ class PartitionLog:
         bounded log that trimmed — raises :class:`OffsetOutOfRangeError`.
         Column indices are offsets shifted down by the trimmed prefix.
         """
-        if offset < self._base or offset > self.end_offset:
+        if offset < self._base or offset > self._end:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
-        end = self.end_offset if max_records is None else min(
-            self.end_offset, offset + max_records
+        end = self._end if max_records is None else min(
+            self._end, offset + max_records
         )
         lo, hi = offset - self._base, end - self._base
         keys = self._keys
@@ -439,7 +445,7 @@ class PartitionLog:
         *is* the log).  Handing out one stable list object also lets
         downstream kernel slabs cache per list identity across runs.
         """
-        if offset < self._base or offset > self.end_offset:
+        if offset < self._base or offset > self._end:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
         index = offset - self._base
         if max_records is None:
@@ -456,9 +462,9 @@ class PartitionLog:
         for consumers that need values + timestamps without
         ``ConsumerRecord`` objects.
         """
-        if offset < self._base or offset > self.end_offset:
+        if offset < self._base or offset > self._end:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
-        end = self.end_offset
+        end = self._end
         if max_records is not None:
             end = min(end, offset + max_records)
         return self._stamps(offset, end)
@@ -483,7 +489,7 @@ class PartitionLog:
 
     def record_at(self, offset: int) -> ConsumerRecord:
         """Return the single record at ``offset``."""
-        if offset < self._base or offset >= self.end_offset:
+        if offset < self._base or offset >= self._end:
             raise OffsetOutOfRangeError(self.topic, self.partition, offset)
         return self.read_columns(offset, 1).records()[0]
 
@@ -522,4 +528,5 @@ class PartitionLog:
         del self._run_stamps[:]
         self._producer_sequences.clear()
         self._base = 0
+        self._end = 0
         self._consumed = 0

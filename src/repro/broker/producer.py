@@ -103,9 +103,9 @@ class Producer:
             idempotent if idempotent is not None else cluster.default_idempotence
         )
         self.producer_id = cluster.register_producer()
-        self._retry_rng: random.Random = cluster.simulator.random.stream(
-            f"broker/retry/producer-{self.producer_id}"
-        )
+        #: Retry jitter draws, derived by the producer's stream name when a
+        #: retry policy first runs (deriving the stream is the cost).
+        self._retry_rng: random.Random | None = None
         self._sequences: dict[tuple[str, int], int] = {}
         self._batches: dict[tuple[str, int], list[ProducerRecord]] = {}
         self._round_robin = 0
@@ -157,7 +157,13 @@ class Producer:
         idempotent sequencing are byte-for-byte the list path's (a
         deduplicated replay never reaches the append, so it can never widen
         an adopted column).  The log stores one LogAppendTime run for the
-        request.  Only valid for ``LogAppendTime`` topics — a
+        request.  When :meth:`BrokerCluster.direct_log` finds that the
+        request cannot branch (no chaos, the leader up, no retry policy, a
+        non-idempotent producer) it is charged and appended without the
+        guarded path's per-attempt closure; a full bounded log still
+        raises :class:`~repro.broker.errors.QueueFullError` from its own
+        capacity check, after the same request charge.  Only valid for
+        ``LogAppendTime`` topics — a
         ``CreateTime`` topic raises :class:`TimestampTypeError` (use
         :meth:`send`, which preserves producer timestamps, instead).
 
@@ -171,7 +177,8 @@ class Producer:
         (the same float additions in the same order: pacing, then the
         request charge) and the log takes the whole column with one
         LogAppendTime run per request (:meth:`PartitionLog.append_requests`).
-        Otherwise each request takes the guarded path in turn.  Values,
+        Otherwise each request is sent in turn, as one request without
+        ``rate``.  Values,
         stamps, the final clock and :attr:`records_sent` are the same
         either way.
         """
@@ -183,18 +190,35 @@ class Producer:
             self._send_paced(topic, partition, values, rate)
 
     def _send_request(self, topic: str, partition: int, values: Sequence[Any]) -> None:
-        """One guarded produce request of keyless ``values`` (none if empty)."""
-        if not values:
+        """One produce request of keyless ``values`` (none if empty).
+
+        When :meth:`BrokerCluster.direct_log` finds that the request cannot
+        branch it is charged and appended directly, else it takes the
+        guarded path; a full bounded log raises
+        :class:`~repro.broker.errors.QueueFullError` after the request
+        charge either way.
+        """
+        count = len(values)
+        if not count:
             return
-        log = self.cluster.partition_log(topic, partition)
+        cluster = self.cluster
+        log = cluster.direct_log(topic, partition, self.retry_policy, self.idempotent)
+        direct = log is not None
+        if not direct:
+            log = cluster.partition_log(topic, partition)
         if log.timestamp_type is not TimestampType.LOG_APPEND_TIME:
             raise TimestampTypeError(
                 topic,
                 required=TimestampType.LOG_APPEND_TIME.value,
                 actual=log.timestamp_type.value,
             )
+        if direct:
+            cluster.simulator.charge(self._request_charge(count))
+            log.append_batch(values)
+            self.records_sent += count
+            return
         self._append_guarded(
-            topic, partition, len(values), lambda log: log.append_batch(values)
+            topic, partition, count, lambda log: log.append_batch(values)
         )
 
     def _send_paced(
@@ -310,6 +334,10 @@ class Producer:
             self.cluster.post_append(topic, partition)
 
         if self.retry_policy is not None:
+            if self._retry_rng is None:
+                self._retry_rng = self.cluster.simulator.random.stream(
+                    f"broker/retry/producer-{self.producer_id}"
+                )
             run_with_retries(
                 self.cluster.simulator,
                 self.retry_policy,

@@ -881,6 +881,15 @@ class GrepKernel(Kernel):
         )
 
 
+#: Generators that sample kernels adopted and flushed, for the next
+#: adoption to overwrite: building a ``RandomState`` seeds an MT19937,
+#: which costs more than the adoption itself.  A kernel takes one off the
+#: list while it holds a state, so kernels stepped in alternation never
+#: share a generator.
+_SPARE_STATES: list = []
+_SPARE_STATES_MAX = 8
+
+
 class SampleKernel(Kernel):
     """``bernoulli`` as a pre-drawn mask from the transplanted MT19937.
 
@@ -890,7 +899,8 @@ class SampleKernel(Kernel):
     between :meth:`flush` calls; the pump flushes at the end of a run or
     capacity probe (and after every chunk on the recovery path) so that
     any outside observer of the Python ``rng`` — checkpoints, subsequent
-    runs — sees the true state.
+    runs — sees the true state.  The NumPy generator comes from a free
+    list of flushed ones (``_SPARE_STATES``) and goes back on flush.
     On a slab window the kept rows come back as a :class:`SlabColumn`
     selection, drawn from the same mask, without building a string.
     """
@@ -941,7 +951,10 @@ class SampleKernel(Kernel):
             if py_state[0] != 3:
                 self._bulk = False
                 return None
-            state = _np.random.RandomState()
+            try:
+                state = _SPARE_STATES.pop()
+            except IndexError:
+                state = _np.random.RandomState()
             state.set_state(
                 ("MT19937", _np.array(py_state[1][:-1], dtype=_np.uint32),
                  py_state[1][-1])
@@ -957,6 +970,8 @@ class SampleKernel(Kernel):
         self._state = None
         _, keys, pos, _, _ = state.get_state()
         self.rng.setstate((3, tuple(keys.tolist()) + (int(pos),), self._gauss))
+        if len(_SPARE_STATES) < _SPARE_STATES_MAX:
+            _SPARE_STATES.append(state)
 
     def describe(self) -> str:
         return f"sample[mask p={self.fraction}]" if self._bulk else (

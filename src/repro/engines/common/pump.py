@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.dataflow.kernels import as_output, run_kernel
-from repro.dataflow.metrics import JobMetrics
+from repro.dataflow.metrics import JobMetrics, OperatorMetrics
 from repro.engines.common.costs import RunVariance
 from repro.engines.common.progress import LagTracker
 from repro.engines.common.stages import PhysicalStage, StageKind
@@ -75,6 +75,18 @@ class StreamPump:
     measure the speedup.  Kernels may adopt state — the sample
     kernel's RNG state for bulk drawing, the windowed kernel's pane
     tally — and hand it back through their ``flush`` hooks.
+
+    **Stage plan.**  The pump looks up what each stage step needs once,
+    not on every chunk: each stage's charge terms, when it is built, and
+    its bucket in the metrics object the pump last stepped with, at the
+    first step that reaches it.  Each kernel is lowered when the first
+    chunk reaches its stage and cached on the stage.  A step charges
+    ``StageCosts.charge``'s float expression over the bound terms, in
+    its operand order, so costs and busy seconds are bit-identical to
+    calling it.  ``vectorized`` is read on every step.  The stages,
+    their costs and their functions' weights must not change once the
+    pump is built.
+
     Chunk-steppers flush only where an observer needs the true state:
     :meth:`drain` before it calls any ``finish()``, :meth:`run` at the
     end of the run, a capacity probe (and its pump pool) at the end of
@@ -112,6 +124,9 @@ class StreamPump:
             )
         self.simulator = simulator
         self.stages = list(stages)
+        self._plan = [_plan_entry(stage) for stage in self.stages]
+        self._metrics: JobMetrics | None = None
+        self._buckets: list[OperatorMetrics | None] = []
         self.variance = variance
         self.rng = rng
         self.emit = emit
@@ -324,17 +339,17 @@ class StreamPump:
         window's rows.
         """
         vectorized = self.vectorized
+        plan = self._plan
+        if metrics is not self._metrics:
+            self._metrics = metrics
+            self._buckets = [None] * len(plan)
+        buckets = self._buckets
         cost = 0.0
-        for stage in self.stages[start:]:
-            n_in = len(values)
-            if stage.kind is StageKind.OPERATOR:
-                assert stage.function is not None
-                kernel = stage.compiled_kernel() if vectorized else None
-                if kernel is not None:
-                    values = run_kernel(kernel, values)
-                elif vectorized:
-                    values = stage.function.process_batch(values)
-                else:
+        n_in = len(values)
+        for index in range(start, len(plan)):
+            operator, stage, entry_in, draws, per_draw, per_out = plan[index]
+            if operator:
+                if not vectorized:
                     # Reference per-record loop: kept for the equivalence
                     # suite and the perf baseline, not used in production.
                     next_values: list[Any] = []
@@ -343,15 +358,39 @@ class StreamPump:
                     for value in values:
                         extend(process(value))
                     values = next_values
-            n_out = len(values)
-            stage_cost = stage.costs.charge(
-                records_in=n_in,
-                records_out=n_out,
-                cost_weight=stage.cost_weight,
-                rng_draws=stage.rng_draws,
-            )
+                else:
+                    kernel = stage.compiled_kernel()
+                    if kernel is not None:
+                        values = run_kernel(kernel, values)
+                    else:
+                        values = stage.function.process_batch(values)
+                n_out = len(values)
+            else:
+                n_out = n_in
+            # StageCosts.charge over the bound terms, in its operand order.
+            stage_cost = n_in * entry_in + n_in * draws * per_draw + n_out * per_out
             cost += stage_cost
-            metrics.operator(stage.name).record(n_in, n_out, stage_cost)
-            if not values:
+            bucket = buckets[index]
+            if bucket is None:
+                bucket = buckets[index] = metrics.operator(stage.name)
+            bucket.record(n_in, n_out, stage_cost)
+            if not n_out:
                 break
+            n_in = n_out
         return cost, as_output(values)
+
+
+def _plan_entry(stage: PhysicalStage) -> tuple:
+    """``(is operator, stage, per-record entry charge, RNG draws per
+    record, per-draw charge, per-record exit charge)``: the terms of
+    :meth:`StageCosts.charge <repro.engines.common.costs.StageCosts.charge>`
+    for ``stage``, its entry term summed as ``charge`` sums it."""
+    costs = stage.costs
+    return (
+        stage.kind is StageKind.OPERATOR,
+        stage,
+        costs.per_record_in + stage.cost_weight * costs.per_weight,
+        stage.rng_draws,
+        costs.per_rng_draw,
+        costs.per_record_out,
+    )

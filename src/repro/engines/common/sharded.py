@@ -13,12 +13,11 @@ deterministically:
   charge is the straggler's), so the knee of the capacity search gains a
   genuine parallelism axis priced by each engine's
   ``parallelism_per_record`` coordination term;
-* **outputs** concatenate in shard order (span order == record order):
-  a lone non-empty output passes through unchanged, adjacent windows of
-  one slab join into one window and other columns over one slab into
-  one row selection, without decoding it, and field columns with one
-  lookup and one set of dtypes into one field column
-  (:func:`join_outputs`);
+* **outputs** come back as the shards' non-empty outputs, as each shard
+  returned them, in shard order (span order == record order): the pool
+  joins nothing, because the capacity probe, its one production caller,
+  only charges the cost; a caller that needs one sequence concatenates
+  them;
 * **lag samples** merge via :func:`~repro.engines.common.progress.
   merge_trackers` into one monotonic series, and the per-shard watchdogs
   share one :class:`~repro.engines.common.progress.ProgressGroup` so no
@@ -47,9 +46,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.dataflow.kernels import FieldColumn, SlabColumn, joined_window
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.progress import LagTracker, ProgressGroup, merge_trackers
 from repro.engines.common.pump import StreamPump
@@ -61,57 +57,6 @@ def shard_spans(total: int, parallelism: int) -> list[tuple[int, int]]:
         (s * total // parallelism, (s + 1) * total // parallelism)
         for s in range(parallelism)
     ]
-
-
-def join_outputs(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
-    """The non-empty shard outputs ``parts``, concatenated in order.
-
-    One part comes back unchanged.  Adjacent windows of one slab (the
-    shards' projections, windows of the input slab's one column slab)
-    join into one window, which the output log widens; other columns
-    over one slab join into one row selection by concatenating their
-    rows, which stay ascending because the spans are in record order.
-    Field columns with the same lookup object and field dtypes (the
-    shards' statistics, wordcount or distinct-count outputs) join into
-    one field column by concatenating their fields.  None of these
-    builds a record; any other mix is extended into a list.
-    """
-    if not parts:
-        return []
-    if len(parts) == 1:
-        return parts[0]
-    window = joined_window(parts)
-    if window is not None:
-        return window
-    first = parts[0]
-    if all(type(part) is SlabColumn and part.slab is first.slab for part in parts):
-        rows = np.concatenate(
-            [
-                np.arange(part.start, part.stop, dtype=np.int64)
-                if part.rows is None
-                else part.rows[part.start : part.stop]
-                for part in parts
-            ]
-        )
-        return SlabColumn(first.slab, rows=rows)
-    if all(
-        type(part) is FieldColumn
-        and part.lookup is first.lookup
-        and [field.dtype for field in part.fields]
-        == [field.dtype for field in first.fields]
-        for part in parts
-    ):
-        return FieldColumn(
-            tuple(
-                np.concatenate([part.fields[k][part.start : part.stop] for part in parts])
-                for k in range(len(first.fields))
-            ),
-            first.lookup,
-        )
-    joined: list[Any] = []
-    for part in parts:
-        joined.extend(part)
-    return joined
 
 
 class ShardedPump:
@@ -140,13 +85,15 @@ class ShardedPump:
         self._consumed = [0] * self.parallelism
         self.shard_costs = [0.0] * self.parallelism
 
-    def process_chunk(self, values: Sequence[Any]) -> tuple[float, Sequence[Any]]:
+    def process_chunk(
+        self, values: Sequence[Any]
+    ) -> tuple[float, list[Sequence[Any]]]:
         """Run one polled chunk through the pump pool.
 
-        Returns ``(cost, outputs)`` where ``cost`` is the straggler
-        shard's simulated cost and ``outputs`` the shards' sink records
-        joined in record order (:func:`join_outputs`).  The caller
-        charges the simulator.  Each shard steps its span with
+        Returns ``(cost, parts)`` where ``cost`` is the straggler
+        shard's simulated cost and ``parts`` the shards' non-empty sink
+        outputs, each as its shard returned it, in shard order (record
+        order), unjoined.  The caller charges the simulator.  Each shard steps its span with
         :meth:`StreamPump._run_stages`, which leaves adopted kernel state
         in place; the caller returns it with :meth:`flush` (or
         :meth:`drain`) when it is done stepping.  A 1-shard pool stepped
@@ -168,7 +115,7 @@ class ShardedPump:
                 cost = shard_cost
             if shard_outputs:
                 parts.append(shard_outputs)
-        return cost, join_outputs(parts)
+        return cost, parts
 
     def observe(self, now: float, backlog: int = 0) -> None:
         """Record one post-chunk lag sample per shard (pinned order).

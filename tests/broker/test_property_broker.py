@@ -1,9 +1,20 @@
 """Property-based tests of broker invariants."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.broker import BrokerCluster, Consumer, Producer, TopicConfig, TopicPartition
+from repro.broker import (
+    AdminClient,
+    BrokerCluster,
+    Consumer,
+    Producer,
+    QueueFullError,
+    TopicConfig,
+    TopicPartition,
+)
+from repro.dataflow.kernels import SlabColumn
 from repro.simtime import Simulator
+from tests.slabs import slab_of
 
 values_strategy = st.lists(
     st.one_of(st.text(max_size=20), st.integers(), st.binary(max_size=10)),
@@ -99,3 +110,114 @@ class TestBrokerProperties:
             for record in topic.partition(p).iter_all():
                 placements.setdefault(record.key, set()).add(p)
         assert all(len(parts) == 1 for parts in placements.values())
+
+
+# ---------------------------------------------------------------------------
+# Direct single requests against the guarded path
+
+#: Records a session produces from, in order (windows and row selections
+#: are taken over one slab of them, so an adopting log widens its column).
+LINES = [f"line {i}" for i in range(120)]
+
+operations = st.one_of(
+    st.tuples(st.just("produce"), st.integers(0, 9)),
+    st.tuples(st.just("poll"), st.one_of(st.none(), st.integers(1, 12)), st.booleans()),
+    st.tuples(st.just("ack")),
+    st.tuples(st.just("wait"), st.sampled_from([1e-3, 0.1 + 0.2, 0.25])),
+)
+
+
+@st.composite
+def sessions(draw):
+    return {
+        "bound": draw(st.sampled_from([None, 1, 4, 11])),
+        "layout": draw(st.sampled_from(["list", "window", "selection"])),
+        "acks": draw(st.sampled_from([0, 1, "all"])),
+        "ops": draw(st.lists(operations, max_size=30)),
+    }
+
+
+def run_session(session, guarded: bool) -> tuple[tuple, int, int]:
+    """Play ``session`` against a fresh one-partition topic; returns what
+    it observed, how many produce and fetch requests it made and how many
+    went through ``guard_request``.
+
+    ``guarded`` forces every request onto the guarded path by making
+    :meth:`BrokerCluster.direct_log` find none.
+    """
+    sim = Simulator(seed=7)
+    cluster = BrokerCluster(sim)
+    AdminClient(cluster).create_topic("t", max_queue=session["bound"])
+    guards = []
+    guard = cluster.guard_request
+    cluster.guard_request = lambda *args: (guards.append(args), guard(*args))
+    if guarded:
+        cluster.direct_log = lambda *args, **kwargs: None
+    slab = slab_of(LINES)
+    producer = Producer(cluster, acks=session["acks"])
+    consumer = Consumer(cluster)
+    tp = TopicPartition("t", 0)
+    consumer.assign([tp])
+    seen: list = []
+    cursor = requests = 0
+    for op in session["ops"]:
+        if op[0] == "produce":
+            stop = min(cursor + op[1], len(LINES))
+            requests += stop > cursor
+            if session["layout"] == "list":
+                batch = LINES[cursor:stop]
+            elif session["layout"] == "window":
+                batch = SlabColumn(slab, cursor, stop)
+            else:
+                batch = SlabColumn(slab, rows=np.arange(cursor, stop, dtype=np.int64))
+            try:
+                producer.send_values("t", batch)
+            except QueueFullError as err:
+                seen.append(("full", err.depth, err.bound, err.count, sim.now().hex()))
+            else:
+                cursor = stop
+                seen.append(("sent", sim.now().hex()))
+        elif op[0] == "poll":
+            requests += 1
+            result = consumer.poll_values(max_records=op[1], with_timestamps=op[2])
+            values, stamps = result if op[2] else (result, None)
+            seen.append(
+                (
+                    "poll",
+                    type(values).__name__,
+                    list(values),
+                    None if stamps is None else (type(stamps).__name__, stamps.tobytes()),
+                    sim.now().hex(),
+                )
+            )
+        elif op[0] == "ack":
+            consumer.acknowledge()
+        else:
+            sim.charge(op[1])
+    log = cluster.partition_log("t", 0)
+    observed = (
+        seen,
+        list(log.read_values(log.start_offset)),
+        log.read_timestamps(log.start_offset).tobytes(),
+        log._run_starts.tobytes(),
+        log._run_stamps.tobytes(),
+        (log.start_offset, log.end_offset, log.consumed_offset, log.queue_depth()),
+        consumer.position(tp),
+        sim.now().hex(),
+        producer.records_sent,
+        consumer.records_fetched,
+    )
+    return observed, requests, len(guards)
+
+
+@settings(max_examples=150, deadline=None)
+@given(session=sessions())
+def test_direct_requests_equal_the_guarded_path(session):
+    """Produce, poll and acknowledge sequences leave the same values,
+    timestamp runs, offsets, positions, clock and counters, and raise the
+    same ``QueueFullError`` at the same clock, whether each request goes
+    straight to the log or through the guarded path."""
+    direct, requests, direct_guards = run_session(session, guarded=False)
+    guarded, _, guarded_guards = run_session(session, guarded=True)
+    assert direct == guarded
+    assert (direct_guards, guarded_guards) == (0, requests)

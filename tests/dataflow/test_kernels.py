@@ -289,6 +289,38 @@ class TestSampleKernel:
         kernel.flush()
         assert rng.getstate() == before
 
+    def test_kernels_adopting_in_alternation_end_in_the_reference_states(self):
+        """A flushed kernel's NumPy generator serves the next adoption;
+        two kernels that adopt, step and flush in alternation never hold
+        one generator together and draw exactly their own streams."""
+        seeds = (11, 12)
+        rngs = [random.Random(seed) for seed in seeds]
+        first, second = (SampleKernel(0.4, rng) for rng in rngs)
+        refs = [random.Random(seed) for seed in seeds]
+        picked: list[list] = [[], []]
+        expected: list[list] = [[], []]
+
+        def step(index, kernel, values):
+            picked[index].extend(kernel(values))
+            expected[index].extend(v for v in values if refs[index].random() < 0.4)
+            if first._state is not None and second._state is not None:
+                assert first._state is not second._state
+
+        step(0, first, list(range(40)))
+        held = first._state
+        step(1, second, list(range(100, 170)))
+        first.flush()
+        step(1, second, list(range(170, 200)))
+        step(0, first, list(range(40, 90)))
+        assert first._state is held  # the flushed generator, reused
+        second.flush()
+        step(1, second, list(range(200, 230)))
+        step(0, first, list(range(90, 95)))
+        first.flush()
+        second.flush()
+        assert picked == expected
+        assert [rng.getstate() for rng in rngs] == [ref.getstate() for ref in refs]
+
 
 # ---------------------------------------------------------------------------
 # Identity, fusion, chains, compilation

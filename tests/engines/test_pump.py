@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.functions import FilterFunction, FlatMapFunction, MapFunction
 from repro.engines.common.costs import RunVariance, StageCosts
@@ -166,6 +167,81 @@ class TestPumpTimeAccounting:
         )
         result = pump.run(list(range(10)))
         assert result.base_duration == pytest.approx(10 * 3 * 1e-3 + 10 * 2 * 1e-2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        total=st.integers(0, 60),
+        chunk_size=st.integers(1, 25),
+        charges=st.lists(
+            st.sampled_from([0.0, 1e-7, 2e-4, 0.1 + 0.2, 3e-6, 1 / 3]),
+            min_size=10,
+            max_size=10,
+        ),
+        weights=st.lists(st.sampled_from([0.0, 0.2, 1.0, 1.3]), min_size=4, max_size=4),
+    )
+    def test_busy_seconds_are_the_sums_of_stage_charges(
+        self, total, chunk_size, charges, weights
+    ):
+        """Each operator's busy seconds equal, bit for bit, the sum over
+        its chunks of ``StageCosts.charge`` with its function's weights,
+        at both tiers; a stage after one that emitted nothing is skipped."""
+        keep = FilterFunction(
+            lambda v: v % 3 != 0, name="Keep", cost_weight=weights[0],
+            rng_draws_per_record=weights[1],
+        )
+        spread = FlatMapFunction(
+            lambda v: [v] * (v % 4), name="Spread", cost_weight=weights[2],
+            rng_draws_per_record=weights[3],
+        )
+        costs = [StageCosts(*charges[k : k + 4]) for k in (0, 3, 6)]
+        costs.append(StageCosts(per_record_in=charges[0], per_record_out=charges[9]))
+        counts = [
+            lambda chunk: len(chunk),
+            lambda chunk: sum(1 for v in chunk if v % 3 != 0),
+            lambda chunk: sum(v % 4 for v in chunk if v % 3 != 0),
+        ]
+        values = list(range(total))
+        expected = {"src": 0.0, "Keep": 0.0, "Spread": 0.0, "snk": 0.0}
+        for start in range(0, total, chunk_size):
+            chunk = values[start : start + chunk_size]
+            n_in = len(chunk)
+            steps = [
+                ("src", costs[0], n_in, 0.0, 0.0),
+                ("Keep", costs[1], counts[1](chunk), keep.cost_weight,
+                 keep.rng_draws_per_record),
+                ("Spread", costs[2], counts[2](chunk), spread.cost_weight,
+                 spread.rng_draws_per_record),
+                ("snk", costs[3], counts[2](chunk), 0.0, 0.0),
+            ]
+            for name, stage_costs, n_out, weight, draws in steps:
+                expected[name] += stage_costs.charge(
+                    records_in=n_in, records_out=n_out, cost_weight=weight,
+                    rng_draws=draws,
+                )
+                if not n_out:
+                    break
+                n_in = n_out
+        for vectorized in (True, False):
+            stages = [
+                stage(StageKind.SOURCE, costs[0], name="src"),
+                stage(StageKind.OPERATOR, costs[1], keep, name="Keep"),
+                stage(StageKind.OPERATOR, costs[2], spread, name="Spread"),
+                stage(StageKind.SINK, costs[3], name="snk"),
+            ]
+            pump = StreamPump(
+                simulator=Simulator(seed=1), stages=stages, variance=NO_VARIANCE,
+                rng=random.Random(0), chunk_size=chunk_size,
+            )
+            saved = StreamPump.vectorized
+            StreamPump.vectorized = vectorized
+            try:
+                metrics = pump.run(values).metrics
+            finally:
+                StreamPump.vectorized = saved
+            busy = {name: op.busy_seconds for name, op in metrics.operators.items()}
+            assert {name: seconds.hex() for name, seconds in busy.items()} == {
+                name: seconds.hex() for name, seconds in expected.items()
+            }
 
     def test_simulated_clock_advances_by_duration(self):
         sim = Simulator(seed=1)

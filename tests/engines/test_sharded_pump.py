@@ -3,7 +3,8 @@
 The pool is the capacity search's parallelism axis.  It cuts each polled
 chunk into P contiguous spans (``shard_spans``), runs span ``s`` through
 shard pump ``s``, charges the slowest shard's cost and returns the
-outputs in record order.  These tests pin that merge against plain
+shards' non-empty outputs, unjoined, in record order.  These tests pin
+that merge, with the outputs concatenated, against plain
 :class:`~repro.engines.common.pump.StreamPump` calls fed by hand, pin
 that the shards run on the calling thread, and pin that stepping without
 per-chunk kernel flushes, then flushing once, matches the per-chunk
@@ -15,17 +16,16 @@ from __future__ import annotations
 import random
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchmark.queries import get_query
 from repro.dataflow.functions import FilterFunction, MapFunction
-from repro.dataflow.kernels import FieldColumn, SlabColumn
+from repro.dataflow.kernels import SlabColumn
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
-from repro.engines.common.sharded import ShardedPump, join_outputs, shard_spans
+from repro.engines.common.sharded import ShardedPump, shard_spans
 from repro.engines.common.stages import PhysicalStage, StageKind
 from repro.simtime import Simulator
 from repro.workloads.aol import generate_records
@@ -72,6 +72,15 @@ def _filter_pump() -> StreamPump:
     return _pump(FilterFunction(_keep, name="Keep"))
 
 
+def _joined(parts: list) -> list:
+    """The pool's per-shard outputs concatenated, in shard order."""
+    joined: list = []
+    for part in parts:
+        assert len(part) > 0  # the pool hands out non-empty outputs only
+        joined.extend(part)
+    return joined
+
+
 def _totals(metrics: JobMetrics) -> dict[str, tuple[int, int, float]]:
     return {
         name: (op.records_in, op.records_out, op.busy_seconds)
@@ -115,7 +124,10 @@ def test_one_shard_pool_is_the_plain_pump(query):
     for chunk in _chunks(records):
         cost, outputs = plain._process_chunk(chunk, metrics)
         total += cost
-        assert pool.process_chunk(chunk) == (cost, outputs)
+        pool_cost, parts = pool.process_chunk(chunk)
+        assert pool_cost == cost
+        assert len(parts) == (1 if outputs else 0)
+        assert _joined(parts) == outputs
     cost, outputs = plain.drain(metrics)
     total += cost
     assert pool.drain() == (cost, outputs)
@@ -141,9 +153,9 @@ def test_pool_charges_the_straggler_and_keeps_record_order(parallelism):
                 )
                 shard_costs[shard] += cost
                 costs.append(cost)
-        cost, outputs = pool.process_chunk(chunk)
+        cost, parts = pool.process_chunk(chunk)
         assert cost == max(costs)
-        assert outputs == [value for value in chunk if _keep(value)]
+        assert _joined(parts) == [value for value in chunk if _keep(value)]
         if index == 0:
             # Empty spans are skipped: those shards record nothing.
             ran = [stop > start for start, stop in spans]
@@ -173,8 +185,8 @@ def test_stage_functions_run_on_the_calling_thread():
         return value
 
     pool = ShardedPump([_pump(MapFunction(tag, name="Tag")) for _ in range(2)])
-    _, outputs = pool.process_chunk(list(range(2_000)))
-    assert outputs == list(range(2_000))
+    _, parts = pool.process_chunk(list(range(2_000)))
+    assert _joined(parts) == list(range(2_000))
     assert seen == {threading.get_ident()}
 
 
@@ -216,9 +228,9 @@ def test_stepping_then_one_flush_matches_per_chunk_flushes(
                 )
                 cost = max(cost, shard_cost)
                 expected.extend(shard_outputs)
-        pool_cost, outputs = pool.process_chunk(chunk)
+        pool_cost, parts = pool.process_chunk(chunk)
         assert pool_cost == cost
-        assert outputs == expected
+        assert _joined(parts) == expected
     pool.flush()
     assert [rng.getstate() for rng in pool_rngs] == [rng.getstate() for rng in shard_rngs]
     assert _totals_of(pool.metrics) == _totals_of(shard_metrics)
@@ -230,80 +242,28 @@ def test_stepping_then_one_flush_matches_per_chunk_flushes(
 @pytest.mark.parametrize("parallelism", (1, 2, 3))
 @pytest.mark.parametrize("query", ("grep", "sample"))
 def test_pool_joins_column_outputs_without_decoding(query, parallelism):
-    """The shards' row selections of one slab join into one selection, so
-    the slab stays undecoded until the outputs are compared, by value,
-    with per-shard plain pumps'."""
+    """Each shard's output over a slab window comes back as the shard's
+    own row selection, so the slab stays undecoded until the outputs are
+    concatenated and compared, by value, with per-shard plain pumps'."""
     workload = ColumnarWorkload.generate(3_000, seed=7106)
     column = workload.column()
     chunks = [column[lo : lo + 750] for lo in range(0, 3_000, 750)]
     pool = ShardedPump([_query_pump(query) for _ in range(parallelism)])
-    joined = [pool.process_chunk(chunk)[1] for chunk in chunks]
+    outputs = [pool.process_chunk(chunk)[1] for chunk in chunks]
     pool.flush()
     assert workload.to_slab().records is None
-    assert all(type(out) is SlabColumn and out.rows is not None for out in joined)
+    assert all(
+        type(part) is SlabColumn and part.rows is not None
+        for parts in outputs
+        for part in parts
+    )
     shards = [_query_pump(query) for _ in range(parallelism)]
     metrics = JobMetrics("plain")
-    for chunk, outputs in zip(chunks, joined):
+    for chunk, parts in zip(chunks, outputs):
         expected = []
         for shard, (lo, hi) in enumerate(shard_spans(len(chunk), parallelism)):
             expected.extend(shards[shard]._process_chunk(chunk[lo:hi], metrics)[1])
-        assert outputs == expected
-
-
-def test_join_outputs_shapes():
-    slab = ColumnarWorkload.generate(20, seed=7107).to_slab()
-    window = SlabColumn(slab, 2, 5)
-    selection = SlabColumn(slab, rows=np.array([1, 6, 8, 9], dtype=np.int64), start=1, stop=3)
-    assert join_outputs([]) == []
-    assert join_outputs([window]) is window
-    joined = join_outputs([window, selection, SlabColumn(slab, 12, 14)])
-    assert type(joined) is SlabColumn
-    assert joined.rows.tolist() == [2, 3, 4, 6, 8, 12, 13]
-    assert slab.records is None
-    other = ColumnarWorkload.generate(20, seed=7108).to_slab()
-    mixed = join_outputs([window, SlabColumn(other, 0, 2), ["x"]])
-    assert type(mixed) is list
-    assert mixed == list(window) + list(SlabColumn(other, 0, 2)) + ["x"]
-    assert join_outputs([["a"], ["b", "c"]]) == ["a", "b", "c"]
-    # Field columns with one lookup object and one set of field dtypes
-    # (the shards' statistics, wordcount and distinct-count outputs) join
-    # into one field column over their [start, stop) items; any other
-    # field column joins into the list of its elements.
-    words = np.array(["a", "b", "c"], dtype=object)
-
-    def pairs(codes, counts, start=0, lookup=words):
-        fields = (np.array(codes, np.int32), np.array(counts, np.int64))
-        return FieldColumn(fields, lookup, start)
-
-    parts = [pairs([2, 0, 1], [5, 1, 1], start=1), pairs([1, 2], [2, 6])]
-    joined = join_outputs(parts)
-    assert type(joined) is FieldColumn and joined.lookup is words
-    assert [field.dtype for field in joined.fields] == [np.int32, np.int64]
-    assert list(joined) == [("a", 1), ("b", 1), ("b", 2), ("c", 6)]
-    counts = [FieldColumn((np.array([1, 2, 2]),), None, 2), FieldColumn((np.array([3, 3]),))]
-    scalars = join_outputs(counts)
-    assert type(scalars) is FieldColumn
-    assert list(scalars) == [2, 3, 3] and type(scalars[0]) is int
-    for odd in (
-        pairs([0], [1], lookup=words.copy()),
-        FieldColumn((np.array([0], np.int64), np.array([1], np.int64)), words),
-        FieldColumn((np.array([1.0]), np.array([1.0]), np.array([1.0]))),
-    ):
-        mixed = join_outputs([parts[0], odd])
-        assert type(mixed) is list
-        assert mixed == list(parts[0]) + list(odd)
-
-
-def test_join_outputs_widens_adjacent_windows():
-    """Adjacent windows of one slab join into one window, which an output
-    log widens; a gap between them makes a row selection."""
-    slab = ColumnarWorkload.generate(20, seed=7109).to_slab()
-    joined = join_outputs([SlabColumn(slab, 2, 5), SlabColumn(slab, 5, 9)])
-    assert type(joined) is SlabColumn and joined.rows is None
-    assert (joined.slab, joined.start, joined.stop) == (slab, 2, 9)
-    gapped = join_outputs([SlabColumn(slab, 2, 5), SlabColumn(slab, 6, 9)])
-    assert gapped.rows.tolist() == [2, 3, 4, 6, 7, 8]
-    assert slab.records is None
+        assert _joined(parts) == expected
 
 
 @pytest.mark.parametrize("parallelism", (1, 2, 4))
